@@ -2,9 +2,10 @@
 tangent-line approximation with mismatch counting, and the admissible
 growth-function family.
 
-The floor of n^c is decided exactly for rational c: a double-precision fast
-path escalates to extended precision and finally to pure integer arithmetic
-whenever the fractional part comes too close to an integer.
+Every floor here is certified by one helper in two tiers: the double value is
+trusted wherever it lies farther from an integer than its error guard, and
+only the remaining near-ties go to an exact fallback (integer roots for
+floor(n^c), Fractions for Beatty lines, mpmath for generic growth functions).
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 import mpmath
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "IntegerExponentWarning",
@@ -43,7 +43,7 @@ __all__ = [
     "check_admissible",
 ]
 
-EXTENDED_MARGIN = 1e-25
+_NEAR_MARGIN = 1e-8  # smallest distance to an integer trusted for x**c
 _FLOAT_GUARD_REL = 1e-14  # conservative bound on the relative error of x**c
 
 
@@ -54,12 +54,10 @@ class IntegerExponentWarning(UserWarning):
 
 @dataclass(frozen=True)
 class PSSpec:
-    """Exponent c = c_num/c_den (in lowest terms) with the escalation
-    threshold of the floating-point fast path."""
+    """Exponent c = c_num/c_den in lowest terms."""
 
     c_num: int
     c_den: int = 1
-    fast_path_margin: float = 1e-8
 
     def __post_init__(self):
         if self.c_num <= 0 or self.c_den <= 0:
@@ -68,18 +66,16 @@ class PSSpec:
             raise ValueError(f"{self.c_num}/{self.c_den} is not in lowest terms")
         if self.c_num <= self.c_den:
             raise ValueError("floor evaluation needs c > 1")
-        if not 0 < self.fast_path_margin < 0.5:
-            raise ValueError("fast_path_margin must lie in (0, 0.5)")
 
     @classmethod
-    def from_rational(cls, c, fast_path_margin: float = 1e-8) -> "PSSpec":
-        frac = Fraction(c) if not isinstance(c, Fraction) else c
-        return cls(frac.numerator, frac.denominator, fast_path_margin)
+    def from_rational(cls, c) -> "PSSpec":
+        frac = Fraction(c)
+        return cls(frac.numerator, frac.denominator)
 
     @classmethod
-    def from_decimal(cls, text: str, fast_path_margin: float = 1e-8) -> "PSSpec":
+    def from_decimal(cls, text: str) -> "PSSpec":
         """Parse a decimal string like '1.42' to the exact rational 71/50."""
-        return cls.from_rational(Fraction(text), fast_path_margin)
+        return cls.from_rational(Fraction(text))
 
     @property
     def c(self) -> Fraction:
@@ -115,40 +111,52 @@ def int_nth_root(n: int, k: int) -> int:
     return x
 
 
-def _ps_floor_exact(n: int, spec: PSSpec) -> int:
-    return int_nth_root(n ** spec.c_num, spec.c_den)
+def _pow_guard(x):
+    """Distance to an integer below which a double x**c is not trusted."""
+    return np.maximum(_NEAR_MARGIN, _FLOAT_GUARD_REL * np.maximum(x, 1.0))
+
+
+def _affine_guard(v):
+    """Distance to an integer below which a double n*alpha + beta (or a
+    quotient by alpha) is not trusted: 2^-40, widened by the float error
+    scale so large magnitudes still escalate before the double can lie."""
+    return np.maximum(2.0 ** -40, 4e-15 * (np.abs(v) + 1.0))
+
+
+def _certified_floor(v, guard, exact):
+    """floor(v) wherever v lies at least `guard` away from every integer, so
+    rounding cannot have carried the double across one; exact(i) at each
+    other position i (non-finite values included).  A float gives an int,
+    a float64 array an int64 array."""
+    fl = np.floor(v)
+    frac = v - fl
+    near = ~(np.minimum(frac, 1.0 - frac) >= guard)
+    if np.ndim(v) == 0:
+        return exact(0) if near else int(fl)
+    out = fl.astype(np.int64)
+    for i in np.flatnonzero(near):
+        out[i] = exact(int(i))
+    return out
 
 
 def ps_floor(n: int, spec: PSSpec) -> int:
-    """Exactly floor(n**c).  Double fast path, extended-precision retry,
-    integer decision m**c_den <= n**c_num as the last resort."""
+    """Exactly floor(n**c).  Double fast path; near-ties are decided by the
+    integer root floor((n**c_num) ** (1/c_den))."""
     if n < 1:
         raise ValueError(f"ps_floor needs n >= 1, got {n}")
     if spec.is_integer:
         warnings.warn("integer exponent: floor(n^c) degenerates to an integer power",
                       IntegerExponentWarning, stacklevel=2)
         return n ** spec.c_num
-    xf = float(n) ** spec.c_float
-    if math.isfinite(xf):
-        fl = math.floor(xf)
-        frac = xf - fl
-        guard = max(spec.fast_path_margin, _FLOAT_GUARD_REL * max(1.0, xf))
-        if guard <= frac <= 1.0 - guard:
-            return int(fl)
-    digits10 = max(1, int(spec.c_num * math.log10(n) / spec.c_den) + 1) if n > 1 else 1
-    with mpmath.workdps(digits10 + 35):
-        xe = mpmath.root(mpmath.mpf(n ** spec.c_num), spec.c_den)
-        fl = mpmath.floor(xe)
-        frac = xe - fl
-        if EXTENDED_MARGIN < frac < 1 - EXTENDED_MARGIN:
-            return int(fl)
-    return _ps_floor_exact(n, spec)
+    x = float(n) ** spec.c_float
+    return _certified_floor(x, _pow_guard(x),
+                            lambda _: int_nth_root(n ** spec.c_num, spec.c_den))
 
 
 def ps_block_chunks(n_lo: int, n_hi: int, spec: PSSpec,
                     chunk: int = 1 << 20) -> Iterator[np.ndarray]:
     """Stream floor(n**c) for n in [n_lo, n_hi] as int64 chunks, in index
-    order.  Element-wise identical to ps_floor."""
+    order.  Element-wise identical to ps_floor, which settles the near-ties."""
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"need 1 <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
     if n_hi >= 2**53:
@@ -162,16 +170,10 @@ def ps_block_chunks(n_lo: int, n_hi: int, spec: PSSpec,
         warnings.simplefilter("ignore", IntegerExponentWarning)
         for lo in range(n_lo, n_hi + 1, chunk):
             hi = min(lo + chunk - 1, n_hi)
-            n = np.arange(lo, hi + 1, dtype=np.float64)
-            x = n ** cf
+            x = np.arange(lo, hi + 1, dtype=np.float64) ** cf
             if not np.all(np.isfinite(x)) or float(x[-1]) >= 2**62:
                 raise ValueError("floor values exceed the int64 streaming range")
-            fl = np.floor(x)
-            frac = x - fl
-            guard = np.maximum(spec.fast_path_margin, _FLOAT_GUARD_REL * np.maximum(x, 1.0))
-            out = fl.astype(np.int64)
-            for i in np.flatnonzero((frac < guard) | (frac > 1.0 - guard)):
-                out[i] = ps_floor(lo + int(i), spec)
+            out = _certified_floor(x, _pow_guard(x), lambda i: ps_floor(lo + i, spec))
             if prev_last is not None and out[0] < prev_last:
                 raise AssertionError("ps_block lost monotonicity at a chunk boundary")
             if np.any(np.diff(out) < 0):
@@ -199,52 +201,25 @@ class BeattyLine:
             raise ValueError(f"Beatty slope must be positive, got {self.alpha}")
 
 
-def _near_integer_guard(magnitude: float) -> float:
-    # 2^-40 from the contract, widened by the actual float error scale so
-    # large magnitudes still escalate before the double result can lie.
-    return max(2.0 ** -40, 4e-15 * (abs(magnitude) + 1.0))
-
-
 def beatty_floor(n: int, line: BeattyLine) -> int:
     """floor(n*alpha + beta) with exact-rational escalation near ties."""
     v = n * line.alpha + line.beta
-    fl = math.floor(v)
-    if min(v - fl, fl + 1 - v) < _near_integer_guard(v):
-        exact = Fraction(n) * Fraction(line.alpha) + Fraction(line.beta)
-        return math.floor(exact)
-    return fl
+    return _certified_floor(v, _affine_guard(v), lambda _: math.floor(
+        Fraction(n) * Fraction(line.alpha) + Fraction(line.beta)))
 
 
 def beatty_floor_range(line: BeattyLine, n_lo: int, n_hi: int) -> np.ndarray:
     """Vectorised beatty_floor for n in [n_lo, n_hi]."""
-    n = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-    v = n * line.alpha + line.beta
-    fl = np.floor(v)
-    guard = np.maximum(2.0 ** -40, 4e-15 * (np.abs(v) + 1.0))
-    out = fl.astype(np.int64)
-    near = np.flatnonzero(np.minimum(v - fl, fl + 1.0 - v) < guard)
-    for i in near:
-        out[i] = beatty_floor(n_lo + int(i), line)
-    return out
-
-
-def _guarded_quotient_floor(num: float, num_exact: Fraction, alpha: float) -> int:
-    v = num / alpha
-    fl = math.floor(v)
-    if min(v - fl, fl + 1 - v) < _near_integer_guard(v):
-        return math.floor(num_exact / Fraction(alpha))
-    return fl
+    v = np.arange(n_lo, n_hi + 1, dtype=np.float64) * line.alpha + line.beta
+    if v.size and max(abs(v[0]), abs(v[-1])) >= 2**62:
+        raise ValueError("Beatty values exceed the int64 range")
+    return _certified_floor(v, _affine_guard(v), lambda i: beatty_floor(n_lo + i, line))
 
 
 def beatty_membership(m: int, line: BeattyLine) -> bool:
     """Detection identity: m is hit by the Beatty line (alpha >= 1) iff
     floor((beta-m)/alpha) - floor((beta-m-1)/alpha) equals 1."""
-    if line.alpha < 1:
-        raise ValueError("membership characterisation needs alpha >= 1")
-    beta_exact = Fraction(line.beta)
-    t1 = _guarded_quotient_floor(line.beta - m, beta_exact - m, line.alpha)
-    t2 = _guarded_quotient_floor(line.beta - m - 1, beta_exact - m - 1, line.alpha)
-    return (t1 - t2) == 1
+    return bool(beatty_membership_range(line, m, m)[0])
 
 
 def beatty_membership_range(line: BeattyLine, m_lo: int, m_hi: int) -> np.ndarray:
@@ -252,33 +227,48 @@ def beatty_membership_range(line: BeattyLine, m_lo: int, m_hi: int) -> np.ndarra
     if line.alpha < 1:
         raise ValueError("membership characterisation needs alpha >= 1")
     m = np.arange(m_lo, m_hi + 1, dtype=np.float64)
-    floors = []
-    for shift in (0.0, 1.0):
+    alpha, beta = Fraction(line.alpha), Fraction(line.beta)
+
+    def floors(shift: int) -> np.ndarray:
         v = (line.beta - m - shift) / line.alpha
-        fl = np.floor(v)
-        guard = np.maximum(2.0 ** -40, 4e-15 * (np.abs(v) + 1.0))
-        out = fl.astype(np.int64)
-        near = np.flatnonzero(np.minimum(v - fl, fl + 1.0 - v) < guard)
-        beta_exact = Fraction(line.beta)
-        alpha_exact = Fraction(line.alpha)
-        for i in near:
-            out[i] = math.floor((beta_exact - (m_lo + int(i)) - Fraction(shift)) / alpha_exact)
-        floors.append(out)
-    return (floors[0] - floors[1]) == 1
+        return _certified_floor(v, _affine_guard(v), lambda i: math.floor(
+            (beta - (m_lo + i) - shift) / alpha))
+
+    return (floors(0) - floors(1)) == 1
+
+
+def _solve_increasing(g, y, x_min: float):
+    """x >= x_min with g(x) = y for increasing g, elementwise over y, by
+    bisection down to adjacent doubles (the upper end is returned)."""
+    y = np.asarray(y, dtype=np.float64)
+    lo = np.full(y.shape, float(x_min))
+    hi = np.maximum(lo * 2.0, 4.0)
+    while np.any(short := g(hi) < y):
+        hi = np.where(short, 2.0 * hi, hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            break
+        below = g(mid) < y
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return float(hi) if hi.ndim == 0 else hi
 
 
 class GrowthFunction:
     """Admissible amplitude function: f, f', f'' > 0 with f'' comparable on
     doubling intervals (constants c1 >= 1/2 and c2).
 
-    Subclasses provide analytic derivatives and the inverse; evaluators
-    accept scalars or numpy arrays.
+    Subclasses provide analytic derivatives; evaluators accept scalars or
+    numpy arrays.  The inverse defaults to bisection on [X_MIN, oo).
     """
 
     c1: float
     c2: float
     A0: float
     delta: float
+    X_MIN = 1e-9
 
     def f(self, x):
         raise NotImplementedError
@@ -290,10 +280,10 @@ class GrowthFunction:
         raise NotImplementedError
 
     def f_inv(self, y):
-        raise NotImplementedError
+        return _solve_increasing(self.f, y, self.X_MIN)
 
     def df_inv(self, y):
-        raise NotImplementedError
+        return 1.0 / self.df(self.f_inv(y))
 
     def d2_sup(self, a: float, b: float) -> float:
         """sup of f'' on [a, b], by dense sampling unless overridden."""
@@ -306,21 +296,18 @@ class GrowthFunction:
 
     def floor_exact(self, n: int) -> int:
         """floor(f(n)) with escalation to high precision near ties."""
-        xf = float(self.f(n))
-        fl = math.floor(xf)
-        frac = xf - fl
-        guard = _FLOAT_GUARD_REL * max(1.0, xf)
-        if guard <= frac <= 1.0 - guard:
-            return int(fl)
-        for dps in (50, 120):
-            with mpmath.workdps(dps):
-                v = self.f_mp(n)
-                fl = mpmath.floor(v)
-                frac = v - fl
-                eps = mpmath.mpf(10) ** (12 - dps)
-                if eps < frac < 1 - eps:
-                    return int(fl)
-        raise ArithmeticError(f"could not certify floor(f({n})) at 120 digits")
+        def settle(_) -> int:
+            for dps in (50, 120):
+                with mpmath.workdps(dps):
+                    v = self.f_mp(n)
+                    fl = mpmath.floor(v)
+                    eps = mpmath.mpf(10) ** (12 - dps)
+                    if eps < v - fl < 1 - eps:
+                        return int(fl)
+            raise ArithmeticError(f"could not certify floor(f({n})) at 120 digits")
+
+        x = float(self.f(n))
+        return _certified_floor(x, _pow_guard(x), settle)
 
     def floor_block(self, n_lo: int, n_hi: int, chunk: int = 1 << 20) -> Iterator[np.ndarray]:
         """Stream exact floor(f(n)) in chunks; generic fallback path."""
@@ -410,7 +397,7 @@ class PowerLogGrowth(GrowthFunction):
             lo, hi = min(lo, float(r.min())), max(hi, float(r.max()))
         self.c1 = min(lo, 1.0)
         self.c2 = max(hi, 1.0)
-        self.A0 = float(brentq(lambda x: self.df(x) - 1.0, self.X_MIN, 1e9)) \
+        self.A0 = _solve_increasing(self.df, 1.0, self.X_MIN) \
             if self.df(self.X_MIN) < 1.0 else self.X_MIN
 
     def f(self, x):
@@ -425,19 +412,6 @@ class PowerLogGrowth(GrowthFunction):
         lx = np.log(x)
         poly = c * (c - 1.0) * lx ** 2 + e * (2.0 * c - 1.0) * lx + e * (e - 1.0)
         return x ** (c - 2.0) * lx ** (e - 2.0) * poly
-
-    def f_inv(self, y):
-        def solve(yy):
-            hi = max(4.0, float(yy) ** (1.0 / self.cf) + 2.0)
-            while self.f(hi) < yy:
-                hi *= 2.0
-            return brentq(lambda x: self.f(x) - yy, self.X_MIN, hi)
-        if np.ndim(y) == 0:
-            return solve(y)
-        return np.array([solve(v) for v in np.asarray(y).ravel()]).reshape(np.shape(y))
-
-    def df_inv(self, y):
-        return 1.0 / self.df(self.f_inv(y))
 
     def f_mp(self, x: int):
         return mpmath.mpf(x) ** mpmath.mpf(self.cf) * mpmath.log(x) ** self.eta
@@ -468,19 +442,6 @@ class SumGrowth(GrowthFunction):
 
     def d2f(self, x):
         return sum(w * g.d2f(x) for w, g in self.terms)
-
-    def f_inv(self, y):
-        def solve(yy):
-            hi = 4.0
-            while self.f(hi) < yy:
-                hi *= 2.0
-            return brentq(lambda x: self.f(x) - yy, 1e-9, hi)
-        if np.ndim(y) == 0:
-            return solve(y)
-        return np.array([solve(v) for v in np.asarray(y).ravel()]).reshape(np.shape(y))
-
-    def df_inv(self, y):
-        return 1.0 / self.df(self.f_inv(y))
 
     def f_mp(self, x: int):
         return mpmath.fsum(w * g.f_mp(x) for w, g in self.terms)
@@ -556,11 +517,9 @@ def count_floor_mismatches(f: GrowthFunction, a: int, b: int, alpha: float,
     # the lemma applies verbatim to the float line actually tested.
     beta_slack = 4e-16 * (abs(f_a) + abs(a * alpha))
     m_bound = f.d2_sup(a, b) + beta_slack / span ** 2
-    line = BeattyLine(alpha=alpha, beta=beta)
-    mismatches = 0
-    for n in range(a + 1, b + 1):
-        if f.floor_exact(n) != beatty_floor(n, line):
-            mismatches += 1
+    floors = np.concatenate(list(f.floor_block(a + 1, b)))
+    beatty = beatty_floor_range(BeattyLine(alpha=alpha, beta=beta), a + 1, b)
+    mismatches = int(np.count_nonzero(floors != beatty))
     if r_terms is None:
         r_terms = max(1, math.isqrt(span) + 1)
     from .expsums import reduced_phase_window  # local import to avoid a cycle

@@ -1,0 +1,123 @@
+"""Property tests of the certified floors against exact oracles: integer
+roots for floor(n^c), Fractions for Beatty lines, and the bisection inverse
+of the generic growth functions.
+
+The strategies aim at exact ties: n next to perfect c_den-th powers makes
+n^c an integer or within a hair of one, and dyadic-rational slopes and
+intercepts put n*alpha + beta exactly on integers.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from digitseq import (
+    BeattyLine,
+    PSSpec,
+    PowerGrowth,
+    PowerLogGrowth,
+    SumGrowth,
+    beatty_floor,
+    beatty_floor_range,
+    beatty_membership,
+    beatty_membership_range,
+    int_nth_root,
+    ps_block,
+    ps_floor,
+)
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+EXPONENTS = [Fraction(3, 2), Fraction(4, 3), Fraction(5, 3), Fraction(7, 4), Fraction(9, 7),
+             Fraction(21, 20), Fraction(71, 50), Fraction(5, 2)]
+
+
+@st.composite
+def near_perfect_powers(draw):
+    """(spec, n) with n within 3 of k**c_den, n < 2**52 and n^c < 2**60."""
+    c = draw(st.sampled_from(EXPONENTS))
+    spec = PSSpec.from_rational(c)
+    n_max = int(2.0 ** min(52.0, 60 / float(c)))
+    k = draw(st.integers(1, max(1, int_nth_root(n_max, spec.c_den) - 1)))
+    n = k ** spec.c_den + draw(st.integers(-3, 3))
+    return spec, max(n, 1)
+
+
+@PROPERTY
+@given(near_perfect_powers())
+def test_ps_floor_near_perfect_powers_matches_integer_root(case):
+    spec, n = case
+    assert ps_floor(n, spec) == int_nth_root(n ** spec.c_num, spec.c_den)
+
+
+@PROPERTY
+@given(near_perfect_powers())
+def test_ps_block_near_perfect_powers_matches_integer_root(case):
+    spec, n = case
+    lo = max(1, n - 4)
+    got = ps_block(lo, n + 4, spec)
+    assert got.tolist() == [int_nth_root(m ** spec.c_num, spec.c_den)
+                            for m in range(lo, n + 5)]
+
+
+def dyadic(lo: int, hi: int, max_shift: int = 10):
+    return st.builds(lambda num, shift: num / 2 ** shift,
+                     st.integers(lo, hi), st.integers(0, max_shift))
+
+
+def _exact_floor(n: int, line: BeattyLine) -> int:
+    return math.floor(n * Fraction(line.alpha) + Fraction(line.beta))
+
+
+@PROPERTY
+@given(dyadic(1, 1 << 16), dyadic(-(1 << 16), 1 << 16), st.integers(-(1 << 20), 1 << 20))
+def test_beatty_floors_on_dyadic_lines_match_fractions(alpha, beta, n_lo):
+    line = BeattyLine(alpha, beta)
+    got = beatty_floor_range(line, n_lo, n_lo + 40)
+    exact = [_exact_floor(n, line) for n in range(n_lo, n_lo + 41)]
+    assert got.tolist() == exact
+    assert [beatty_floor(n, line) for n in range(n_lo, n_lo + 41)] == exact
+
+
+@PROPERTY
+@given(dyadic(1 << 10, 1 << 14), dyadic(-(1 << 12), 1 << 12), st.integers(-2000, 2000))
+def test_membership_scalar_range_and_enumeration_agree(alpha, beta, m_lo):
+    line = BeattyLine(alpha, beta)  # alpha >= 1
+    member = beatty_membership_range(line, m_lo, m_lo + 60)
+    assert [beatty_membership(m, line) for m in range(m_lo, m_lo + 61)] == member.tolist()
+    n_lo = math.floor((m_lo - beta) / alpha) - 2
+    n_hi = math.ceil((m_lo + 61 - beta) / alpha) + 2
+    hits = {_exact_floor(n, line) for n in range(n_lo, n_hi + 1)}
+    assert [m in hits for m in range(m_lo, m_lo + 61)] == member.tolist()
+
+
+GROWTHS = [
+    PowerLogGrowth(1.4, 1.0),
+    PowerLogGrowth(1.75, 2.5),
+    SumGrowth([(2.0, PowerGrowth(Fraction(3, 2))), (1.0, PowerGrowth(Fraction(5, 4)))]),
+    SumGrowth([(1.0, PowerLogGrowth(1.2, 0.5)), (0.5, PowerGrowth(Fraction(7, 4)))]),
+]
+
+
+@PROPERTY
+@given(st.sampled_from(GROWTHS), st.floats(2.5, 1e7))
+def test_bisection_inverse_round_trip(f, x):
+    y = float(f.f(x))
+    assert f.f_inv(y) == pytest.approx(x, rel=1e-12)
+    assert f.df_inv(y) == pytest.approx(1.0 / float(f.df(x)), rel=1e-10)
+
+
+@PROPERTY
+@given(st.sampled_from(GROWTHS), st.lists(st.floats(2.5, 1e7), min_size=1, max_size=20))
+def test_bisection_inverse_is_elementwise(f, xs):
+    ys = np.asarray(f.f(np.array(xs)), dtype=np.float64)
+    got = f.f_inv(ys)
+    assert got.shape == ys.shape
+    # numpy may round f differently on 0-d and 1-d input, so the scalar and
+    # the array bisection can end one double apart
+    assert np.allclose(got, [f.f_inv(float(y)) for y in ys], rtol=1e-15, atol=0)
+    assert np.allclose(got, xs, rtol=1e-12, atol=0)

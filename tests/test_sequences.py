@@ -50,8 +50,6 @@ def test_psspec_validation():
         PSSpec(6, 4)  # not in lowest terms
     with pytest.raises(ValueError):
         PSSpec(1, 2)  # c <= 1
-    with pytest.raises(ValueError):
-        PSSpec(3, 2, fast_path_margin=0.7)
 
 
 def test_ps_floor_examples():
