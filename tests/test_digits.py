@@ -127,7 +127,7 @@ def test_zeckendorf_reconstruction_bulk_million():
     rem = n.copy()
     recon = np.zeros_like(n)
     prev_mask = np.zeros(len(n), dtype=bool)
-    kmax = 29  # F_29 = 832040 <= 10^6 - 1 < F_30
+    kmax = 30  # F_30 = 832040 <= 10^6 - 1 < F_31
     assert fibonacci(kmax) <= len(n) - 1 < fibonacci(kmax + 1)
     for k in range(kmax, 1, -1):
         f = np.int64(fibonacci(k))

@@ -221,9 +221,13 @@ def test_zeckendorf_recurrence_matches_defining_sum():
         alpha = float(rng.random())
         theta = float(rng.random())
         vals = zeckendorf_block_sums(25, alpha, theta)
+        # {u theta} by exact reduction: theta * u in plain double loses up to
+        # 1e-8 of phase at u near F_25
+        theta_u = reduced_phase_window(0, len(u), theta)
         for k in (10, 18, 25):
             f_k = fibonacci(k)
-            direct = np.sum(np.exp(2j * np.pi * ((alpha * sz[:f_k] + theta * u[:f_k]) % 1.0)))
+            terms = np.exp(2j * np.pi * ((alpha * sz[:f_k] + theta_u[:f_k]) % 1.0))
+            direct = complex(math.fsum(terms.real), math.fsum(terms.imag))
             assert abs(vals[k - 1] - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
