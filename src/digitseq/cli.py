@@ -42,6 +42,16 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise CliError(f"not a comma-separated integer list: {text!r}")
 
 
+def _threads(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise CliError(f"--threads must be a positive integer, got {text!r}")
+    return count
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="digitseq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -49,7 +59,7 @@ def _build_parser() -> _Parser:
     def common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_threads, default=1,
                        help="worker count; never affects output bytes")
         return p
 

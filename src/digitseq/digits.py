@@ -266,7 +266,8 @@ def _zeck_ascend(a: int, k_top: int) -> list[DecompositionSegment]:
 def _zeck_descend(b: int, k_top: int) -> list[DecompositionSegment]:
     # Cover [F_{k_top}, b); one block per representation index below k_top.
     idx = sorted(zeckendorf(b).indices, reverse=True)
-    assert idx and idx[0] == k_top
+    if not idx or idx[0] != k_top:
+        raise AssertionError(f"top Zeckendorf index of {b} is not {k_top}")
     segs = []
     running = fibonacci(k_top)
     for j in idx[1:]:
@@ -315,5 +316,6 @@ def count_carry_mismatches(x: int, y: int, r: int, spec: TruncatedDigitSpec) -> 
             if full != trunc:
                 count += 1
     bound = (y - x) * abs(r) / period + abs(r)
-    assert count <= bound + 1e-9, "carry-mismatch count exceeded its proven bound"
+    if count > bound + 1e-9:
+        raise AssertionError("carry-mismatch count exceeded its proven bound")
     return count

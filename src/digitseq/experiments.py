@@ -19,7 +19,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .digits import (
     thue_morse_sign_array,
     zeckendorf_digit_sum_array,
 )
-from .expsums import window_exp_sum
+from .expsums import _kahan, window_exp_sum
 from .sequences import (
     BeattyLine,
     GrowthFunction,
@@ -110,17 +110,6 @@ def _map_ordered(func, items: Sequence, threads: int) -> list:
         return [func(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(func, items))
-
-
-def _kahan(values: Iterable[complex]) -> complex:
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
 
 
 @dataclass(frozen=True)

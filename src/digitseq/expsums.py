@@ -19,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -61,15 +61,22 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _SUM_EPS = 5e-16  # per-term relative bound fed into the residual estimate
+_LEVEL_GUARD = 24  # the sine-product quadrature uses 2^(level-1) panels
 
 
 def max_table_bytes() -> int:
-    """Allocation cap for coefficient tables (DIGITSEQ_MAX_MEMORY, bytes)."""
+    """Allocation cap for coefficient tables (DIGITSEQ_MAX_MEMORY, bytes;
+    1 GiB when unset)."""
     raw = os.environ.get("DIGITSEQ_MAX_MEMORY", "")
-    try:
-        return int(raw) if raw else 1 << 30
-    except ValueError:
+    if not raw:
         return 1 << 30
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise ValueError(f"DIGITSEQ_MAX_MEMORY must be a positive byte count, got {raw!r}")
+    return cap
 
 
 def dist_to_int(x: float) -> float:
@@ -77,12 +84,17 @@ def dist_to_int(x: float) -> float:
     return abs(x - round(x))
 
 
+def _ratio(theta) -> tuple[int, int]:
+    """theta as an exact (numerator, denominator): a Fraction as it is,
+    anything else through the exact value of its double."""
+    if isinstance(theta, Fraction):
+        return theta.numerator, theta.denominator
+    return float(theta).as_integer_ratio()
+
+
 def reduced_phase(m: int, theta) -> float:
     """{m * theta} computed exactly through the rational value of theta."""
-    if isinstance(theta, Fraction):
-        num, den = theta.numerator, theta.denominator
-    else:
-        num, den = float(theta).as_integer_ratio()
+    num, den = _ratio(theta)
     return ((m % den) * num % den) / den
 
 
@@ -103,7 +115,8 @@ def reduced_phase_window(m0: int, count: int, theta) -> np.ndarray:
     return ph % 1.0
 
 
-def _kahan_complex(values: list[complex]) -> complex:
+def _kahan(values: Iterable[complex]) -> complex:
+    """Compensated (Kahan) sum, accumulated in the given order."""
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j
     for v in values:
@@ -141,7 +154,7 @@ def window_exp_sum(phi: Callable[[np.ndarray], np.ndarray], x: float, z: float,
         ph = reduced_phase_window(lo, n, theta)
         vals = np.asarray(phi(np.arange(lo, lo + n, dtype=np.int64)))
         partials.append(complex(np.sum(vals * np.exp(2j * np.pi * ph))))
-    total = _kahan_complex(partials)
+    total = _kahan(partials)
     return WindowSumResult(total, count, _SUM_EPS * count)
 
 
@@ -151,10 +164,7 @@ def tm_dyadic_expsum(ell: int, level: int, theta) -> complex:
     prod_{k<level} (1 - e(2^k theta))."""
     if ell < 0 or level < 0:
         raise ValueError("needs ell >= 0 and level >= 0")
-    if isinstance(theta, Fraction):
-        num, den = theta.numerator, theta.denominator
-    else:
-        num, den = float(theta).as_integer_ratio()
+    num, den = _ratio(theta)
     prod = 1.0 + 0.0j
     for k in range(level):
         t = ((num << k) % den) / den
@@ -168,10 +178,7 @@ def tm_sine_product_magnitude(level: int, theta) -> float:
     reduced mod 1 exactly, so the factors stay accurate near sine zeros."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    if isinstance(theta, Fraction):
-        num, den = theta.numerator, theta.denominator
-    else:
-        num, den = float(theta).as_integer_ratio()
+    num, den = _ratio(theta)
     prod = 1.0
     for k in range(level):
         t = ((num << k) % den) / den
@@ -224,8 +231,8 @@ def sine_product_integral(level: int) -> SineProductResult:
     panel-wise Gauss-Legendre (8 nodes, error estimated against 16)."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    if level > 24:
-        raise ValueError("level above the resource guard (24)")
+    if level > _LEVEL_GUARD:
+        raise ValueError(f"level above the resource guard ({_LEVEL_GUARD})")
     if level == 0:
         return SineProductResult(0, 1.0, 0.0)
     i8 = _sine_product_quad(level, 8)
@@ -247,6 +254,8 @@ def sine_product_decay(level_max: int) -> list[SineProductDecayRow]:
     both converge to the geometric decay rate of I_level."""
     if level_max < 2:
         raise ValueError("needs level_max >= 2")
+    if level_max > _LEVEL_GUARD:
+        raise ValueError(f"level above the resource guard ({_LEVEL_GUARD})")
     rows = []
     prev = None
     for lam in range(level_max + 1):
@@ -464,5 +473,5 @@ def zeckendorf_window_expsum(x: float, z: float, alpha: float, theta=0.0) -> Win
         ph = (alpha * zeckendorf_digit_sum(seg.offset) % 1.0
               + reduced_phase(seg.offset, theta)) % 1.0
         partials.append(cmath.exp(2j * math.pi * ph) * g[seg.scale - 1])
-    total = _kahan_complex(partials)
+    total = _kahan(partials)
     return WindowSumResult(total, b - a, _SUM_EPS * (b - a))

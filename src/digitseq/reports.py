@@ -30,7 +30,7 @@ from .experiments import (
 )
 from .sequences import MismatchReport
 
-__all__ = ["serialize_report", "report_to_jsonable", "report_from_jsonable"]
+__all__ = ["serialize_report", "report_to_jsonable"]
 
 _VOLATILE_FIELDS = {"runtime"}
 
@@ -74,21 +74,6 @@ def report_to_jsonable(report) -> dict:
         v = getattr(report, f.name)
         out[f.name] = None if f.name in _VOLATILE_FIELDS else _jsonable_value(v)
     return out
-
-
-def report_from_jsonable(cls, data: dict):
-    """Rebuild a flat report dataclass from its JSON dictionary."""
-    kwargs: dict[str, Any] = {}
-    for f in dataclasses.fields(cls):
-        v = data[f.name]
-        if isinstance(v, dict) and set(v) == {"re", "im"}:
-            v = complex(v["re"], v["im"])
-        elif f.type == "Fraction" and isinstance(v, str):
-            v = Fraction(v)
-        elif isinstance(v, list):
-            v = tuple(tuple(x) if isinstance(x, list) else x for x in v)
-        kwargs[f.name] = v
-    return cls(**kwargs)
 
 
 def _rows_of(report) -> tuple[list[str], list[list]]:
