@@ -43,27 +43,25 @@ def test_max_memory_must_be_a_positive_byte_count(raw, monkeypatch, tmp_path):
 
 
 def test_invariant_checks_survive_python_O():
-    # Both calls break a proven invariant on purpose: a wrong top index for
-    # the Zeckendorf descent, and a truncated digit sum that ignores the
-    # truncation, so the carry-mismatch count exceeds its bound.
+    # Each check breaks a proven invariant on purpose.
     script = textwrap.dedent("""
         import numpy as np
         from digitseq import digits
 
-        def broken_truncation(values, spec):
-            return np.asarray(values, dtype=np.int64)
+        def descend_with_wrong_top_index():
+            digits._zeck_descend(4, 5)
 
-        checks = [lambda: digits._zeck_descend(4, 5)]
-        def carry():
-            digits.truncated_digit_sum_array = broken_truncation
+        def carries_without_truncation():
+            digits.truncated_digit_sum_array = \\
+                lambda values, spec: np.asarray(values, dtype=np.int64)
             digits.count_carry_mismatches(0, 1000, 1, digits.TruncatedDigitSpec(2, 8))
-        checks.append(carry)
-        for check in checks:
+
+        for check in (descend_with_wrong_top_index, carries_without_truncation):
             try:
                 check()
             except AssertionError:
                 continue
-            raise SystemExit("invariant violation passed unnoticed")
+            raise SystemExit(f"{check.__name__}: violation passed unnoticed")
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(digitseq.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
