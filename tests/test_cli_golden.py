@@ -30,7 +30,14 @@ CASES = {
     "tm-density-71-50": ["tm-density", "--c", "71/50", "--n", "300000"],
     "joint-residues": ["joint-residues", "--c", "9/7", "--q1", "2", "--q2", "3",
                        "--m1", "3", "--m2", "5", "--x", "400000"],
+    "joint-residues-3-4": ["joint-residues", "--c", "3/2", "--q1", "3", "--q2", "4",
+                           "--m1", "3", "--m2", "5", "--l1", "1", "--l2", "2",
+                           "--x", "400000"],
+    "joint-residues-4-5": ["joint-residues", "--c", "71/50", "--q1", "4", "--q2", "5",
+                           "--m1", "5", "--m2", "3", "--x", "400000"],
     "zeck-residues-4-3": ["zeck-residues", "--c", "4/3", "--m", "3", "--x", "400000"],
+    "zeck-residues-71-50": ["zeck-residues", "--c", "71/50", "--m", "5", "--a", "2",
+                            "--x", "400000"],
     "beatty-mismatch-3-2": ["beatty-mismatch", "--f-power", "3/2",
                             "--a", "999950", "--b", "1000050"],
     "beatty-mismatch-3-2-narrow": ["beatty-mismatch", "--f-power", "3/2",
@@ -55,8 +62,8 @@ CASES = {
 }
 
 # Commands whose work is split over --threads workers.
-THREADED = ("tm-density-3-2", "joint-residues", "zeck-residues-4-3",
-            "deviation-3-2", "audit-thm1-3-2")
+THREADED = ("tm-density-3-2", "joint-residues", "joint-residues-3-4", "joint-residues-4-5",
+            "zeck-residues-4-3", "zeck-residues-71-50", "deviation-3-2", "audit-thm1-3-2")
 
 
 def _report(argv: list[str], path: Path) -> bytes:
