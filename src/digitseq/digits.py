@@ -3,8 +3,15 @@
 Base-q digit sums and their truncated periodic variants, the Thue-Morse
 sign, Fibonacci/Zeckendorf machinery, and the two interval-decomposition
 procedures (dyadic and Fibonacci-length blocks) used by the exponential-sum
-kernels.  Everything here is pure integer arithmetic and stateless; the
-Fibonacci table is an append-only cache.
+kernels.  Everything here is pure integer arithmetic.
+
+The array kernels are table-driven.  `digit_sum_array` reads the digit sums
+of 0 .. q^L - 1 (the largest L with q^L <= 2^16) from a uint8 block table,
+one table per base 3 <= q <= 16, and `zeckendorf_digit_sum_array` reads s_Z
+of the part below F_27 from a uint8 low table.  Both tables, and the
+Fibonacci numbers up to the first one above 2^63, are built at import, so
+worker threads only ever read them.  The scalar functions extend the
+Fibonacci list on demand for larger integers (an append-only cache).
 """
 
 from __future__ import annotations
@@ -55,15 +62,37 @@ _POP_H01 = np.uint64(0x0101010101010101)
 
 
 def _popcount_u64(v: np.ndarray) -> np.ndarray:
-    v = v.astype(np.uint64)
+    """Popcount of an int64 array; the uint64 views reinterpret, not copy."""
+    v = v.view(np.uint64)
     v = v - ((v >> np.uint64(1)) & _POP_M1)
     v = (v & _POP_M2) + ((v >> np.uint64(2)) & _POP_M2)
     v = (v + (v >> np.uint64(4))) & _POP_M4
-    return ((v * _POP_H01) >> np.uint64(56)).astype(np.int64)
+    return ((v * _POP_H01) >> np.uint64(56)).view(np.int64)
+
+
+_TABLE_SIZE = 1 << 16
+
+
+def _digit_block_table(q: int) -> np.ndarray:
+    """s_q(0), ..., s_q(q^L - 1) for the largest L with q^L <= 2^16, built
+    digit by digit: s_q(d q^j + m) = d + s_q(m) for m < q^j."""
+    table = np.zeros(1, dtype=np.uint8)
+    digits = np.arange(q, dtype=np.uint8)
+    while table.size * q <= _TABLE_SIZE:
+        table = (digits[:, None] + table).ravel()
+    return table
+
+
+_DIGIT_BLOCK_TABLES = {q: _digit_block_table(q) for q in range(3, 17)}
 
 
 def digit_sum_array(values: np.ndarray, q: int) -> np.ndarray:
-    """Vectorised digit_sum over a nonnegative int64 array."""
+    """Vectorised digit_sum over a nonnegative int64 array (int64 result).
+
+    q = 2 is a popcount.  For 3 <= q <= 16 each pass splits off a block of
+    L base-q digits with one divmod by q^L and adds its digit sum from the
+    block table, so a value takes ceil(digits / L) passes.  Larger bases
+    split off one digit per pass and add it as it is."""
     if q < 2:
         raise ValueError(f"digit base must be >= 2, got {q}")
     v = np.array(values, dtype=np.int64, copy=True)
@@ -71,10 +100,16 @@ def digit_sum_array(values: np.ndarray, q: int) -> np.ndarray:
         raise ValueError("digit_sum_array needs nonnegative values")
     if q == 2:
         return _popcount_u64(v)
-    out = np.zeros_like(v)
-    while v.any():
-        out += v % q
-        v //= q
+    table = _DIGIT_BLOCK_TABLES.get(q)
+    block = q if table is None else table.size
+    out = np.zeros(v.shape, dtype=np.int64)
+    r = np.empty_like(v)
+    top = int(v.max()) if v.size else 0
+    while top >= block:
+        np.divmod(v, block, out=(v, r))
+        out += r if table is None else table[r]
+        top //= block
+    out += v if table is None else table[v]
     return out
 
 
@@ -119,12 +154,18 @@ def thue_morse_sign(n: int) -> int:
 
 
 def thue_morse_sign_array(values: np.ndarray) -> np.ndarray:
+    """Vectorised thue_morse_sign over a nonnegative int64 array."""
     v = np.asarray(values, dtype=np.int64)
+    if v.size and int(v.min()) < 0:
+        raise ValueError("thue_morse_sign_array needs nonnegative values")
     return 1 - 2 * (_popcount_u64(v) & 1)
 
 
-# Fibonacci table: F_0 = 0, F_1 = 1, append-only (read-only once extended).
+# Fibonacci list: F_0 = 0, F_1 = 1, ..., built at import past 2^63 (so the
+# array kernels never extend it), then append-only for larger integers.
 _FIB: list[int] = [0, 1]
+while _FIB[-1] < 1 << 63:
+    _FIB.append(_FIB[-1] + _FIB[-2])
 
 
 def fibonacci(k: int) -> int:
@@ -198,26 +239,41 @@ def zeckendorf_digit_sum(n: int) -> int:
     return count
 
 
+# s_Z(n) for 0 <= n < F_27 (196418 entries), by T_{k+1} = T_k || (1 + T_{k-1}):
+# n in [F_k, F_{k+1}) is F_k plus a remainder below F_{k-1}.
+_ZECK_LOW_INDEX = 27
+
+
+def _zeckendorf_low_table(k: int) -> np.ndarray:
+    prev = cur = np.zeros(1, dtype=np.uint8)  # T_1 and T_2, both over [0, 1)
+    for _ in range(2, k):
+        prev, cur = cur, np.concatenate((cur, prev + 1))
+    return cur
+
+
+_ZECK_LOW_TABLE = _zeckendorf_low_table(_ZECK_LOW_INDEX)
+
+
 def zeckendorf_digit_sum_array(values: np.ndarray) -> np.ndarray:
-    """Vectorised s_Z via top-down greedy subtraction.  After subtracting
-    F_k the remainder is < F_{k-1}, so non-consecutiveness is automatic."""
+    """Vectorised s_Z over a nonnegative int64 array (int64 result).
+
+    Greedy top-down subtraction of F_k for the indices k >= 27, in place
+    (after subtracting F_k the remainder is < F_{k-1}, so the indices are
+    automatically non-consecutive); the remainder, now below F_27, takes its
+    s_Z from the low table."""
     v = np.array(values, dtype=np.int64, copy=True)
-    if v.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if int(v.min()) < 0:
+    if v.size and int(v.min()) < 0:
         raise ValueError("zeckendorf_digit_sum_array needs nonnegative values")
-    out = np.zeros_like(v)
-    top = int(v.max())
-    if top == 0:
-        return out
-    kmax = fibonacci_index_below(top)
-    for k in range(kmax, 1, -1):
-        f = np.int64(fibonacci(k))
-        mask = v >= f
-        if mask.any():
-            v[mask] -= f
-            out[mask] += 1
-    return out
+    count = np.zeros(v.shape, dtype=np.uint8)  # s_Z <= 46 below 2^63
+    top = int(v.max()) if v.size else 0
+    if top >= _FIB[_ZECK_LOW_INDEX]:
+        m = np.empty(v.shape, dtype=bool)
+        for k in range(fibonacci_index_below(top), _ZECK_LOW_INDEX - 1, -1):
+            np.greater_equal(v, _FIB[k], out=m)
+            np.subtract(v, _FIB[k], out=v, where=m)
+            count += m
+    count += _ZECK_LOW_TABLE[v]
+    return count.astype(np.int64)
 
 
 @dataclass(frozen=True)

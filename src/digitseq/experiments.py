@@ -381,6 +381,8 @@ def joint_residue_experiment(spec: PSSpec, q1: int, q2: int, m1: int, m2: int,
         raise ValueError(f"hypothesis gcd(q1, q2) = 1 fails: gcd = {math.gcd(q1, q2)}")
     if min(q1, q2) < 2 or min(m1, m2) < 1 or x < 0:
         raise ValueError("needs q1, q2 >= 2, m1, m2 >= 1, x >= 0")
+    if x > 1 << 27:
+        raise ValueError("x beyond the experiment resource guard")
     for name, (u, v) in (("(m1, q1 - 1)", (m1, q1 - 1)), ("(m2, q2 - 1)", (m2, q2 - 1))):
         if math.gcd(u, v) != 1:
             warnings.warn(f"hypothesis gcd{name} = 1 fails (gcd = {math.gcd(u, v)}); "

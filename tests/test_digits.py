@@ -2,6 +2,7 @@
 side conditions."""
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -162,6 +163,73 @@ def test_zeckendorf_digit_sum_array_matches_scalar():
     vals = rng.integers(0, 10 ** 9, size=2000)
     arr = zeckendorf_digit_sum_array(vals)
     assert all(int(arr[i]) == zeckendorf_digit_sum(int(v)) for i, v in enumerate(vals))
+
+
+def _boundaries(points) -> list[int]:
+    # p - 1, p, p + 1 for every point p, then 0, 2^62 and 2^63 - 1; all < 2^63
+    out = {0, 2 ** 62, 2 ** 63 - 1}
+    out.update(p + d for p in points for d in (-1, 0, 1))
+    return sorted(v for v in out if 0 <= v < 2 ** 63)
+
+
+def _fibonacci_boundaries() -> list[int]:
+    return _boundaries(fibonacci(k) for k in range(1, 94))  # F_93 > 2^63
+
+
+def _power_boundaries(q: int) -> list[int]:
+    # q^j for every j, so q^L - 1 and q^L for every block length L
+    return _boundaries(q ** j for j in range(64) if q ** j < 2 ** 63)
+
+
+def test_zeckendorf_kernel_at_fibonacci_boundaries():
+    vals = _fibonacci_boundaries()
+    got = zeckendorf_digit_sum_array(vals)
+    assert got.tolist() == [zeckendorf_digit_sum(v) for v in vals]
+    for v in vals:  # alone, so that the array maximum sets the passes
+        assert zeckendorf_digit_sum_array([v]).tolist() == [zeckendorf_digit_sum(v)]
+
+
+@pytest.mark.parametrize("q", range(2, 17))
+def test_digit_sum_kernel_at_power_boundaries(q):
+    vals = _power_boundaries(q)
+    got = digit_sum_array(vals, q)
+    assert got.tolist() == [digit_sum(v, q) for v in vals]
+    for v in vals:
+        assert digit_sum_array([v], q).tolist() == [digit_sum(v, q)]
+
+
+@pytest.mark.parametrize("q", [2 ** 16 + 1, 10 ** 6, 2 ** 40, 2 ** 64])
+def test_digit_sum_kernel_large_base_allocates_no_base_sized_table(q):
+    vals = [v for v in sorted({*_power_boundaries(q), q - 1, q + 1, 123456789}) if v < 2 ** 63]
+    arr = np.array(vals, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        got = digit_sum_array(arr, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [digit_sum(v, q) for v in vals]
+    assert peak < 4096  # a few arrays of len(vals) int64, no table
+
+
+def test_digit_kernels_on_empty_arrays():
+    for empty in ([], np.zeros(0, dtype=np.int64)):
+        for q in (2, 3, 16, 17, 2 ** 40):
+            got = digit_sum_array(empty, q)
+            assert got.dtype == np.int64 and got.shape == (0,)
+        for kernel in (zeckendorf_digit_sum_array, thue_morse_sign_array):
+            got = kernel(empty)
+            assert got.dtype == np.int64 and got.shape == (0,)
+
+
+def test_digit_kernels_return_int64():
+    # all-zero input, input below every table bound, and input above it
+    for vals in ([0, 0], [1, 5, 99], [2 ** 63 - 1, 7]):
+        arr = np.array(vals, dtype=np.int32 if max(vals) < 2 ** 31 else np.int64)
+        for q in (2, 3, 10, 17, 2 ** 40):
+            assert digit_sum_array(arr, q).dtype == np.int64
+        assert zeckendorf_digit_sum_array(arr).dtype == np.int64
+        assert thue_morse_sign_array(arr).dtype == np.int64
 
 
 def test_dyadic_examples():

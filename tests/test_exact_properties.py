@@ -1,10 +1,13 @@
 """Property tests of the certified floors against exact oracles: integer
 roots for floor(n^c), Fractions for Beatty lines, and the bisection inverse
-of the generic growth functions.
+of the generic growth functions; and of the table-driven digit kernels
+against the scalar digit sums and Thue-Morse signs.
 
 The strategies aim at exact ties: n next to perfect c_den-th powers makes
 n^c an integer or within a hair of one, and dyadic-rational slopes and
-intercepts put n*alpha + beta exactly on integers.
+intercepts put n*alpha + beta exactly on integers.  Digit-kernel inputs sit
+next to powers of the base and Fibonacci numbers, where the table lookups
+and the greedy passes hand over.
 """
 
 import math
@@ -25,9 +28,16 @@ from digitseq import (
     beatty_floor_range,
     beatty_membership,
     beatty_membership_range,
+    digit_sum,
+    digit_sum_array,
+    fibonacci,
     int_nth_root,
     ps_block,
     ps_floor,
+    thue_morse_sign,
+    thue_morse_sign_array,
+    zeckendorf_digit_sum,
+    zeckendorf_digit_sum_array,
 )
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -121,3 +131,29 @@ def test_bisection_inverse_is_elementwise(f, xs):
     # the array bisection can end one double apart
     assert np.allclose(got, [f.f_inv(float(y)) for y in ys], rtol=1e-15, atol=0)
     assert np.allclose(got, xs, rtol=1e-12, atol=0)
+
+
+BASES = [*range(2, 17), 17, 2 ** 16 + 1, 10 ** 6, 2 ** 40]
+
+
+@st.composite
+def digit_kernel_inputs(draw):
+    """(q, values): int64 values anywhere below 2^63, or within 2 of a power
+    of q or of a Fibonacci number, mixed in one array."""
+    q = draw(st.sampled_from(BASES))
+    powers = [q ** j for j in range(64) if q ** j < 2 ** 63]
+    fibs = [fibonacci(k) for k in range(2, 93)]
+    near = st.builds(lambda p, d: min(max(p + d, 0), 2 ** 63 - 1),
+                     st.sampled_from(powers + fibs), st.integers(-2, 2))
+    values = draw(st.lists(st.one_of(st.integers(0, 2 ** 63 - 1), near), max_size=30))
+    return q, values
+
+
+@PROPERTY
+@given(digit_kernel_inputs())
+def test_digit_kernels_match_scalar_digit_sums(case):
+    q, values = case
+    assert digit_sum_array(values, q).tolist() == [digit_sum(v, q) for v in values]
+    assert zeckendorf_digit_sum_array(values).tolist() == [zeckendorf_digit_sum(v)
+                                                         for v in values]
+    assert thue_morse_sign_array(values).tolist() == [thue_morse_sign(v) for v in values]

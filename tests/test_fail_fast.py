@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import digitseq
-from digitseq import expsums
+from digitseq import experiments, expsums, thue_morse_sign, thue_morse_sign_array
 from digitseq.cli import dispatch
 
 
@@ -23,6 +23,28 @@ def test_rho_level_guard_runs_before_any_level(monkeypatch, tmp_path):
     assert dispatch(["rho", "--lambda-max", "25", "--out", str(tmp_path / "out")]) == 2
     with pytest.raises(ValueError, match="resource guard"):
         expsums.sine_product_decay(25)
+
+
+def _no_floors(*args, **kwargs):
+    pytest.fail("ps_block_chunks ran before the size guard")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tm-density", "--c", "3/2", "--n", str((1 << 27) + 1)],
+    ["joint-residues", "--c", "3/2", "--q1", "2", "--q2", "3", "--m1", "3", "--m2", "5",
+     "--x", str((1 << 27) + 1)],
+    ["zeck-residues", "--c", "3/2", "--m", "3", "--x", str((1 << 27) + 1)],
+])
+def test_residue_size_guard_runs_before_any_floor(argv, monkeypatch, tmp_path):
+    monkeypatch.setattr(experiments, "ps_block_chunks", _no_floors)
+    assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_thue_morse_array_rejects_negative_values_like_the_scalar():
+    with pytest.raises(ValueError):
+        thue_morse_sign(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        thue_morse_sign_array([-1, -3])
 
 
 @pytest.mark.parametrize("threads", ["0", "-1", "two"])
