@@ -12,12 +12,17 @@ integers floor(n^c) at perfect powers inside every range, and the mismatch
 windows contain n = 1000^2 and n = 30^4.
 """
 
+import dataclasses
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from digitseq import audits
+import digitseq
+from digitseq import audits, cli, expsums, sequences
 from digitseq.cli import dispatch
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -92,9 +97,30 @@ def test_threads_do_not_change_report_bytes(name, tmp_path):
     assert one == two
 
 
-def test_exit_status_one_when_an_audit_fails(monkeypatch, tmp_path):
-    monkeypatch.setattr(audits, "erdos_turan_bound", lambda pts, degree: 0.0)
-    assert dispatch([*CASES["et-audit"], "--out", str(tmp_path / "out")]) == 1
+def _doubled_fourier_table(q, level, alpha):
+    table = expsums.digit_fourier_table(q, level, alpha)
+    return dataclasses.replace(table, coefficients=2 * table.coefficients)
+
+
+def _mismatch_above_the_bound(*args, **kwargs):
+    report = sequences.count_floor_mismatches(*args, **kwargs)
+    return dataclasses.replace(report, mismatch_count=int(report.lemma_bound) + 1)
+
+
+# Each patch breaks the inequality its audit checks; the case must then exit 1.
+AUDIT_FAILURES = {
+    "fourier-audit": (audits, "digit_fourier_table", _doubled_fourier_table),
+    "vaaler-audit": (audits, "fejer_majorant", lambda degree, ts: np.full_like(ts, -1.0)),
+    "beatty-mismatch-3-2-narrow": (cli, "count_floor_mismatches", _mismatch_above_the_bound),
+    "et-audit": (audits, "erdos_turan_bound", lambda pts, degree: 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_FAILURES))
+def test_exit_status_one_when_an_audit_fails(name, monkeypatch, tmp_path):
+    assert dispatch([*CASES[name], "--out", str(tmp_path / "ok")]) == 0
+    monkeypatch.setattr(*AUDIT_FAILURES[name])
+    assert dispatch([*CASES[name], "--out", str(tmp_path / "out")]) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -105,6 +131,38 @@ def test_exit_status_one_when_an_audit_fails(monkeypatch, tmp_path):
 ])
 def test_exit_status_two_on_bad_input(argv, tmp_path):
     assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_dispatch_reuses_one_parser(monkeypatch, tmp_path):
+    def rebuild():
+        pytest.fail("dispatch rebuilt the parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuild)
+    for name in ("exponents", "vaaler-audit"):
+        assert dispatch([*CASES[name], "--out", str(tmp_path / name)]) == 0
+
+
+def _console(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(digitseq.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "digitseq", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_console_entry_point():
+    ok = _console(*CASES["exponents"])
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout == (GOLDEN / "exponents.csv").read_text()
+
+    bad = _console("tm-density", "--c", "1/2", "--n", "100")
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert len(bad.stderr.splitlines()) == 1 and bad.stderr.startswith("digitseq: error:")
+
+    usage = _console("--help")
+    assert usage.returncode == 0
+    assert len({argv[0] for argv in CASES.values()}) == 13
+    for command in {argv[0] for argv in CASES.values()}:
+        assert command in usage.stdout
 
 
 if __name__ == "__main__":
