@@ -12,6 +12,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import audits, experiments
 from .expsums import sine_product_decay
@@ -52,180 +53,145 @@ def _threads(text: str) -> int:
     return count
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="digitseq", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=_threads, default=1,
-                       help="worker count; never affects output bytes")
-        return p
-
-    p = common(sub.add_parser("rho", help="sine-product integrals and decay-rate estimates"))
-    p.add_argument("--lambda-max", type=int, required=True)
-
-    p = common(sub.add_parser("fourier-audit", help="digit Fourier bound and Parseval sweep"))
-    p.add_argument("--q-list", type=_int_list, default=(2, 3, 5))
-    p.add_argument("--lambda-max", type=int, default=6)
-    p.add_argument("--alpha-grid", type=int, default=64)
-
-    p = common(sub.add_parser("tm-density", help="Thue-Morse density along floor(n^c)"))
-    p.add_argument("--c", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--checkpoints", type=int, default=12)
-
-    p = common(sub.add_parser("joint-residues", help="joint digit-sum residue counts"))
-    p.add_argument("--c", required=True)
-    p.add_argument("--q1", type=int, required=True)
-    p.add_argument("--q2", type=int, required=True)
-    p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--m2", type=int, required=True)
-    p.add_argument("--l1", type=int, default=0)
-    p.add_argument("--l2", type=int, default=0)
-    p.add_argument("--x", type=int, required=True)
-
-    p = common(sub.add_parser("zeck-residues", help="Zeckendorf digit-sum residue counts"))
-    p.add_argument("--c", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--x", type=int, required=True)
-
-    p = common(sub.add_parser("beatty-mismatch", help="tangent-line floor mismatch count"))
-    p.add_argument("--f-power", required=True, help="rational exponent of the growth function")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="tangent slope (default: f' at the window midpoint)")
-    p.add_argument("--r-terms", type=int, default=None)
-
-    p = common(sub.add_parser("deviation", help="substitution-rule deviation at one scale"))
-    p.add_argument("--phi", default="thue-morse")
-    p.add_argument("--f-power", required=True)
-    p.add_argument("--scale", type=int, required=True)
-
-    p = common(sub.add_parser("audit-thm1", help="main-inequality constant-stability audit"))
-    p.add_argument("--phi", default="thue-morse")
-    p.add_argument("--f-power", required=True)
-    p.add_argument("--scale", type=int, required=True)
-    p.add_argument("--z", type=float, required=True)
-    p.add_argument("--theta-grid", type=int, default=64)
-    p.add_argument("--x-samples", type=int, default=8)
-
-    p = common(sub.add_parser("estimate-j", help="sup-window exponential-sum integral"))
-    p.add_argument("--phi", default="thue-morse")
-    p.add_argument("--f-power", required=True)
-    p.add_argument("--scale", type=int, required=True)
-    p.add_argument("--z", type=float, required=True)
-    p.add_argument("--theta-grid", type=int, default=64)
-    p.add_argument("--x-samples", type=int, default=8)
-
-    p = common(sub.add_parser("estimate-i", help="Beatty substitution integral"))
-    p.add_argument("--phi", default="thue-morse")
-    p.add_argument("--f-power", required=True)
-    p.add_argument("--scale", type=int, required=True)
-    p.add_argument("--window", type=int, required=True)
-    p.add_argument("--alpha-grid", type=int, default=32)
-    p.add_argument("--beta-samples", type=int, default=8)
-
-    p = common(sub.add_parser("exponents", help="corollary exponent arithmetic"))
-    p.add_argument("--a", required=True)
-    p.add_argument("--c", required=True)
-
-    p = common(sub.add_parser("vaaler-audit", help="sawtooth approximation inequality sweep"))
-    p.add_argument("--h-list", type=_int_list, default=(1, 5, 10, 50, 200))
-    p.add_argument("--grid", type=int, default=10000)
-
-    p = common(sub.add_parser("et-audit", help="discrepancy bound sweep on seeded point sets"))
-    p.add_argument("--sets", type=int, default=1000)
-    p.add_argument("--h", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-points", type=int, default=2000)
-
-    return parser
-
-
 def _growth(args) -> PowerGrowth:
     return PowerGrowth(_fraction(args.f_power))
 
 
-def _spec(text: str) -> PSSpec:
-    try:
-        return PSSpec.from_rational(_fraction(text))
-    except ValueError as exc:
-        raise CliError(str(exc))
+def _spec(args) -> PSSpec:
+    return PSSpec.from_rational(_fraction(args.c))
 
 
-def _run(args) -> tuple[object, int]:
-    """Build the report for a parsed command; returns (report, exit_status)."""
-    cmd = args.command
-    if cmd == "rho":
-        if args.lambda_max < 2:
-            raise CliError("--lambda-max must be >= 2")
-        return sine_product_decay(args.lambda_max), 0
-    if cmd == "fourier-audit":
-        rows = audits.fourier_bound_audit(args.q_list, args.lambda_max, args.alpha_grid)
-        bad = sum(r.violations for r in rows) + sum(r.parseval_error > 1e-10 for r in rows)
-        return rows, (1 if bad else 0)
-    if cmd == "tm-density":
-        report = experiments.tm_density_experiment(
-            _spec(args.c), args.n, checkpoints=args.checkpoints, threads=args.threads)
-        return report, 0
-    if cmd == "joint-residues":
-        report = experiments.joint_residue_experiment(
-            _spec(args.c), args.q1, args.q2, args.m1, args.m2, args.l1, args.l2,
-            args.x, threads=args.threads)
-        return report, 0
-    if cmd == "zeck-residues":
-        report = experiments.zeckendorf_residue_experiment(
-            _spec(args.c), args.m, args.a, args.x, threads=args.threads)
-        return report, 0
-    if cmd == "beatty-mismatch":
-        f = _growth(args)
-        alpha = args.alpha if args.alpha is not None else float(f.df((args.a + args.b) / 2.0))
-        report = count_floor_mismatches(f, args.a, args.b, alpha, r_terms=args.r_terms)
-        bad = report.d < 0.5 and report.mismatch_count > report.lemma_bound
-        return report, (1 if bad else 0)
-    if cmd == "deviation":
-        report = experiments.substitution_deviation(
-            args.phi, _growth(args), args.scale, threads=args.threads)
-        return report, 0
-    if cmd == "audit-thm1":
-        report = experiments.audit_theorem1(
-            args.phi, _growth(args), args.scale, args.z,
-            theta_grid=args.theta_grid, x_samples=args.x_samples, threads=args.threads)
-        return report, 0
-    if cmd == "estimate-j":
-        report = experiments.window_l1_integral(
-            args.phi, _growth(args), args.scale, args.z,
-            theta_grid=args.theta_grid, x_samples=args.x_samples)
-        return report, 0
-    if cmd == "estimate-i":
-        report = experiments.beatty_substitution_integral(
-            args.phi, _growth(args), args.scale, args.window,
-            alpha_grid=args.alpha_grid, beta_samples=args.beta_samples)
-        return report, 0
-    if cmd == "exponents":
-        return experiments.corollary1_exponent_audit(_fraction(args.a), _fraction(args.c)), 0
-    if cmd == "vaaler-audit":
-        rows = audits.vaaler_audit(args.h_list, grid=args.grid)
-        bad = any(r.max_excess > 1e-12 or r.min_kappa < -1e-12
-                  or r.coeff_min < 0 or r.coeff_max > 1 for r in rows)
-        return rows, (1 if bad else 0)
-    if cmd == "et-audit":
-        rows = audits.et_audit(sets=args.sets, degree=args.h, seed=args.seed,
-                               max_points=args.max_points)
-        return rows, (1 if any(not r.ok for r in rows) else 0)
-    raise CliError(f"unknown command {cmd!r}")
+def _mismatches(args):
+    f = _growth(args)
+    alpha = args.alpha if args.alpha is not None else float(f.df((args.a + args.b) / 2.0))
+    return count_floor_mismatches(f, args.a, args.b, alpha, r_terms=args.r_terms)
+
+
+class Command(NamedTuple):
+    """One subcommand.  A flag is (name, type[, default[, help]]) and is
+    required when its default is absent or ``...``.  ``run`` maps the parsed
+    arguments to a report; the exit status is 1 when ``failed`` holds for
+    any report row (a single-object report is one row)."""
+
+    help: str
+    flags: tuple
+    run: Callable
+    failed: Callable | None = None
+
+
+_GROWTH = (("--phi", str, "thue-morse"), ("--f-power", str), ("--scale", int))
+_WINDOW = (("--z", float), ("--theta-grid", int, 64), ("--x-samples", int, 8))
+
+# Runners look layer functions up when they run, so patched module bindings
+# (tests, span tracing) take effect.
+COMMANDS = {
+    "rho": Command(
+        "sine-product integrals and decay-rate estimates",
+        (("--lambda-max", int),),
+        lambda a: sine_product_decay(a.lambda_max)),
+    "fourier-audit": Command(
+        "digit Fourier bound and Parseval sweep",
+        (("--q-list", _int_list, (2, 3, 5)), ("--lambda-max", int, 6),
+         ("--alpha-grid", int, 64)),
+        lambda a: audits.fourier_bound_audit(a.q_list, a.lambda_max, a.alpha_grid),
+        lambda r: r.violations > 0 or r.parseval_error > 1e-10),
+    "tm-density": Command(
+        "Thue-Morse density along floor(n^c)",
+        (("--c", str), ("--n", int), ("--checkpoints", int, 12)),
+        lambda a: experiments.tm_density_experiment(
+            _spec(a), a.n, checkpoints=a.checkpoints, threads=a.threads)),
+    "joint-residues": Command(
+        "joint digit-sum residue counts",
+        (("--c", str), ("--q1", int), ("--q2", int), ("--m1", int), ("--m2", int),
+         ("--l1", int, 0), ("--l2", int, 0), ("--x", int)),
+        lambda a: experiments.joint_residue_experiment(
+            _spec(a), a.q1, a.q2, a.m1, a.m2, a.l1, a.l2, a.x, threads=a.threads)),
+    "zeck-residues": Command(
+        "Zeckendorf digit-sum residue counts",
+        (("--c", str), ("--m", int), ("--a", int, 0), ("--x", int)),
+        lambda a: experiments.zeckendorf_residue_experiment(
+            _spec(a), a.m, a.a, a.x, threads=a.threads)),
+    "beatty-mismatch": Command(
+        "tangent-line floor mismatch count",
+        (("--f-power", str, ..., "rational exponent of the growth function"),
+         ("--a", int), ("--b", int),
+         ("--alpha", float, None, "tangent slope (default: f' at the window midpoint)"),
+         ("--r-terms", int, None)),
+        _mismatches,
+        lambda r: r.d < 0.5 and r.mismatch_count > r.lemma_bound),
+    "deviation": Command(
+        "substitution-rule deviation at one scale",
+        _GROWTH,
+        lambda a: experiments.substitution_deviation(
+            a.phi, _growth(a), a.scale, threads=a.threads)),
+    "audit-thm1": Command(
+        "main-inequality constant-stability audit",
+        _GROWTH + _WINDOW,
+        lambda a: experiments.audit_theorem1(
+            a.phi, _growth(a), a.scale, a.z, theta_grid=a.theta_grid,
+            x_samples=a.x_samples, threads=a.threads)),
+    "estimate-j": Command(
+        "sup-window exponential-sum integral",
+        _GROWTH + _WINDOW,
+        lambda a: experiments.window_l1_integral(
+            a.phi, _growth(a), a.scale, a.z, theta_grid=a.theta_grid,
+            x_samples=a.x_samples)),
+    "estimate-i": Command(
+        "Beatty substitution integral",
+        _GROWTH + (("--window", int), ("--alpha-grid", int, 32), ("--beta-samples", int, 8)),
+        lambda a: experiments.beatty_substitution_integral(
+            a.phi, _growth(a), a.scale, a.window, alpha_grid=a.alpha_grid,
+            beta_samples=a.beta_samples)),
+    "exponents": Command(
+        "corollary exponent arithmetic",
+        (("--a", str), ("--c", str)),
+        lambda a: experiments.corollary1_exponent_audit(_fraction(a.a), _fraction(a.c))),
+    "vaaler-audit": Command(
+        "sawtooth approximation inequality sweep",
+        (("--h-list", _int_list, (1, 5, 10, 50, 200)), ("--grid", int, 10000)),
+        lambda a: audits.vaaler_audit(a.h_list, grid=a.grid),
+        lambda r: (r.max_excess > 1e-12 or r.min_kappa < -1e-12
+                   or r.coeff_min < 0 or r.coeff_max > 1)),
+    "et-audit": Command(
+        "discrepancy bound sweep on seeded point sets",
+        (("--sets", int, 1000), ("--h", int, 64), ("--seed", int, 0),
+         ("--max-points", int, 2000)),
+        lambda a: audits.et_audit(sets=a.sets, degree=a.h, seed=a.seed,
+                                  max_points=a.max_points),
+        lambda r: not r.ok),
+}
+
+
+def _add_flag(p: argparse.ArgumentParser, flag: str, kind, default=..., help=None) -> None:
+    p.add_argument(flag, type=kind, required=default is ...,
+                   default=None if default is ... else default, help=help)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="digitseq", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            _add_flag(p, *flag)
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--threads", type=_threads, default=1,
+                       help="worker count; never affects output bytes")
+    return parser
+
+
+_PARSER = _build_parser()
 
 
 def dispatch(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
+        command = COMMANDS[args.command]
         start = time.perf_counter()
-        report, status = _run(args)
+        report = command.run(args)
+        rows = report if isinstance(report, list) else [report]
+        status = int(command.failed is not None and any(map(command.failed, rows)))
         payload = serialize_report(report, args.format)
         if args.out:
             try:
@@ -238,10 +204,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         print(f"digitseq {args.command}: done in {time.perf_counter() - start:.3f} s "
               f"(status {status})", file=sys.stderr)
         return status
-    except CliError as exc:
-        print(f"digitseq: error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (CliError, ValueError, ArithmeticError) as exc:
         print(f"digitseq: error: {exc}", file=sys.stderr)
         return 2
 

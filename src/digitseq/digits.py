@@ -55,21 +55,6 @@ def digit_sum(n: int, q: int) -> int:
     return total
 
 
-_POP_M1 = np.uint64(0x5555555555555555)
-_POP_M2 = np.uint64(0x3333333333333333)
-_POP_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_POP_H01 = np.uint64(0x0101010101010101)
-
-
-def _popcount_u64(v: np.ndarray) -> np.ndarray:
-    """Popcount of an int64 array; the uint64 views reinterpret, not copy."""
-    v = v.view(np.uint64)
-    v = v - ((v >> np.uint64(1)) & _POP_M1)
-    v = (v & _POP_M2) + ((v >> np.uint64(2)) & _POP_M2)
-    v = (v + (v >> np.uint64(4))) & _POP_M4
-    return ((v * _POP_H01) >> np.uint64(56)).view(np.int64)
-
-
 _TABLE_SIZE = 1 << 16
 
 
@@ -99,7 +84,7 @@ def digit_sum_array(values: np.ndarray, q: int) -> np.ndarray:
     if v.size and int(v.min()) < 0:
         raise ValueError("digit_sum_array needs nonnegative values")
     if q == 2:
-        return _popcount_u64(v)
+        return np.bitwise_count(v).astype(np.int64)
     table = _DIGIT_BLOCK_TABLES.get(q)
     block = q if table is None else table.size
     out = np.zeros(v.shape, dtype=np.int64)
@@ -158,7 +143,7 @@ def thue_morse_sign_array(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=np.int64)
     if v.size and int(v.min()) < 0:
         raise ValueError("thue_morse_sign_array needs nonnegative values")
-    return 1 - 2 * (_popcount_u64(v) & 1)
+    return 1 - 2 * (np.bitwise_count(v) & 1).astype(np.int64)
 
 
 # Fibonacci list: F_0 = 0, F_1 = 1, ..., built at import past 2^63 (so the

@@ -357,6 +357,18 @@ class ResidueCountReport:
     target_count: int
 
 
+def _residue_table(spec: PSSpec, x: int, key: Callable[[np.ndarray], np.ndarray],
+                   cells: int, threads: int) -> np.ndarray:
+    """Counts of n <= x by the cell key(floor(n^c)) in range(cells), summed
+    over fixed chunks in chunk order."""
+    def part(rng: tuple[int, int]) -> np.ndarray:
+        acc = np.zeros(cells, dtype=np.int64)
+        for arr in ps_block_chunks(rng[0], rng[1], spec):
+            acc += np.bincount(key(arr), minlength=cells)
+        return acc
+    return sum(_map_ordered(part, _chunk_ranges(1, x), threads), np.zeros(cells, dtype=np.int64))
+
+
 def _residue_report(x: int, moduli: tuple[int, ...], target: tuple[int, ...],
                     table: np.ndarray) -> ResidueCountReport:
     cells = list(np.ndindex(*moduli))
@@ -388,17 +400,10 @@ def joint_residue_experiment(spec: PSSpec, q1: int, q2: int, m1: int, m2: int,
             warnings.warn(f"hypothesis gcd{name} = 1 fails (gcd = {math.gcd(u, v)}); "
                           "equidistribution is no longer guaranteed", UserWarning,
                           stacklevel=2)
-    table = np.zeros(m1 * m2, dtype=np.int64)
-    if x >= 1:
-        def part(rng: tuple[int, int]) -> np.ndarray:
-            acc = np.zeros(m1 * m2, dtype=np.int64)
-            for arr in ps_block_chunks(rng[0], rng[1], spec):
-                r1 = digit_sum_array(arr, q1) % m1
-                r2 = digit_sum_array(arr, q2) % m2
-                acc += np.bincount(r1 * m2 + r2, minlength=m1 * m2)
-            return acc
-        for acc in _map_ordered(part, _chunk_ranges(1, x), threads):
-            table += acc
+    def key(arr: np.ndarray) -> np.ndarray:
+        return (digit_sum_array(arr, q1) % m1) * m2 + digit_sum_array(arr, q2) % m2
+
+    table = _residue_table(spec, x, key, m1 * m2, threads)
     return _residue_report(x, (m1, m2), (l1 % m1, l2 % m2), table.reshape(m1, m2))
 
 
@@ -411,15 +416,7 @@ def zeckendorf_residue_experiment(spec: PSSpec, m: int, a: int, x: int,
         raise ValueError("needs x >= 0")
     if x > 1 << 27:
         raise ValueError("x beyond the experiment resource guard")
-    table = np.zeros(m, dtype=np.int64)
-    if x >= 1:
-        def part(rng: tuple[int, int]) -> np.ndarray:
-            acc = np.zeros(m, dtype=np.int64)
-            for arr in ps_block_chunks(rng[0], rng[1], spec):
-                acc += np.bincount(zeckendorf_digit_sum_array(arr) % m, minlength=m)
-            return acc
-        for acc in _map_ordered(part, _chunk_ranges(1, x), threads):
-            table += acc
+    table = _residue_table(spec, x, lambda arr: zeckendorf_digit_sum_array(arr) % m, m, threads)
     return _residue_report(x, (m,), (a % m,), table)
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .digits import (
+    digit_sum_array,
     fibonacci,
     thue_morse_sign,
     zeckendorf_decompose,
@@ -349,7 +350,6 @@ def joint_digit_expsum(x: float, z: float, q1: int, q2: int, alpha: float,
         raise ValueError(f"bases must be coprime, gcd({q1},{q2}) != 1")
     if z < 0:
         raise ValueError("window length must be nonnegative")
-    from .digits import digit_sum_array
 
     def phi(m: np.ndarray) -> np.ndarray:
         s = alpha * digit_sum_array(m, q1) + beta * digit_sum_array(m, q2)

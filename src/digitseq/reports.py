@@ -12,27 +12,19 @@ the measured value travels on the diagnostic stream instead.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 from fractions import Fraction
 from typing import Any
 
 import numpy as np
 
-from .expsums import FourierTable, SineProductDecayRow
-from .experiments import (
-    DeviationReport,
-    ExponentAudit,
-    IntegralEstimate,
-    ResidueCountReport,
-    Theorem1Audit,
-    TmDensityReport,
-)
-from .sequences import MismatchReport
+from .expsums import SineProductDecayRow
+from .experiments import DeviationReport, ExponentAudit, ResidueCountReport, TmDensityReport
 
 __all__ = ["serialize_report", "report_to_jsonable"]
 
 _VOLATILE_FIELDS = {"runtime"}
+_LABEL_FIELDS = {"phi_name", "f_label"}  # JSON only
 
 
 def _fmt(v: Any) -> str:
@@ -77,7 +69,8 @@ def report_to_jsonable(report) -> dict:
 
 
 def _rows_of(report) -> tuple[list[str], list[list]]:
-    """Per-type CSV schema: header plus data rows."""
+    """CSV header plus data rows.  A dataclass, or a list of them, writes
+    its fields in order; the reports below name or shape columns otherwise."""
     if isinstance(report, list) and report and isinstance(report[0], SineProductDecayRow):
         header = ["lambda", "integral", "ratio", "geo_mean", "quadrature_err"]
         rows = [[r.level, r.integral, r.ratio, r.geo_mean, r.quadrature_err] for r in report]
@@ -100,56 +93,23 @@ def _rows_of(report) -> tuple[list[str], list[list]]:
         rows = [[report.A, report.lhs_per_A, report.sum1.real, report.sum1.imag,
                  report.sum2.real, report.sum2.imag, None]]
         return header, rows
-    if isinstance(report, Theorem1Audit):
-        header = ["A", "z", "lhs_per_A", "j_value", "j_refinement_delta",
-                  "taylor_term", "expsum_term", "bracket", "ratio"]
-        rows = [[report.A, report.z, report.lhs_per_A, report.j_value,
-                 report.j_refinement_delta, report.taylor_term, report.expsum_term,
-                 report.bracket, report.ratio]]
-        return header, rows
-    if isinstance(report, IntegralEstimate):
-        header = ["value", "grid_size", "sup_sample_count", "refinement_delta"]
-        return header, [[report.value, report.grid_size, report.sup_sample_count,
-                         report.refinement_delta]]
     if isinstance(report, ExponentAudit):
         header = ["a", "c", "eta_max", "reference_7m5c_over_9", "validity"]
-        return header, [[float(report.a), float(report.c), float(report.eta_max),
-                         float(report.reference), report.validity]]
-    if isinstance(report, MismatchReport):
-        header = ["a", "b", "alpha", "beta", "mismatch_count", "lemma_bound",
-                  "second_derivative_bound", "d", "r_terms"]
-        return header, [[report.a, report.b, report.alpha, report.beta,
-                         report.mismatch_count, report.lemma_bound,
-                         report.second_derivative_bound, report.d, report.r_terms]]
-    if isinstance(report, FourierTable):
-        header = ["h", "re", "im", "abs"]
-        coeffs = report.coefficients
-        rows = [[h, c.real, c.imag, abs(c)] for h, c in enumerate(coeffs)]
-        return header, rows
-    if isinstance(report, list):
-        if not report:
-            return ["empty"], []
-        if dataclasses.is_dataclass(report[0]):
-            header = [f.name for f in dataclasses.fields(report[0])]
-            rows = [[getattr(r, name) for name in header] for r in report]
-            return header, rows
-    raise TypeError(f"no CSV schema for {type(report).__name__}")
+        return header, [[report.a, report.c, report.eta_max, report.reference, report.validity]]
+    items = report if isinstance(report, list) else [report]
+    if not items:
+        return ["empty"], []
+    if not dataclasses.is_dataclass(items[0]):
+        raise TypeError(f"no CSV schema for {type(items[0]).__name__}")
+    header = [f.name for f in dataclasses.fields(items[0]) if f.name not in _LABEL_FIELDS]
+    return header, [[getattr(r, name) for name in header] for r in items]
 
 
 def serialize_report(report, fmt: str = "csv") -> str:
     """Render a report deterministically; newline-terminated."""
     if fmt == "csv":
         header, rows = _rows_of(report)
-        buf = io.StringIO()
-        buf.write(",".join(header) + "\n")
-        for row in rows:
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
-        return buf.getvalue()
+        return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
     if fmt == "json":
-        if isinstance(report, list):
-            payload: Any = [report_to_jsonable(r) if dataclasses.is_dataclass(r)
-                            else _jsonable_value(r) for r in report]
-        else:
-            payload = report_to_jsonable(report)
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(_jsonable_value(report), indent=2) + "\n"
     raise ValueError(f"unknown format '{fmt}'")

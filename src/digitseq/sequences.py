@@ -19,6 +19,8 @@ from typing import Iterator
 import mpmath
 import numpy as np
 
+from .expsums import reduced_phase_window
+
 __all__ = [
     "IntegerExponentWarning",
     "PSSpec",
@@ -522,7 +524,6 @@ def count_floor_mismatches(f: GrowthFunction, a: int, b: int, alpha: float,
     mismatches = int(np.count_nonzero(floors != beatty))
     if r_terms is None:
         r_terms = max(1, math.isqrt(span) + 1)
-    from .expsums import reduced_phase_window  # local import to avoid a cycle
     exp_part = 0.0
     for r in range(1, r_terms + 1):
         ph = reduced_phase_window(a + 1, span, r * alpha)

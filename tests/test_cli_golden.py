@@ -128,6 +128,7 @@ def test_exit_status_one_when_an_audit_fails(name, monkeypatch, tmp_path):
     ["tm-density", "--c", "abc", "--n", "100"],
     ["joint-residues", "--c", "3/2", "--q1", "2", "--q2", "4", "--m1", "3", "--m2", "3",
      "--x", "100"],
+    ["beatty-mismatch", "--a", "999990", "--b", "1000010"],
 ])
 def test_exit_status_two_on_bad_input(argv, tmp_path):
     assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
