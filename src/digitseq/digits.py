@@ -80,11 +80,12 @@ def digit_sum_array(values: np.ndarray, q: int) -> np.ndarray:
     split off one digit per pass and add it as it is."""
     if q < 2:
         raise ValueError(f"digit base must be >= 2, got {q}")
-    v = np.array(values, dtype=np.int64, copy=True)
+    v = np.asarray(values, dtype=np.int64)
     if v.size and int(v.min()) < 0:
         raise ValueError("digit_sum_array needs nonnegative values")
     if q == 2:
         return np.bitwise_count(v).astype(np.int64)
+    v = v.copy()  # the block passes divide in place
     table = _DIGIT_BLOCK_TABLES.get(q)
     block = q if table is None else table.size
     out = np.zeros(v.shape, dtype=np.int64)
@@ -143,7 +144,8 @@ def thue_morse_sign_array(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=np.int64)
     if v.size and int(v.min()) < 0:
         raise ValueError("thue_morse_sign_array needs nonnegative values")
-    return 1 - 2 * (np.bitwise_count(v) & 1).astype(np.int64)
+    # Parity and doubling stay uint8; only the final subtraction widens.
+    return np.subtract(1, (np.bitwise_count(v) & 1) << 1, dtype=np.int64)
 
 
 # Fibonacci list: F_0 = 0, F_1 = 1, ..., built at import past 2^63 (so the
