@@ -62,6 +62,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _SUM_EPS = 5e-16  # per-term relative bound fed into the residual estimate
+_WINDOW_CHUNK = 1 << 18  # terms per partial sum of a window sum
+_BOUND_SLACK = 1e-12  # rounding allowance of the uniform coefficient bound
 _LEVEL_GUARD = 24  # the sine-product quadrature uses 2^(level-1) panels
 
 
@@ -85,17 +87,13 @@ def dist_to_int(x: float) -> float:
     return abs(x - round(x))
 
 
-def _ratio(theta) -> tuple[int, int]:
-    """theta as an exact (numerator, denominator): a Fraction as it is,
-    anything else through the exact value of its double."""
-    if isinstance(theta, Fraction):
-        return theta.numerator, theta.denominator
-    return float(theta).as_integer_ratio()
-
-
 def reduced_phase(m: int, theta) -> float:
-    """{m * theta} computed exactly through the rational value of theta."""
-    num, den = _ratio(theta)
+    """{m * theta} computed exactly through the rational value of theta: a
+    Fraction as it is, anything else through the exact value of its double."""
+    if isinstance(theta, Fraction):
+        num, den = theta.numerator, theta.denominator
+    else:
+        num, den = float(theta).as_integer_ratio()
     return ((m % den) * num % den) / den
 
 
@@ -139,7 +137,7 @@ class WindowSumResult:
 
 
 def window_exp_sum(phi: Callable[[np.ndarray], np.ndarray], x: float, z: float,
-                   theta, chunk: int = 1 << 18) -> WindowSumResult:
+                   theta) -> WindowSumResult:
     """sum_{x < m <= x+z} phi(m) e(m theta).  phi maps an int64 array to
     values bounded by 1 in modulus (anything array-like is accepted)."""
     if z < 0:
@@ -150,8 +148,8 @@ def window_exp_sum(phi: Callable[[np.ndarray], np.ndarray], x: float, z: float,
     if count == 0:
         return WindowSumResult(0j, 0, 0.0)
     partials = []
-    for lo in range(m_lo, m_hi + 1, chunk):
-        n = min(chunk, m_hi - lo + 1)
+    for lo in range(m_lo, m_hi + 1, _WINDOW_CHUNK):
+        n = min(_WINDOW_CHUNK, m_hi - lo + 1)
         ph = reduced_phase_window(lo, n, theta)
         vals = np.asarray(phi(np.arange(lo, lo + n, dtype=np.int64)))
         partials.append(complex(np.sum(vals * np.exp(2j * np.pi * ph))))
@@ -165,12 +163,10 @@ def tm_dyadic_expsum(ell: int, level: int, theta) -> complex:
     prod_{k<level} (1 - e(2^k theta))."""
     if ell < 0 or level < 0:
         raise ValueError("needs ell >= 0 and level >= 0")
-    num, den = _ratio(theta)
     prod = 1.0 + 0.0j
     for k in range(level):
-        t = ((num << k) % den) / den
-        prod *= 1.0 - cmath.exp(2j * math.pi * t)
-    t0 = ((ell << level) % den) * num % den / den
+        prod *= 1.0 - cmath.exp(2j * math.pi * reduced_phase(1 << k, theta))
+    t0 = reduced_phase(ell << level, theta)
     return thue_morse_sign(ell) * cmath.exp(2j * math.pi * t0) * prod
 
 
@@ -179,11 +175,9 @@ def tm_sine_product_magnitude(level: int, theta) -> float:
     reduced mod 1 exactly, so the factors stay accurate near sine zeros."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    num, den = _ratio(theta)
     prod = 1.0
     for k in range(level):
-        t = ((num << k) % den) / den
-        prod *= 2.0 * abs(math.sin(math.pi * t))
+        prod *= 2.0 * abs(math.sin(math.pi * reduced_phase(1 << k, theta)))
     return prod
 
 
@@ -310,8 +304,9 @@ class FourierTable:
     def uniform_bound(self) -> float:
         return fourier_coefficient_bound(self.q, self.level, self.alpha)
 
-    def bound_violations(self, slack: float = 1e-12) -> int:
-        return int(np.count_nonzero(np.abs(self.coefficients) > self.uniform_bound() + slack))
+    def bound_violations(self) -> int:
+        return int(np.count_nonzero(np.abs(self.coefficients)
+                                    > self.uniform_bound() + _BOUND_SLACK))
 
     def invert(self, n: int) -> complex:
         """Reconstruct e(alpha s_{q,level}(n)) from the coefficients."""
@@ -343,7 +338,7 @@ def digit_fourier_table(q: int, level: int, alpha: float) -> FourierTable:
 
 
 def joint_digit_expsum(x: float, z: float, q1: int, q2: int, alpha: float,
-                       beta: float, theta, chunk: int = 1 << 18) -> WindowSumResult:
+                       beta: float, theta) -> WindowSumResult:
     """Direct evaluation of sum e(alpha s_q1(n) + beta s_q2(n) + n theta)
     over x < n <= x+z for coprime bases."""
     if math.gcd(q1, q2) != 1:
@@ -355,7 +350,7 @@ def joint_digit_expsum(x: float, z: float, q1: int, q2: int, alpha: float,
         s = alpha * digit_sum_array(m, q1) + beta * digit_sum_array(m, q2)
         return np.exp(2j * np.pi * (s % 1.0))
 
-    return window_exp_sum(phi, x, z, theta, chunk=chunk)
+    return window_exp_sum(phi, x, z, theta)
 
 
 class JointRateParameters(NamedTuple):

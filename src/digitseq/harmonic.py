@@ -13,6 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_GATE_GRID = 4096  # points of the Vaaler construction gate
+_EXTENSION_GRID = 2048  # first trapezoid grid of range_extension_check
+_MAX_DOUBLINGS = 4  # refinements of that grid
+
 __all__ = [
     "VaalerApprox",
     "sawtooth",
@@ -73,14 +77,14 @@ def fejer_majorant(degree: int, t) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def build_vaaler_approx(degree: int, gate_grid: int = 4096) -> VaalerApprox:
+def build_vaaler_approx(degree: int) -> VaalerApprox:
     """Standard sawtooth-approximation coefficients a(h) = pi t (1-t) cot(pi t) + t
     at t = h/(H+1), clamped to [0,1].  Fails loudly if the defining
     inequality is violated anywhere on the gate grid."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     approx = VaalerApprox(degree=degree, coefficients=_vaaler_coefficients(degree))
-    ts = (np.arange(gate_grid) + 0.318) / gate_grid  # irrational-ish offset avoids atypical lattice points
+    ts = (np.arange(_GATE_GRID) + 0.318) / _GATE_GRID  # irrational-ish offset avoids atypical lattice points
     err = np.abs(sawtooth(ts) - vaaler_psi_h(approx, ts))
     kappa = fejer_majorant(degree, ts)
     worst = float(np.max(err - kappa))
@@ -156,8 +160,8 @@ def min_kernel_integral_check(a: float, b: float, b_cap: float) -> tuple[float, 
     return integral, bound
 
 
-def range_extension_check(coefficients, x: float, y: float, z: float,
-                          grid: int = 2048, max_doublings: int = 4) -> tuple[float, float]:
+def range_extension_check(coefficients, x: float, y: float,
+                          z: float) -> tuple[float, float]:
     """Partial-sum bound |sum_{x<n<=y} a_n| <=
     int_0^1 min(y-x+1, ||xi||^-1) |sum_{x<n<=z} a_n e(n xi)| d xi,
     the right side by trapezoid quadrature refined until stable."""
@@ -181,8 +185,9 @@ def range_extension_check(coefficients, x: float, y: float, z: float,
         inner = np.abs(np.exp(2j * np.pi * np.multiply.outer(xi, n)) @ coefs)
         return float(np.mean(kernel * inner))
 
+    grid = _EXTENSION_GRID
     rhs = quad(grid)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         grid *= 2
         nxt = quad(grid)
         if abs(nxt - rhs) < 1e-9 * max(1.0, abs(nxt)):

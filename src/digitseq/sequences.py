@@ -47,6 +47,7 @@ __all__ = [
 
 _NEAR_MARGIN = 1e-8  # smallest distance to an integer trusted for x**c
 _FLOAT_GUARD_REL = 1e-14  # conservative bound on the relative error of x**c
+_FLOOR_CHUNK = 1 << 20  # values per streamed floor chunk
 
 
 class IntegerExponentWarning(UserWarning):
@@ -155,8 +156,7 @@ def ps_floor(n: int, spec: PSSpec) -> int:
                             lambda _: int_nth_root(n ** spec.c_num, spec.c_den))
 
 
-def ps_block_chunks(n_lo: int, n_hi: int, spec: PSSpec,
-                    chunk: int = 1 << 20) -> Iterator[np.ndarray]:
+def ps_block_chunks(n_lo: int, n_hi: int, spec: PSSpec) -> Iterator[np.ndarray]:
     """Stream floor(n**c) for n in [n_lo, n_hi] as int64 chunks, in index
     order.  Element-wise identical to ps_floor, which settles the near-ties."""
     if not 1 <= n_lo <= n_hi:
@@ -170,8 +170,8 @@ def ps_block_chunks(n_lo: int, n_hi: int, spec: PSSpec,
     prev_last: int | None = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegerExponentWarning)
-        for lo in range(n_lo, n_hi + 1, chunk):
-            hi = min(lo + chunk - 1, n_hi)
+        for lo in range(n_lo, n_hi + 1, _FLOOR_CHUNK):
+            hi = min(lo + _FLOOR_CHUNK - 1, n_hi)
             x = np.arange(lo, hi + 1, dtype=np.float64) ** cf
             if not np.all(np.isfinite(x)) or float(x[-1]) >= 2**62:
                 raise ValueError("floor values exceed the int64 streaming range")
@@ -311,10 +311,10 @@ class GrowthFunction:
         x = float(self.f(n))
         return _certified_floor(x, _pow_guard(x), settle)
 
-    def floor_block(self, n_lo: int, n_hi: int, chunk: int = 1 << 20) -> Iterator[np.ndarray]:
+    def floor_block(self, n_lo: int, n_hi: int) -> Iterator[np.ndarray]:
         """Stream exact floor(f(n)) in chunks; generic fallback path."""
-        for lo in range(n_lo, n_hi + 1, chunk):
-            hi = min(lo + chunk - 1, n_hi)
+        for lo in range(n_lo, n_hi + 1, _FLOOR_CHUNK):
+            hi = min(lo + _FLOOR_CHUNK - 1, n_hi)
             yield np.array([self.floor_exact(n) for n in range(lo, hi + 1)], dtype=np.int64)
 
     def label(self) -> str:
@@ -366,10 +366,10 @@ class PowerGrowth(GrowthFunction):
             return ps_floor(n, self._spec)
         return int(n) ** self.c.numerator
 
-    def floor_block(self, n_lo: int, n_hi: int, chunk: int = 1 << 20) -> Iterator[np.ndarray]:
+    def floor_block(self, n_lo: int, n_hi: int) -> Iterator[np.ndarray]:
         if self._spec is not None:
-            return ps_block_chunks(n_lo, n_hi, self._spec, chunk)
-        return super().floor_block(n_lo, n_hi, chunk)
+            return ps_block_chunks(n_lo, n_hi, self._spec)
+        return super().floor_block(n_lo, n_hi)
 
     def label(self) -> str:
         return f"x^{self.c}"
