@@ -8,8 +8,11 @@ recurrence behind the Zeckendorf window sums.
 
 Phases m*theta are never reduced in plain double arithmetic: the base point
 is reduced exactly through the integer representation of the float (or an
-exact Fraction), and in-window offsets use a Dekker split, so e(m theta)
-stays accurate for m far beyond 2**53.
+exact Fraction) in reduced_phase, and in-window offsets use a Dekker split,
+so e(m theta) stays accurate for m far beyond 2**53.
+
+The sine-product integral I_level is level products of one transfer-operator
+matrix on Chebyshev nodes with a vector, up to the edge of the double range.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .digits import (
     digit_sum_array,
@@ -60,11 +62,10 @@ __all__ = [
     "max_table_bytes",
 ]
 
-TWO_PI = 2.0 * math.pi
 _SUM_EPS = 5e-16  # per-term relative bound fed into the residual estimate
 _WINDOW_CHUNK = 1 << 18  # terms per partial sum of a window sum
 _BOUND_SLACK = 1e-12  # rounding allowance of the uniform coefficient bound
-_LEVEL_GUARD = 24  # the sine-product quadrature uses 2^(level-1) panels
+_LEVEL_MAX = 1713  # I_1713 = 2.26e-308; I_1714 = 1.50e-308 is below the normal doubles
 
 
 def max_table_bytes() -> int:
@@ -190,49 +191,51 @@ class SineProductResult:
     quadrature_error_estimate: float
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _operator_integral(level: int, n: int) -> np.longdouble:
+    """Fejer weights . L^level 1 on the n first-kind Chebyshev nodes (1 + cos phi) / 2."""
+    pi = 4 * np.arctan(np.longdouble(1))
+    phi = (np.arange(n, dtype=np.longdouble) + 0.5) * (pi / n)
+    t = np.cos(phi)  # u = (1 + t) / 2
+    bary = np.where(np.arange(n) % 2, -np.sin(phi), np.sin(phi))
 
+    def interpolate_to(points: np.ndarray, factor: np.ndarray) -> np.ndarray:
+        # No point is a node: a zero distance warns, and the tests fail on warnings.
+        rows = bary / np.subtract.outer(points, t)
+        return rows * (factor / rows.sum(axis=1))[:, None]
 
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = leggauss(order)
-    return _GL_CACHE[order]
-
-
-def _sine_product_quad(level: int, order: int, chunk: int = 1 << 21) -> float:
-    # Split [0, 1/2] into 2^(level-1) panels: every factor is analytic per
-    # panel, so fixed-order Gauss-Legendre converges geometrically.  The
-    # theta -> 1 - theta symmetry supplies the other half.
-    nodes, weights = _gl_rule(order)
-    panels = 1 << (level - 1)
-    width = 0.5 ** level
-    offs = (nodes + 1.0) * (width / 2.0)
-    total = 0.0
-    partials = []
-    for lo in range(0, panels, max(1, chunk // order)):
-        hi = min(panels, lo + max(1, chunk // order))
-        lefts = np.arange(lo, hi, dtype=np.float64) * width
-        pts = (lefts[:, None] + offs[None, :]).ravel()
-        g = np.ones_like(pts)
-        for k in range(level):
-            g *= np.abs(np.sin((2.0 ** k) * np.pi * pts))
-        partials.append(float(np.sum(g.reshape(-1, order) @ weights)))
-    total = math.fsum(partials) * (width / 2.0)
-    return 2.0 * total
+    half = pi / 4 * (1 + t)  # pi u / 2
+    op = (interpolate_to((t - 1) / 2, np.sin(half) / 2)
+          + interpolate_to((t + 1) / 2, np.cos(half) / 2))
+    # Fejer: w_j = (1 - 2 sum_k cos(2 k phi_j) / (4k^2 - 1)) / n, where
+    # 2 k phi_j = ((2j + 1) k mod 2n) pi / n indexes one table of cosines.
+    k = np.arange(1, n // 2 + 1)
+    cosines = np.cos(np.arange(2 * n) * (pi / n))
+    terms = cosines[np.outer(2 * np.arange(n) + 1, k) % (2 * n)] / (4 * k * k - 1)
+    values = np.ones(n, dtype=np.longdouble)
+    for _ in range(level):
+        values = op @ values
+    return (1 - 2 * terms.sum(axis=1)) / n @ values
 
 
 def sine_product_integral(level: int) -> SineProductResult:
-    """I_level = int_0^1 prod_{k<level} |sin(2^k pi theta)| d theta by
-    panel-wise Gauss-Legendre (8 nodes, error estimated against 16)."""
+    """I_level = int_0^1 prod_{k<level} |sin(2^k pi theta)| d theta.
+
+    g_level(theta) = |sin(pi theta)| g_{level-1}(2 theta) gives I_level =
+    int_0^1 (L^level 1)(u) du, L h(u) = (sin(pi u/2) h(u/2) + cos(pi u/2)
+    h((u+1)/2)) / 2.  L is one matrix on N Chebyshev nodes of [0, 1]
+    (barycentric interpolation, Fejer weights), in np.longdouble.  The value
+    is the N = 128 one; |I_64 - I_128| estimates the discretisation and
+    long-double rounding error, not the rounding to double.  Accepted
+    levels: 0 ... 1713, where I_level is a normal double; checked first.
+    """
     if level < 0:
         raise ValueError("level must be >= 0")
-    if level > _LEVEL_GUARD:
-        raise ValueError(f"level above the resource guard ({_LEVEL_GUARD})")
+    if level > _LEVEL_MAX:
+        raise ValueError(f"level above the double range guard ({_LEVEL_MAX})")
     if level == 0:
         return SineProductResult(0, 1.0, 0.0)
-    i8 = _sine_product_quad(level, 8)
-    i16 = _sine_product_quad(level, 16)
-    return SineProductResult(level, i16, abs(i16 - i8))
+    i64, i128 = (_operator_integral(level, n) for n in (64, 128))
+    return SineProductResult(level, float(i128), float(abs(i128 - i64)))
 
 
 @dataclass(frozen=True)
@@ -249,8 +252,8 @@ def sine_product_decay(level_max: int) -> list[SineProductDecayRow]:
     both converge to the geometric decay rate of I_level."""
     if level_max < 2:
         raise ValueError("needs level_max >= 2")
-    if level_max > _LEVEL_GUARD:
-        raise ValueError(f"level above the resource guard ({_LEVEL_GUARD})")
+    if level_max > _LEVEL_MAX:
+        raise ValueError(f"level above the double range guard ({_LEVEL_MAX})")
     rows = []
     prev = None
     for lam in range(level_max + 1):
@@ -305,8 +308,7 @@ class FourierTable:
         return fourier_coefficient_bound(self.q, self.level, self.alpha)
 
     def bound_violations(self) -> int:
-        return int(np.count_nonzero(np.abs(self.coefficients)
-                                    > self.uniform_bound() + _BOUND_SLACK))
+        return int(np.count_nonzero(np.abs(self.coefficients) > self.uniform_bound() + _BOUND_SLACK))
 
     def invert(self, n: int) -> complex:
         """Reconstruct e(alpha s_{q,level}(n)) from the coefficients."""

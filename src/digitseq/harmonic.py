@@ -185,13 +185,9 @@ def range_extension_check(coefficients, x: float, y: float,
         inner = np.abs(np.exp(2j * np.pi * np.multiply.outer(xi, n)) @ coefs)
         return float(np.mean(kernel * inner))
 
-    grid = _EXTENSION_GRID
-    rhs = quad(grid)
-    for _ in range(_MAX_DOUBLINGS):
-        grid *= 2
-        nxt = quad(grid)
-        if abs(nxt - rhs) < 1e-9 * max(1.0, abs(nxt)):
-            rhs = nxt
+    rhs = quad(_EXTENSION_GRID)
+    for doubling in range(1, _MAX_DOUBLINGS + 1):
+        prev, rhs = rhs, quad(_EXTENSION_GRID << doubling)
+        if abs(rhs - prev) < 1e-9 * max(1.0, abs(rhs)):
             break
-        rhs = nxt
     return lhs, rhs

@@ -3,6 +3,7 @@ classical summation inequalities."""
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -113,7 +114,95 @@ def test_sine_product_closed_forms_and_monotonicity():
         assert 0 < r.integral_value <= prev + 1e-15
         prev = r.integral_value
     with pytest.raises(ValueError):
-        sine_product_integral(25)
+        sine_product_integral(1714)
+
+
+# I_0 .. I_16 as the panel Gauss-Legendre quadrature (8 and 16 nodes on
+# 2^(level-1) panels) gave them before the transfer operator replaced it.
+_PANEL_QUADRATURE = (
+    1.0, 0.6366197723675814, 0.42441318157838753, 0.2802666814574416,
+    0.18538630039805862, 0.12259787267216544, 0.08107654272767537,
+    0.05361785111372102, 0.035458673838688115, 0.023449626549563087,
+    0.015507767417169641, 0.010255637185494333, 0.0067822846593951665,
+    0.0044852781397814725, 0.0029662158103232793, 0.0019616255579486238,
+    0.0012972673182541099,
+)
+
+
+def _gauss_legendre_long(order):
+    """Gauss-Legendre rule on [-1, 1] in np.longdouble: the double nodes
+    refined by Newton steps on the Legendre recurrence."""
+    x = np.polynomial.legendre.leggauss(order)[0].astype(np.longdouble)
+    for _ in range(3):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, order + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = order * (x * p - p_prev) / (x * x - 1)
+        x = x - p / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+def _panel_oracle(level, order=12):
+    """I_level by Gauss-Legendre on each panel [j, j + 1] / 2^level, where
+    every factor is analytic, in np.longdouble.  On panel j, 2^k theta mod 1
+    is ((j 2^k mod 2^level) + 2^k s) / 2^level with s in [0, 1], the integer
+    part reduced exactly; each sine is taken of the distance to the nearer
+    integer, so no factor loses accuracy near its zeros.  The symmetry
+    theta -> 1 - theta halves the panels."""
+    if level == 0:
+        return np.longdouble(1)
+    x, w = _gauss_legendre_long(order)
+    s = (x + 1) / 2
+    panels = 1 << level
+    j = np.arange(panels // 2, dtype=np.int64)[:, None]
+    pi = 4 * np.arctan(np.longdouble(1))
+    g = np.ones((panels // 2, order), dtype=np.longdouble)
+    for k in range(level):
+        a = ((j << k) % panels).astype(np.longdouble)
+        left = a + s * 2 ** k
+        g *= np.sin(pi * np.minimum(left, panels - left) / panels)
+    return (g @ w).sum() / panels
+
+
+def test_rho_rows_match_a_panel_oracle():
+    # Integrals and ratios that changed with the transfer operator are at
+    # least as close to the oracle as the panel quadrature's were.  geo_mean
+    # is I ** (1/level) of the new integral, so it is held to one ulp.
+    rows = sine_product_decay(16)
+    oracle = [_panel_oracle(level) for level in range(17)]
+    old = _PANEL_QUADRATURE
+    for level in range(17):
+        row = rows[level]
+        err = abs(np.longdouble(row.integral) - oracle[level])
+        assert err <= row.quadrature_err + 2 * math.ulp(row.integral)
+        assert err <= 2e-15 * oracle[level]
+        if row.integral != old[level]:
+            assert err <= abs(np.longdouble(old[level]) - oracle[level]), level
+        if level == 0:
+            continue
+        exact = oracle[level] / oracle[level - 1]
+        old_ratio = old[level] / old[level - 1]
+        if row.ratio != old_ratio:
+            assert abs(row.ratio - exact) <= abs(old_ratio - exact), level
+        geo = oracle[level] ** (1 / np.longdouble(level))
+        assert abs(row.geo_mean - geo) <= math.ulp(row.geo_mean), level
+
+
+def test_sine_product_levels_past_the_old_resource_guard():
+    for level in (40, 200):
+        prev, cur, nxt = (sine_product_integral(level + d).integral_value for d in (-1, 0, 1))
+        assert cur > 0
+        assert abs(cur / prev - nxt / cur) <= 1e-12
+        assert cur / prev == pytest.approx(0.6613226020, abs=1e-10)
+
+
+def test_sine_product_guard_is_the_edge_of_the_double_range():
+    below = sine_product_integral(1712).integral_value
+    top = sine_product_integral(1713).integral_value
+    assert top >= sys.float_info.min
+    assert top * (top / below) < sys.float_info.min
+    with pytest.raises(ValueError, match="double range guard"):
+        sine_product_integral(1714)
 
 
 def test_sine_product_decay_sequences():

@@ -20,12 +20,12 @@ def _no_quadrature(level):
 
 def test_rho_level_guard_runs_before_any_level(monkeypatch, tmp_path):
     monkeypatch.setattr(expsums, "sine_product_integral", _no_quadrature)
-    for level in ("1", "25"):
+    for level in ("1", "1714"):
         assert dispatch(["rho", "--lambda-max", level, "--out", str(tmp_path / "out")]) == 2
     with pytest.raises(ValueError, match=">= 2"):
         expsums.sine_product_decay(1)
-    with pytest.raises(ValueError, match="resource guard"):
-        expsums.sine_product_decay(25)
+    with pytest.raises(ValueError, match="double range guard"):
+        expsums.sine_product_decay(1714)
 
 
 def _no_floors(*args, **kwargs):
