@@ -160,8 +160,7 @@ def min_kernel_integral_check(a: float, b: float, b_cap: float) -> tuple[float, 
     return integral, bound
 
 
-def range_extension_check(coefficients, x: float, y: float,
-                          z: float) -> tuple[float, float]:
+def range_extension_check(coefficients, x: float, y: float, z: float) -> tuple[float, float]:
     """Partial-sum bound |sum_{x<n<=y} a_n| <=
     int_0^1 min(y-x+1, ||xi||^-1) |sum_{x<n<=z} a_n e(n xi)| d xi,
     the right side by trapezoid quadrature refined until stable."""
