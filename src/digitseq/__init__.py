@@ -15,6 +15,7 @@ from .digits import (
     digit_sum_array,
     dyadic_decompose,
     fibonacci,
+    thue_morse_prefix_sum,
     thue_morse_sign,
     thue_morse_sign_array,
     truncated_digit_sum,

@@ -31,6 +31,7 @@ __all__ = [
     "truncated_digit_sum_array",
     "thue_morse_sign",
     "thue_morse_sign_array",
+    "thue_morse_prefix_sum",
     "fibonacci",
     "fibonacci_index_below",
     "zeckendorf",
@@ -137,6 +138,14 @@ def thue_morse_sign(n: int) -> int:
     if n < 0:
         raise ValueError(f"thue_morse_sign needs n >= 0, got {n}")
     return 1 - 2 * (int(n).bit_count() & 1)
+
+
+def thue_morse_prefix_sum(n: int) -> int:
+    """T(n) = sum_{m<n} thue_morse_sign(m).  The pairs cancel, t(2i + 1) =
+    -t(2i), so T(2k) = 0 and T(2k + 1) = t(2k) = t(k)."""
+    if n < 0:
+        raise ValueError(f"thue_morse_prefix_sum needs n >= 0, got {n}")
+    return thue_morse_sign(n >> 1) if n & 1 else 0
 
 
 def thue_morse_sign_array(values: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .digits import (
     digit_sum_array,
+    thue_morse_prefix_sum,
     thue_morse_sign_array,
     zeckendorf_digit_sum_array,
 )
@@ -32,6 +33,7 @@ from .expsums import _kahan, window_exp_sum
 from .sequences import (
     BeattyLine,
     GrowthFunction,
+    PowerGrowth,
     PSSpec,
     beatty_floor_range,
     ps_block_chunks,
@@ -86,6 +88,10 @@ PHI_FUNCTIONS: dict[str, ArithmeticFunction] = {
 }
 
 
+_TM = PHI_FUNCTIONS["thue-morse"]  # the closed forms below are selected by identity
+_DROP_REL = 2.0 ** -80  # dropped Thue-Morse blocks, relative to the first weight
+
+
 def resolve_phi(phi) -> ArithmeticFunction:
     """Accept a registry name, an ArithmeticFunction, or a bare callable."""
     if isinstance(phi, ArithmeticFunction):
@@ -112,6 +118,80 @@ def _map_ordered(func, items: Sequence, threads: int) -> list:
         return list(pool.map(func, items))
 
 
+def _phi_sum(phi: ArithmeticFunction, m: np.ndarray) -> complex | float:
+    """sum of phi over m.  The Thue-Morse sign sums in float64, where sums of
+    +-1 are exact integers; any other phi sums in complex128."""
+    if phi is _TM:
+        return float(np.sum(phi(m)))
+    return complex(np.sum(np.asarray(phi(m), dtype=np.complex128)))
+
+
+# Thue-Morse weighted sums sum_{m_lo < m <= m_hi} t(m) w(m) for f(x) = x^c,
+# w = (f^-1)' = y^e / c with e = 1/c - 1 in (-1, 0).
+#
+# Block identity.  For r < 2^k the binary digits of 2^k j and r do not
+# overlap, so t(2^k j + r) = t(j) t(r); and sum_{r<2^k} t(r) z^r =
+# prod_{i<k} (1 - z^(2^i)) (choosing -z^(2^i) for i in a set S gives
+# r = sum_{i in S} 2^i with sign (-1)^|S| = t(r)).  With the shift
+# E w(y) = w(y + 1), the aligned block at x = 2^k j is therefore
+#     sum_{r<2^k} t(x + r) w(x + r) = t(j) Delta_k w(x),
+#     Delta_k = prod_{i<k} (1 - E^(2^i)).
+# Bound.  (1 - E^h) g(y) = -int_0^h g'(y + s) ds, so Delta_k w(x) is
+# (-1)^k times the integral of w^(k)(x + s_0 + ... + s_{k-1}) over the box
+# prod_i [0, 2^i], of volume 2^(k(k-1)/2).  |w^(k)(y)| = |e (e-1) ...
+# (e-k+1)| y^(e-k) / c decreases in y, and |e - i| <= i + 1 for -1 < e < 0,
+# so |Delta_k w(x)| <= 2^(k(k-1)/2) k! x^(e-k) / c.  The n_b blocks starting
+# at x >= x_0 (the first aligned start) sum to at most n_b times the bound
+# at x_0.  The smallest k whose total is at most 2^-80 w(m_lo + 1) drops its
+# blocks; only the head and the tail, fewer than 2^k terms each, are summed.
+
+
+def _tm_block_log2_bound(cf: float, k: int, x: int) -> float:
+    """log2 of the bound 2^(k(k-1)/2) k! x^(e-k) / c on |Delta_k w(x)|."""
+    e = 1.0 / cf - 1.0
+    return k * (k - 1) / 2 + math.log2(math.factorial(k)) + (e - k) * math.log2(x) \
+        - math.log2(cf)
+
+
+def _tm_blocks(cf: float, m_lo: int, m_hi: int, k: int) -> tuple[int, int, float]:
+    """The aligned 2^k blocks [first, last) inside (m_lo, m_hi] and log2 of
+    the bound on their total (-inf when there is none)."""
+    first = (m_lo + (1 << k)) >> k << k
+    last = (m_hi + 1) >> k << k
+    if last <= first:
+        return first, last, -math.inf
+    return first, last, math.log2((last - first) >> k) + _tm_block_log2_bound(cf, k, first)
+
+
+def _tm_block_order(cf: float, m_lo: int, m_hi: int) -> int | None:
+    """Smallest k whose blocks in (m_lo, m_hi] are bounded by 2^-80 w(m_lo + 1),
+    or None when no k leaves a block to drop."""
+    limit = math.log2(_DROP_REL) + (1.0 / cf - 1.0) * math.log2(m_lo + 1) - math.log2(cf)
+    for k in range(1, (m_hi - m_lo).bit_length()):
+        first, last, log2_bound = _tm_blocks(cf, m_lo, m_hi, k)
+        if last <= first:
+            return None
+        if log2_bound <= limit:
+            return k
+    return None
+
+
+def _tm_weighted_sum(f: PowerGrowth, m_lo: int, m_hi: int) -> float:
+    """sum_{m_lo < m <= m_hi} t(m) (f^-1)'(m) with the bounded blocks dropped.
+    The other terms take long-double weights from the exact exponent 1/c - 1
+    and are summed exactly: each term splits into two doubles for math.fsum."""
+    k = _tm_block_order(f.cf, m_lo, m_hi)
+    first = last = m_hi + 1  # no block dropped: the head is the whole range
+    if k is not None:
+        first, last, _ = _tm_blocks(f.cf, m_lo, m_hi, k)
+    m = np.concatenate((np.arange(m_lo + 1, first, dtype=np.int64),
+                        np.arange(last, m_hi + 1, dtype=np.int64)))
+    inv_c = np.longdouble(f.c.denominator) / f.c.numerator
+    terms = thue_morse_sign_array(m) * (inv_c * m.astype(np.longdouble) ** (inv_c - 1))
+    hi = terms.astype(np.float64)
+    return math.fsum([*hi.tolist(), *(terms - hi).astype(np.float64).tolist()])
+
+
 @dataclass(frozen=True)
 class DeviationReport:
     """Normalized substitution-rule deviation at scale A: both competing
@@ -127,7 +207,15 @@ class DeviationReport:
 
 
 def substitution_deviation(phi, f: GrowthFunction, A: int, threads: int = 1) -> DeviationReport:
-    """|sum_{A<n<=2A} phi(floor(f(n))) - sum_{f(A)<m<=f(2A)} phi(m) (f^-1)'(m)| / A."""
+    """|sum_{A<n<=2A} phi(floor(f(n))) - sum_{f(A)<m<=f(2A)} phi(m) (f^-1)'(m)| / A.
+
+    For the Thue-Morse sign t and f(x) = x^c the second sum cancels in
+    aligned dyadic blocks: for x = 2^k j the block sum_{r<2^k} t(x + r)
+    w(x + r) is t(j) prod_{i<k} (1 - E^(2^i)) w(x), E the unit shift, and
+    with w = y^e / c, e = 1/c - 1, its modulus is at most
+    2^(k(k-1)/2) k! x^(e-k) / c.  Blocks whose bounds total at most
+    2^-80 w(floor(f(A)) + 1) are dropped and the remaining terms are summed
+    exactly; every other phi and f sums term by term."""
     phi = resolve_phi(phi)
     if A < 2:
         raise ValueError("needs A >= 2")
@@ -137,9 +225,7 @@ def substitution_deviation(phi, f: GrowthFunction, A: int, threads: int = 1) -> 
     start = time.perf_counter()
 
     def part_floors(rng: tuple[int, int]) -> complex:
-        parts = [complex(np.sum(np.asarray(phi(arr), dtype=np.complex128)))
-                 for arr in f.floor_block(rng[0], rng[1])]
-        return _kahan(parts)
+        return _kahan([_phi_sum(phi, arr) for arr in f.floor_block(rng[0], rng[1])])
 
     def part_weighted(rng: tuple[int, int]) -> complex:
         m = np.arange(rng[0], rng[1] + 1, dtype=np.int64)
@@ -148,8 +234,12 @@ def substitution_deviation(phi, f: GrowthFunction, A: int, threads: int = 1) -> 
 
     sum1 = _kahan(_map_ordered(part_floors, _chunk_ranges(A + 1, 2 * A), threads))
     m_lo = f.floor_exact(A)
-    sum2 = _kahan(_map_ordered(part_weighted, _chunk_ranges(m_lo + 1, m_hi), threads)) \
-        if m_hi > m_lo else 0j
+    if m_hi <= m_lo:
+        sum2 = 0j
+    elif phi is _TM and isinstance(f, PowerGrowth):
+        sum2 = complex(_tm_weighted_sum(f, m_lo, m_hi))
+    else:
+        sum2 = _kahan(_map_ordered(part_weighted, _chunk_ranges(m_lo + 1, m_hi), threads))
     return DeviationReport(A=A, lhs_per_A=abs(sum1 - sum2) / A, sum1=sum1, sum2=sum2,
                            runtime=time.perf_counter() - start,
                            phi_name=phi.name, f_label=f.label())
@@ -218,14 +308,15 @@ def beatty_substitution_integral(phi, f: GrowthFunction, A: int, K: int,
 
     def integrand(alpha: float, beta: float) -> float:
         line = BeattyLine(alpha=alpha, beta=beta)
-        hit = beatty_floor_range(line, 1, K)
-        s1 = complex(np.sum(np.asarray(phi(hit), dtype=np.complex128)))
+        s1 = _phi_sum(phi, beatty_floor_range(line, 1, K))
         m_lo = math.floor(beta) + 1
         m_hi = math.floor(beta + K * alpha)
-        s2 = 0j
-        if m_hi >= m_lo:
-            m = np.arange(m_lo, m_hi + 1, dtype=np.int64)
-            s2 = complex(np.sum(np.asarray(phi(m), dtype=np.complex128)))
+        if m_hi < m_lo:
+            s2 = 0
+        elif phi is _TM:
+            s2 = thue_morse_prefix_sum(m_hi + 1) - thue_morse_prefix_sum(m_lo)
+        else:
+            s2 = _phi_sum(phi, np.arange(m_lo, m_hi + 1, dtype=np.int64))
         return abs(s1 - s2 / alpha) / K
 
     def estimate(grid: int, samples: int) -> float:

@@ -58,6 +58,7 @@ __all__ = [
     "zeckendorf_window_expsum",
     "reduced_phase",
     "reduced_phase_window",
+    "geometric_sum_modulus",
     "dist_to_int",
     "max_table_bytes",
 ]
@@ -88,14 +89,34 @@ def dist_to_int(x: float) -> float:
     return abs(x - round(x))
 
 
-def reduced_phase(m: int, theta) -> float:
-    """{m * theta} computed exactly through the rational value of theta: a
-    Fraction as it is, anything else through the exact value of its double."""
+def _phase_fraction(m: int, theta) -> tuple[int, int]:
+    """(p, den) with {m * theta} = p / den exactly, through the rational
+    value of theta: a Fraction as it is, anything else through the exact
+    value of its double."""
     if isinstance(theta, Fraction):
         num, den = theta.numerator, theta.denominator
     else:
         num, den = float(theta).as_integer_ratio()
-    return ((m % den) * num % den) / den
+    return (m % den) * num % den, den
+
+
+def reduced_phase(m: int, theta) -> float:
+    """{m * theta}, the exact phase rounded once to a double."""
+    p, den = _phase_fraction(m, theta)
+    return p / den
+
+
+def geometric_sum_modulus(count: int, theta) -> float:
+    """|sum_{j<count} e(j theta)| = |sin(pi count theta) / sin(pi theta)|,
+    and count where theta is an integer.  Each sine takes the exact distance
+    of its phase to the nearest integer, so the quotient keeps full relative
+    accuracy next to an integer, where a double phase would not."""
+    def sin_pi(m: int) -> float:
+        p, den = _phase_fraction(m, theta)
+        return math.sin(math.pi * (min(p, den - p) / den))
+
+    s = sin_pi(1)
+    return float(count) if s == 0.0 else sin_pi(count) / s
 
 
 def reduced_phase_window(m0: int, count: int, theta) -> np.ndarray:

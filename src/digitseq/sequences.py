@@ -19,7 +19,7 @@ from typing import Iterator
 import mpmath
 import numpy as np
 
-from .expsums import reduced_phase_window
+from .expsums import geometric_sum_modulus
 
 __all__ = [
     "IntegerExponentWarning",
@@ -501,9 +501,12 @@ def count_floor_mismatches(f: GrowthFunction, a: int, b: int, alpha: float,
                            r_terms: int | None = None) -> MismatchReport:
     """Count n in (a, b] where floor(f(n)) != floor(n*alpha + f(a) - a*alpha),
     both floors exact, and evaluate the lemma bound
-    2*M*(b-a)^3 + (b-a)/R + sum_{r<=R} |sum e(n r alpha)|/r."""
+    2*M*(b-a)^3 + (b-a)/R + sum_{r<=R} |sum e(n r alpha)|/r for R = r_terms
+    >= 1.  Each inner sum is |sin(pi (b-a) r alpha) / sin(pi r alpha)|."""
     if b < a:
         raise ValueError("need a <= b")
+    if r_terms is not None and r_terms < 1:
+        raise ValueError("needs r_terms >= 1")
     if b - a > 1_000_000:
         raise ValueError("window too long for exact evaluation")
     span = b - a
@@ -524,10 +527,11 @@ def count_floor_mismatches(f: GrowthFunction, a: int, b: int, alpha: float,
     mismatches = int(np.count_nonzero(floors != beatty))
     if r_terms is None:
         r_terms = max(1, math.isqrt(span) + 1)
+    # |sum_{a<n<=b} e(n r alpha)| is a geometric series in the exact phase r*alpha.
+    alpha_q = Fraction(alpha)
     exp_part = 0.0
     for r in range(1, r_terms + 1):
-        ph = reduced_phase_window(a + 1, span, r * alpha)
-        exp_part += abs(np.sum(np.exp(2j * np.pi * ph))) / r
+        exp_part += geometric_sum_modulus(span, r * alpha_q) / r
     d = m_bound * span ** 2
     bound = 2.0 * m_bound * span ** 3 + span / r_terms + exp_part
     return MismatchReport(a=a, b=b, alpha=alpha, beta=beta, mismatch_count=mismatches,

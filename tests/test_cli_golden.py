@@ -13,16 +13,19 @@ windows contain n = 1000^2 and n = 30^4.
 """
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import digitseq
-from digitseq import audits, cli, expsums, sequences
+from digitseq import audits, cli, experiments, expsums, sequences, thue_morse_sign_array
 from digitseq.cli import dispatch
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -95,6 +98,59 @@ def test_threads_do_not_change_report_bytes(name, tmp_path):
     one = _report([*CASES[name], "--threads", "1"], tmp_path / "one")
     two = _report([*CASES[name], "--threads", "2"], tmp_path / "two")
     assert one == two
+
+
+# sum2 and lhs_per_A of the deviation cases as the term-by-term complex128
+# sum gave them before the Thue-Morse block cancellation replaced it.
+_TERM_BY_TERM = {
+    "deviation-3-2": (0.010416666666665995, 0.014162699381510416),
+    "deviation-5-4": (-0.050000000000001626, 0.01526031494140625),
+}
+
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 2.0 ** -63,
+    reason="np.longdouble is not the x87 extended format, so the oracle is no better than a double")
+
+
+@lru_cache
+def _long_double_sum2(name: str) -> np.longdouble:
+    """sum2 of a deviation case, sum_{f(A)<m<=f(2A)} t(m) m^(1/c-1)/c, term by
+    term over the whole range in np.longdouble."""
+    argv = CASES[name]
+    c = Fraction(argv[argv.index("--f-power") + 1])
+    A = int(argv[argv.index("--scale") + 1])
+    f = sequences.PowerGrowth(c)
+    m = np.arange(f.floor_exact(A) + 1, f.floor_exact(2 * A) + 1, dtype=np.int64)
+    inv_c = np.longdouble(c.denominator) / c.numerator
+    return np.sum(thue_morse_sign_array(m) * (inv_c * m.astype(np.longdouble) ** (inv_c - 1)))
+
+
+@needs_long_double
+@pytest.mark.parametrize("name", sorted(_TERM_BY_TERM))
+def test_deviation_sum2_matches_a_long_double_sum(name):
+    argv = CASES[name]
+    f = sequences.PowerGrowth(Fraction(argv[argv.index("--f-power") + 1]))
+    rep = experiments.substitution_deviation("thue-morse", f, int(argv[argv.index("--scale") + 1]))
+    assert abs(np.longdouble(rep.sum2.real) - _long_double_sum2(name)) <= np.spacing(abs(rep.sum2.real))
+
+
+@needs_long_double
+@pytest.mark.parametrize("name", sorted(_TERM_BY_TERM))
+def test_deviation_rows_match_an_oracle(name):
+    # Every JSON and CSV value that changed with the block cancellation is at
+    # least as close to the long-double oracle as the term-by-term value was.
+    report = json.loads((GOLDEN / f"{name}.json").read_text())
+    header, row = (GOLDEN / f"{name}.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    sum2 = _long_double_sum2(name)
+    lhs = abs(np.longdouble(report["sum1"]["re"]) - sum2) / report["A"]
+    old_sum2, old_lhs = _TERM_BY_TERM[name]
+    for new, old, exact in ((report["sum2"]["re"], old_sum2, sum2),
+                            (float(row["sum2_re"]), float("%.15g" % old_sum2), sum2),
+                            (report["lhs_per_A"], old_lhs, lhs),
+                            (float(row["lhs_per_A"]), float("%.15g" % old_lhs), lhs)):
+        if new != old:
+            assert abs(np.longdouble(new) - exact) <= abs(np.longdouble(old) - exact), (new, old)
 
 
 def _doubled_fourier_table(q, level, alpha):

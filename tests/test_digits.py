@@ -17,6 +17,7 @@ from digitseq import (
     digit_sum_array,
     dyadic_decompose,
     fibonacci,
+    thue_morse_prefix_sum,
     thue_morse_sign,
     thue_morse_sign_array,
     truncated_digit_sum,
@@ -344,3 +345,16 @@ def test_carry_mismatch_brute_force_and_bound():
             brute += full != trunc
         assert got == brute
         assert got <= (y - x) * abs(r) / spec.period + abs(r) + 1e-9
+
+
+def test_thue_morse_prefix_sum_matches_the_running_sum():
+    # T(n) = sum_{m<n} t(m) against cumsum, from 0 and across 2^62
+    for base, count in ((0, 1 << 16), ((1 << 62) - (1 << 12), 1 << 13)):
+        m = np.arange(base, base + count, dtype=np.int64)
+        running = np.concatenate(([0], np.cumsum(thue_morse_sign_array(m))))
+        got = [thue_morse_prefix_sum(base + i) - thue_morse_prefix_sum(base)
+               for i in range(count + 1)]
+        assert got == running.tolist()
+    assert thue_morse_prefix_sum(0) == 0 and thue_morse_prefix_sum(1 << 62) == 0
+    with pytest.raises(ValueError):
+        thue_morse_prefix_sum(-1)

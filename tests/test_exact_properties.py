@@ -157,3 +157,15 @@ def test_digit_kernels_match_scalar_digit_sums(case):
     assert zeckendorf_digit_sum_array(values).tolist() == [zeckendorf_digit_sum(v)
                                                          for v in values]
     assert thue_morse_sign_array(values).tolist() == [thue_morse_sign(v) for v in values]
+
+
+@PROPERTY
+@given(st.integers(0, 40), st.integers(0, 1 << 22), st.data())
+def test_thue_morse_sign_splits_on_aligned_dyadic_blocks(k, j, data):
+    # t(2^k j + r) = t(j) t(r) for r < 2^k: the block identity of the
+    # Thue-Morse weighted sum in substitution_deviation
+    r = data.draw(st.integers(0, (1 << k) - 1))
+    n = (j << k) + r
+    expect = thue_morse_sign(j) * thue_morse_sign(r)
+    assert thue_morse_sign(n) == expect
+    assert thue_morse_sign_array([n]).tolist() == [expect]

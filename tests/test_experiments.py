@@ -4,6 +4,7 @@ the recorded desk-scale regression anchors."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from digitseq import (
     PHI_FUNCTIONS,
     PSSpec,
     PowerGrowth,
+    SumGrowth,
     audit_theorem1,
     beatty_substitution_integral,
     corollary1_exponent_audit,
@@ -21,7 +23,14 @@ from digitseq import (
     window_l1_integral,
     zeckendorf_residue_experiment,
 )
-from digitseq.experiments import resolve_phi
+from digitseq.experiments import (
+    ArithmeticFunction,
+    _tm_block_log2_bound,
+    _tm_block_order,
+    _tm_blocks,
+    _tm_weighted_sum,
+    resolve_phi,
+)
 
 F32 = PowerGrowth(Fraction(3, 2))
 F1310 = PowerGrowth(Fraction(13, 10))
@@ -59,6 +68,106 @@ def test_deviation_is_deterministic_across_threads():
     a = substitution_deviation("thue-morse", F1310, 3000, threads=1)
     b = substitution_deviation("thue-morse", F1310, 3000, threads=4)
     assert a.sum1 == b.sum1 and a.sum2 == b.sum2 and a.lhs_per_A == b.lhs_per_A
+
+
+TM_EXPONENTS = [Fraction(3, 2), Fraction(5, 4), Fraction(4, 3), Fraction(71, 50), Fraction(2)]
+
+
+def _mp_weights(c: Fraction, m_lo: int, m_hi: int) -> list:
+    """t(m) (f^-1)'(m) = t(m) m^(1/c - 1) / c for m_lo < m <= m_hi, by mpmath."""
+    e = mpmath.mpf(c.denominator) / c.numerator - 1
+    m = np.arange(m_lo + 1, m_hi + 1, dtype=np.int64)
+    return [int(t) * mpmath.power(int(x), e) * c.denominator / c.numerator
+            for t, x in zip(thue_morse_sign_array(m), m.tolist())]
+
+
+def _log2_weight(c: Fraction, m: int) -> float:
+    return (1 / float(c) - 1) * math.log2(m) - math.log2(float(c))
+
+
+@pytest.mark.parametrize("c", TM_EXPONENTS, ids=str)
+def test_tm_weighted_sum_matches_a_direct_mpmath_sum(c):
+    f = PowerGrowth(c)
+    eps = float(np.finfo(np.longdouble).eps)
+    # blocks dropped far out; none dropped near 2^12
+    for m_lo, m_hi, drops in ((10 ** 9 + 12345, 10 ** 9 + 15346, True), (5001, 7002, False)):
+        with mpmath.workdps(30):
+            want = mpmath.fsum(_mp_weights(c, m_lo, m_hi))
+        k = _tm_block_order(float(c), m_lo, m_hi)
+        assert (k is not None) == drops
+        first, last, _ = _tm_blocks(float(c), m_lo, m_hi, k) if drops else (m_hi + 1,) * 3
+        kept = (first - m_lo - 1) + (m_hi + 1 - last)
+        assert kept < (2 << k if drops else 1 << 12)
+        # dropped blocks, long-double weights (exponent, power, product) and
+        # the final rounding of an exact sum
+        w = 2.0 ** _log2_weight(c, m_lo + 1)
+        tol = 2.0 ** -80 * w + eps * (math.log(m_hi) + 4) * kept * w
+        got = _tm_weighted_sum(f, m_lo, m_hi)
+        assert abs(got - float(want)) <= tol + 0.5 * np.spacing(abs(got)), (m_lo, got, want)
+
+
+@pytest.mark.parametrize("c", TM_EXPONENTS, ids=str)
+def test_dropped_block_bound_covers_every_block(c):
+    cf, m_lo, m_hi = float(c), 3007, 3607
+    with mpmath.workdps(40):
+        terms = _mp_weights(c, m_lo, m_hi)
+        for k in range(2, 6):
+            first, last, log2_total = _tm_blocks(cf, m_lo, m_hi, k)
+            size = 1 << k
+            blocks = [mpmath.fsum(terms[x - m_lo - 1:x - m_lo - 1 + size])
+                      for x in range(first, last, size)]
+            assert len(blocks) == (last - first) >> k >= 8
+            # each block by its own bound, which is within 2^5 of the truth
+            for x, block in zip(range(first, last, size), blocks):
+                bound = 2.0 ** _tm_block_log2_bound(cf, k, x)
+                assert abs(block) <= bound < 32 * abs(block)
+            assert abs(mpmath.fsum(blocks)) <= 2.0 ** log2_total
+
+
+@pytest.mark.parametrize("c", TM_EXPONENTS, ids=str)
+@pytest.mark.parametrize("m_lo,m_hi", [(262144, 741455), (441636, 1050406), (1 << 24, 3 << 24),
+                                       (10 ** 9, 10 ** 9 + 4000)])
+def test_block_order_is_the_smallest_k_within_the_bound(c, m_lo, m_hi):
+    cf = float(c)
+    limit = -80 + _log2_weight(c, m_lo + 1)
+
+    def total_bound(k):
+        first = -(-(m_lo + 1) // 2 ** k) * 2 ** k
+        blocks = (m_hi + 1) // 2 ** k - first // 2 ** k
+        return (math.log2(blocks) + k * (k - 1) / 2 + math.log2(math.factorial(k))
+                + (1 / cf - 1 - k) * math.log2(first) - math.log2(cf))
+
+    k = _tm_block_order(cf, m_lo, m_hi)
+    assert k is not None
+    assert _tm_blocks(cf, m_lo, m_hi, k)[2] == pytest.approx(total_bound(k), abs=1e-9)
+    assert total_bound(k) <= limit
+    assert all(total_bound(j) > limit for j in range(1, k))
+
+
+def test_closed_forms_are_selected_by_identity_not_by_name():
+    impostor = ArithmeticFunction("thue-morse", PHI_FUNCTIONS["one"].func)
+    for A in (1 << 10, 1 << 12):
+        got, want = substitution_deviation(impostor, F32, A), substitution_deviation("one", F32, A)
+        assert (got.sum1, got.sum2) == (want.sum1, want.sum2)
+    got = beatty_substitution_integral(impostor, F32, 1 << 12, 64, alpha_grid=4, beta_samples=3)
+    want = beatty_substitution_integral("one", F32, 1 << 12, 64, alpha_grid=4, beta_samples=3)
+    assert got == want
+
+
+def test_closed_forms_agree_with_the_direct_sums():
+    # the same Thue-Morse values through the direct paths: another
+    # ArithmeticFunction object, and a growth function that is not a PowerGrowth
+    tm = PHI_FUNCTIONS["thue-morse"]
+    copy = ArithmeticFunction("tm-copy", tm.func)
+    f = PowerGrowth(Fraction(71, 50))  # no integer f(n) for the generic floors to settle
+    closed = substitution_deviation(tm, f, 4096)
+    for phi, g in ((copy, f), (tm, SumGrowth([(1.0, f)]))):
+        direct = substitution_deviation(phi, g, 4096)
+        assert direct.sum1 == closed.sum1
+        assert abs(direct.sum2 - closed.sum2) < 1e-14
+    got = beatty_substitution_integral(tm, F32, 1 << 12, 64, alpha_grid=4, beta_samples=3)
+    want = beatty_substitution_integral(copy, F32, 1 << 12, 64, alpha_grid=4, beta_samples=3)
+    assert got == want
 
 
 def test_window_integral_unit_window_is_one():

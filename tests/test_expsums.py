@@ -6,6 +6,7 @@ import math
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,7 +31,7 @@ from digitseq import (
     zeckendorf_window_expsum,
 )
 from digitseq.digits import digit_sum_array
-from digitseq.expsums import reduced_phase, reduced_phase_window
+from digitseq.expsums import geometric_sum_modulus, reduced_phase, reduced_phase_window
 
 
 def _ones(m):
@@ -61,6 +62,25 @@ def test_reduced_phase_is_exact_for_large_m():
     ph = reduced_phase_window(10 ** 9, 1000, theta)
     direct = [reduced_phase(10 ** 9 + j, theta) for j in range(1000)]
     assert np.max(np.abs(ph - direct)) < 5e-15
+
+
+# Phases exactly on an integer, within 1e-12 of one (as doubles and as
+# products r * alpha of an exact double alpha), and ones where count * theta
+# is an integer but theta is not.
+GEOMETRIC_PHASES = [Fraction(1500), 75.0, 3.000000000001, 2.999999999999, 1e-12,
+                    0.999999999999, 7 * Fraction(1500.03125), 11 * Fraction(37.5),
+                    Fraction(1, 7), 1500 + Fraction(1, 4096)]
+
+
+@pytest.mark.parametrize("theta", GEOMETRIC_PHASES, ids=str)
+def test_geometric_sum_modulus_matches_a_direct_sum(theta):
+    exact = Fraction(theta)
+    with mpmath.workdps(50):
+        step = mpmath.expjpi(2 * mpmath.mpf(exact.numerator) / exact.denominator)
+        for count in (1, 7, 100, 4096):
+            want = abs(mpmath.fsum(step ** j for j in range(count)))
+            got = geometric_sum_modulus(count, theta)
+            assert abs(got - want) <= 1e-13 * want + 1e-40, (count, got, want)
 
 
 def test_tm_dyadic_examples():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import digitseq
-from digitseq import experiments, expsums, thue_morse_sign, thue_morse_sign_array
+from digitseq import experiments, expsums, sequences, thue_morse_sign, thue_morse_sign_array
 from digitseq.cli import dispatch
 
 
@@ -41,6 +41,22 @@ def _no_floors(*args, **kwargs):
 def test_residue_size_guard_runs_before_any_floor(argv, monkeypatch, tmp_path):
     monkeypatch.setattr(experiments, "ps_block_chunks", _no_floors)
     assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
+
+
+def _no_floor_block(*args, **kwargs):
+    pytest.fail("floor_block ran before the r_terms check")
+
+
+@pytest.mark.parametrize("r_terms", ["0", "-3"])
+def test_mismatch_r_terms_check_runs_before_any_floor(r_terms, monkeypatch, tmp_path):
+    monkeypatch.setattr(sequences.PowerGrowth, "floor_block", _no_floor_block)
+    argv = ["beatty-mismatch", "--f-power", "3/2", "--a", "4096", "--b", "5120",
+            "--r-terms", r_terms, "--out", str(tmp_path / "out")]
+    assert dispatch(argv) == 2
+    f = sequences.PowerGrowth(3 / 2)
+    with pytest.raises(ValueError, match="needs r_terms >= 1"):
+        sequences.count_floor_mismatches(f, 4096, 5120, float(f.df(4608)),
+                                         r_terms=int(r_terms))
 
 
 def test_thue_morse_array_rejects_negative_values_like_the_scalar():

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -256,6 +257,21 @@ def test_mismatches_match_brute_force_sample():
             assert brute == rep.mismatch_count
             if rep.d < 0.5:
                 assert rep.mismatch_count <= rep.lemma_bound
+
+
+def test_lemma_bound_matches_direct_exponential_sums():
+    f = PowerGrowth(Fraction(3, 2))
+    a, b = 999950, 1000050
+    for alpha in (1500.0, float(f.df(a + 37.3))):
+        rep = count_floor_mismatches(f, a, b, alpha)
+        with mpmath.workdps(40):
+            two_alpha = 2 * mpmath.mpf(alpha)  # the exact double
+            direct = mpmath.fsum(
+                abs(mpmath.fsum(mpmath.expjpi(n * r * two_alpha) for n in range(a + 1, b + 1))) / r
+                for r in range(1, rep.r_terms + 1))
+        span = b - a
+        expect = 2 * rep.second_derivative_bound * span ** 3 + span / rep.r_terms + float(direct)
+        assert rep.lemma_bound == pytest.approx(expect, rel=1e-14, abs=0)
 
 
 def test_admissibility_reports():
