@@ -13,6 +13,7 @@ summation, so reports are bit-identical run to run.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import warnings
@@ -184,12 +185,16 @@ def _tm_weighted_sum(f: PowerGrowth, m_lo: int, m_hi: int) -> float:
     first = last = m_hi + 1  # no block dropped: the head is the whole range
     if k is not None:
         first, last, _ = _tm_blocks(f.cf, m_lo, m_hi, k)
-    m = np.concatenate((np.arange(m_lo + 1, first, dtype=np.int64),
-                        np.arange(last, m_hi + 1, dtype=np.int64)))
     inv_c = np.longdouble(f.c.denominator) / f.c.numerator
-    terms = thue_morse_sign_array(m) * (inv_c * m.astype(np.longdouble) ** (inv_c - 1))
-    hi = terms.astype(np.float64)
-    return math.fsum([*hi.tolist(), *(terms - hi).astype(np.float64).tolist()])
+
+    def split_terms(rng: tuple[int, int]) -> list[float]:
+        m = np.arange(rng[0], rng[1] + 1, dtype=np.int64)
+        terms = thue_morse_sign_array(m) * (inv_c * m.astype(np.longdouble) ** (inv_c - 1))
+        hi = terms.astype(np.float64)
+        return [*hi.tolist(), *(terms - hi).astype(np.float64).tolist()]
+
+    ranges = _chunk_ranges(m_lo + 1, first - 1) + _chunk_ranges(last, m_hi)
+    return math.fsum(itertools.chain.from_iterable(map(split_terms, ranges)))
 
 
 @dataclass(frozen=True)
