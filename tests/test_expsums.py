@@ -77,10 +77,14 @@ def test_geometric_sum_modulus_matches_a_direct_sum(theta):
     exact = Fraction(theta)
     with mpmath.workdps(50):
         step = mpmath.expjpi(2 * mpmath.mpf(exact.numerator) / exact.denominator)
-        for count in (1, 7, 100, 4096):
-            want = abs(mpmath.fsum(step ** j for j in range(count)))
-            got = geometric_sum_modulus(count, theta)
-            assert abs(got - want) <= 1e-13 * want + 1e-40, (count, got, want)
+        total, term = mpmath.mpc(0), mpmath.mpc(1)
+        for count in range(1, 4097):
+            total += term
+            term *= step
+            if count in (1, 7, 100, 4096):
+                want = abs(total)
+                got = geometric_sum_modulus(count, theta)
+                assert abs(got - want) <= 1e-13 * want + 1e-40, (count, got, want)
 
 
 def test_tm_dyadic_examples():
