@@ -3,9 +3,11 @@ and the exit-code contract (0 ok, 1 audit failed, 2 bad input).
 
 The files under tests/golden/ pin the CSV and JSON reports byte for byte.
 They are recorded once and only rewritten for a deliberate change of report
-contents, with
+contents, one named case at a time, with
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py CASE [CASE ...]
+
+Without a case name the recorder lists the cases and writes nothing.
 
 The cases are small but tie-heavy: exponents 3/2, 4/3 and 5/4 put exact
 integers floor(n^c) at perfect powers inside every range, and the mismatch
@@ -64,6 +66,16 @@ CASES = {
                    "--theta-grid", "8", "--x-samples", "3"],
     "estimate-i": ["estimate-i", "--f-power", "3/2", "--scale", "4096", "--window", "64",
                    "--alpha-grid", "4", "--beta-samples", "3"],
+    # Complex phi (complex row sums, s2 summed term by term) and a fractional
+    # z, whose window term counts differ between window starts.
+    "estimate-j-digit-exp": ["estimate-j", "--phi", "digit-exp:3:1/3", "--f-power", "5/4",
+                             "--scale", "4096", "--z", "40.5", "--theta-grid", "8",
+                             "--x-samples", "3"],
+    "estimate-i-digit-exp": ["estimate-i", "--phi", "digit-exp:2:1/3", "--f-power", "3/2",
+                             "--scale", "4096", "--window", "64", "--alpha-grid", "4",
+                             "--beta-samples", "3"],
+    "audit-thm1-3-2-fractional-z": ["audit-thm1", "--f-power", "3/2", "--scale", "2048",
+                                    "--z", "40.5", "--theta-grid", "8", "--x-samples", "3"],
     "exponents": ["exponents", "--a", "1/2", "--c", "5/4"],
     "vaaler-audit": ["vaaler-audit", "--h-list", "1,5,10", "--grid", "1000"],
     "et-audit": ["et-audit", "--sets", "9", "--h", "16", "--max-points", "200"],
@@ -222,10 +234,35 @@ def test_console_entry_point():
         assert command in usage.stdout
 
 
-if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for case, case_argv in CASES.items():
+def record(names: list[str], directory: Path = GOLDEN) -> int:
+    """Rewrite the golden files of the named cases only; exit status 2 and
+    the list of cases when no name, or an unknown one, is given."""
+    unknown = [name for name in names if name not in CASES]
+    if not names or unknown:
+        if unknown:
+            print(f"unknown case(s): {' '.join(unknown)}", file=sys.stderr)
+        print("usage: python tests/test_cli_golden.py CASE [CASE ...]\ncases:",
+              *sorted(CASES), sep="\n  ", file=sys.stderr)
+        return 2
+    directory.mkdir(exist_ok=True)
+    for case in names:
         for fmt in ("csv", "json"):
-            out = GOLDEN / f"{case}.{fmt}"
-            if dispatch([*case_argv, "--format", fmt, "--out", str(out)]) != 0:
-                sys.exit(f"{case} failed")
+            out = directory / f"{case}.{fmt}"
+            if dispatch([*CASES[case], "--format", fmt, "--out", str(out)]) != 0:
+                print(f"{case} failed", file=sys.stderr)
+                return 1
+    return 0
+
+
+def test_recorder_writes_only_the_named_cases(tmp_path, capsys):
+    assert record([], tmp_path) == 2
+    assert "exponents" in capsys.readouterr().err
+    assert record(["exponents", "no-such-case"], tmp_path) == 2
+    assert not any(tmp_path.iterdir())
+    assert record(["exponents"], tmp_path) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exponents.csv", "exponents.json"]
+    assert (tmp_path / "exponents.csv").read_bytes() == (GOLDEN / "exponents.csv").read_bytes()
+
+
+if __name__ == "__main__":
+    sys.exit(record(sys.argv[1:]))
