@@ -14,9 +14,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
-import mpmath
 import numpy as np
 
 from .expsums import geometric_sum_modulus
@@ -296,9 +295,17 @@ class GrowthFunction:
         """mpmath evaluation at the current working precision."""
         raise NotImplementedError
 
+    def f_exact(self, n: int) -> Fraction | None:
+        """f(n) as an exact rational where it is one and known to be, else None."""
+        return None
+
     def floor_exact(self, n: int) -> int:
-        """floor(f(n)) with escalation to high precision near ties."""
+        """floor(f(n)) with escalation to high precision near ties.  A value
+        within 10^-108 of an integer at 120 digits is decided by f_exact,
+        and raises ArithmeticError where there is no exact value."""
         def settle(_) -> int:
+            import mpmath
+
             for dps in (50, 120):
                 with mpmath.workdps(dps):
                     v = self.f_mp(n)
@@ -306,7 +313,10 @@ class GrowthFunction:
                     eps = mpmath.mpf(10) ** (12 - dps)
                     if eps < v - fl < 1 - eps:
                         return int(fl)
-            raise ArithmeticError(f"could not certify floor(f({n})) at 120 digits")
+            exact = self.f_exact(n)
+            if exact is None:
+                raise ArithmeticError(f"could not certify floor(f({n})) at 120 digits")
+            return math.floor(exact)
 
         x = float(self.f(n))
         return _certified_floor(x, _pow_guard(x), settle)
@@ -359,7 +369,15 @@ class PowerGrowth(GrowthFunction):
         return float(max(self.d2f(a), self.d2f(b)))
 
     def f_mp(self, x: int):
+        import mpmath
+
         return mpmath.root(mpmath.mpf(int(x) ** self.c.numerator), self.c.denominator)
+
+    def f_exact(self, n: int) -> Fraction | None:
+        """n^c where n^num is a perfect den-th power, else None."""
+        power = int(n) ** self.c.numerator
+        root = int_nth_root(power, self.c.denominator)
+        return Fraction(root) if root ** self.c.denominator == power else None
 
     def floor_exact(self, n: int) -> int:
         if self._spec is not None:
@@ -416,6 +434,8 @@ class PowerLogGrowth(GrowthFunction):
         return x ** (c - 2.0) * lx ** (e - 2.0) * poly
 
     def f_mp(self, x: int):
+        import mpmath
+
         return mpmath.mpf(x) ** mpmath.mpf(self.cf) * mpmath.log(x) ** self.eta
 
     def label(self) -> str:
@@ -446,7 +466,16 @@ class SumGrowth(GrowthFunction):
         return sum(w * g.d2f(x) for w, g in self.terms)
 
     def f_mp(self, x: int):
+        import mpmath
+
         return mpmath.fsum(w * g.f_mp(x) for w, g in self.terms)
+
+    def f_exact(self, n: int) -> Fraction | None:
+        """sum of Fraction(w) times the exact term values, where every term has one."""
+        values = [g.f_exact(n) for _, g in self.terms]
+        if any(v is None for v in values):
+            return None
+        return sum((Fraction(w) * v for (w, _), v in zip(self.terms, values)), Fraction(0))
 
     def label(self) -> str:
         return " + ".join(f"{w}*{g.label()}" for w, g in self.terms)

@@ -302,3 +302,13 @@ def test_exponent_boundary_collapse():
     assert 0 < rep.eta_max < Fraction(1, 100) and rep.validity
     rep = corollary1_exponent_audit(a, Fraction(143, 100))
     assert rep.eta_max < 0 and not rep.validity
+
+
+def test_generic_floors_settle_exact_integers_in_the_deviation():
+    # floor(n^(3/2)) is an integer at every square n; the generic mpmath
+    # floors decide those from the exact value.
+    generic = substitution_deviation("thue-morse", SumGrowth([(1.0, PowerGrowth(Fraction(3, 2)))]),
+                                     4096)
+    closed = substitution_deviation("thue-morse", PowerGrowth(Fraction(3, 2)), 4096)
+    assert generic.sum1 == closed.sum1
+    assert abs(generic.sum2 - closed.sum2) < 1e-14

@@ -1,12 +1,17 @@
 """Exact floors, Beatty machinery, tangent approximation, admissibility."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import digitseq
 from digitseq import (
     BeattyLine,
     GrowthFunction,
@@ -311,3 +316,46 @@ def test_inverse_derivative_sum_stays_linear_in_scale():
                 m = np.arange(start, min(start + (1 << 22), hi + 1), dtype=np.float64)
                 total += float(np.sum(f.df_inv(m)))
             assert 0.75 <= total / a_scale <= 1.25
+
+
+class _NearTie(GrowthFunction):
+    """f(n) = n^2 + 10^-115: within 10^-108 of an integer at 120 digits, with
+    no exact rational value to decide it."""
+
+    def f(self, x):
+        return np.asarray(x, dtype=float) ** 2
+
+    def f_mp(self, x):
+        return mpmath.mpf(int(x)) ** 2 + mpmath.mpf(10) ** -115
+
+
+def test_generic_floor_at_exact_integers():
+    square = SumGrowth([(1.0, PowerGrowth(Fraction(3, 2)))])
+    assert square.floor_exact(4225) == 274625  # 65^3
+    assert square.floor_exact(4226) == ps_floor(4226, PSSpec(3, 2))
+    combo = SumGrowth([(2.0, PowerGrowth(Fraction(3, 2))), (1.0, PowerGrowth(Fraction(5, 4)))])
+    assert combo.floor_exact(16) == 160  # 2 * 16^(3/2) + 16^(5/4)
+    assert combo.f_exact(16) == 160 and combo.f_exact(17) is None
+    assert SumGrowth([(0.5, PowerGrowth(3))]).floor_exact(3) == 13  # 27/2
+    with pytest.raises(ArithmeticError, match="120 digits"):
+        _NearTie().floor_exact(7)
+    with pytest.raises(ArithmeticError, match="120 digits"):
+        SumGrowth([(1.0, PowerLogGrowth(2.0, 0.0))]).floor_exact(3)  # 9, no exact form
+
+
+def test_mpmath_is_imported_only_by_the_generic_floors():
+    code = (
+        "import sys\n"
+        "import digitseq.cli\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "from fractions import Fraction\n"
+        "from digitseq import PowerGrowth, PowerLogGrowth, SumGrowth\n"
+        "assert PowerLogGrowth(1.4, 1.0).floor_exact(1000) == 109480\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "assert SumGrowth([(1.0, PowerGrowth(Fraction(3, 2)))]).floor_exact(4225) == 274625\n"
+        "assert 'mpmath' in sys.modules\n"
+        "assert int(PowerLogGrowth(1.4, 1.0).f_mp(1000)) == 109480\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(digitseq.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
