@@ -18,6 +18,7 @@ matrix on Chebyshev nodes with a vector, up to the edge of the double range.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -212,8 +213,10 @@ class SineProductResult:
     quadrature_error_estimate: float
 
 
-def _operator_integral(level: int, n: int) -> np.longdouble:
-    """Fejer weights . L^level 1 on the n first-kind Chebyshev nodes (1 + cos phi) / 2."""
+@functools.cache
+def _transfer_operator(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """L and the Fejer weights on the n first-kind Chebyshev nodes
+    (1 + cos phi) / 2, in np.longdouble; built once per node count."""
     pi = 4 * np.arctan(np.longdouble(1))
     phi = (np.arange(n, dtype=np.longdouble) + 0.5) * (pi / n)
     t = np.cos(phi)  # u = (1 + t) / 2
@@ -232,10 +235,32 @@ def _operator_integral(level: int, n: int) -> np.longdouble:
     k = np.arange(1, n // 2 + 1)
     cosines = np.cos(np.arange(2 * n) * (pi / n))
     terms = cosines[np.outer(2 * np.arange(n) + 1, k) % (2 * n)] / (4 * k * k - 1)
+    weights = (1 - 2 * terms.sum(axis=1)) / n
+    op.flags.writeable = weights.flags.writeable = False
+    return op, weights
+
+
+def _operator_integrals(level_max: int, n: int) -> list[np.longdouble]:
+    """Fejer weights . L^level 1 for level = 0 ... level_max: one chain of
+    matrix-vector products."""
+    op, weights = _transfer_operator(n)
     values = np.ones(n, dtype=np.longdouble)
-    for _ in range(level):
+    integrals = [weights @ values]
+    for _ in range(level_max):
         values = op @ values
-    return (1 - 2 * terms.sum(axis=1)) / n @ values
+        integrals.append(weights @ values)
+    return integrals
+
+
+def _sine_product_results(level_max: int) -> list[SineProductResult]:
+    """SineProductResult for level = 0 ... level_max from one operator chain
+    per node count (the levels are checked against the double range first)."""
+    if level_max > _LEVEL_MAX:
+        raise ValueError(f"level above the double range guard ({_LEVEL_MAX})")
+    i64, i128 = (_operator_integrals(level_max, n) for n in (64, 128))
+    return [SineProductResult(0, 1.0, 0.0)] + [
+        SineProductResult(level, float(i128[level]), float(abs(i128[level] - i64[level])))
+        for level in range(1, level_max + 1)]
 
 
 def sine_product_integral(level: int) -> SineProductResult:
@@ -251,12 +276,9 @@ def sine_product_integral(level: int) -> SineProductResult:
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    if level > _LEVEL_MAX:
-        raise ValueError(f"level above the double range guard ({_LEVEL_MAX})")
     if level == 0:
         return SineProductResult(0, 1.0, 0.0)
-    i64, i128 = (_operator_integral(level, n) for n in (64, 128))
-    return SineProductResult(level, float(i128), float(abs(i128 - i64)))
+    return _sine_product_results(level)[-1]
 
 
 @dataclass(frozen=True)
@@ -275,10 +297,12 @@ def sine_product_decay(level_max: int) -> list[SineProductDecayRow]:
         raise ValueError("needs level_max >= 2")
     if level_max > _LEVEL_MAX:
         raise ValueError(f"level above the double range guard ({_LEVEL_MAX})")
+    # The levels below level_max are read off one chain; the last row is
+    # sine_product_integral(level_max), the same chain run one level further.
+    results = _sine_product_results(level_max - 1) + [sine_product_integral(level_max)]
     rows = []
     prev = None
-    for lam in range(level_max + 1):
-        res = sine_product_integral(lam)
+    for lam, res in enumerate(results):
         ratio = float("nan") if prev is None else res.integral_value / prev
         geo = float("nan") if lam == 0 else res.integral_value ** (1.0 / lam)
         rows.append(SineProductDecayRow(lam, res.integral_value, ratio, geo,

@@ -229,6 +229,14 @@ def test_sine_product_guard_is_the_edge_of_the_double_range():
         sine_product_integral(1714)
 
 
+def test_decay_rows_are_the_per_level_integrals():
+    rows = sine_product_decay(40)
+    for level in (0, 1, 2, 17, 39, 40):
+        res = sine_product_integral(level)
+        assert (rows[level].integral, rows[level].quadrature_err) == \
+            (res.integral_value, res.quadrature_error_estimate)
+
+
 def test_sine_product_decay_sequences():
     rows = sine_product_decay(12)
     assert rows[1].ratio == pytest.approx(2 / math.pi, abs=1e-12)

@@ -14,12 +14,13 @@ from digitseq import experiments, expsums, sequences, thue_morse_sign, thue_mors
 from digitseq.cli import dispatch
 
 
-def _no_quadrature(level):
-    pytest.fail(f"sine_product_integral({level}) ran before the level guard")
+def _no_quadrature(level, *args):
+    pytest.fail(f"a sine-product integral up to level {level} ran before the level guard")
 
 
 def test_rho_level_guard_runs_before_any_level(monkeypatch, tmp_path):
     monkeypatch.setattr(expsums, "sine_product_integral", _no_quadrature)
+    monkeypatch.setattr(expsums, "_operator_integrals", _no_quadrature)
     for level in ("1", "1714"):
         assert dispatch(["rho", "--lambda-max", level, "--out", str(tmp_path / "out")]) == 2
     with pytest.raises(ValueError, match=">= 2"):
