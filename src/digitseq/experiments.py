@@ -30,13 +30,13 @@ from .digits import (
     thue_morse_sign_array,
     zeckendorf_digit_sum_array,
 )
-from .expsums import _kahan, window_exp_sum
+from .expsums import _kahan, window_exp_sums
 from .sequences import (
     BeattyLine,
     GrowthFunction,
     PowerGrowth,
     PSSpec,
-    beatty_floor_range,
+    beatty_floor_rows,
     ps_block_chunks,
 )
 
@@ -119,12 +119,14 @@ def _map_ordered(func, items: Sequence, threads: int) -> list:
         return list(pool.map(func, items))
 
 
-def _phi_sum(phi: ArithmeticFunction, m: np.ndarray) -> complex | float:
-    """sum of phi over m.  The Thue-Morse sign sums in float64, where sums of
-    +-1 are exact integers; any other phi sums in complex128."""
+def _phi_sum(phi: ArithmeticFunction, m: np.ndarray) -> np.ndarray:
+    """Sums of phi over the last axis of m (one phi pass over all of m).
+    The Thue-Morse sign sums in float64, where sums of +-1 are exact
+    integers; any other phi sums in complex128."""
+    values = np.reshape(phi(m.ravel()), m.shape)
     if phi is _TM:
-        return float(np.sum(phi(m)))
-    return complex(np.sum(np.asarray(phi(m), dtype=np.complex128)))
+        return np.sum(values, axis=-1)
+    return np.sum(np.asarray(values, dtype=np.complex128), axis=-1)
 
 
 # Thue-Morse weighted sums sum_{m_lo < m <= m_hi} t(m) w(m) for f(x) = x^c,
@@ -230,7 +232,7 @@ def substitution_deviation(phi, f: GrowthFunction, A: int, threads: int = 1) -> 
     start = time.perf_counter()
 
     def part_floors(rng: tuple[int, int]) -> complex:
-        return _kahan([_phi_sum(phi, arr) for arr in f.floor_block(rng[0], rng[1])])
+        return _kahan([_phi_sum(phi, arr).item() for arr in f.floor_block(rng[0], rng[1])])
 
     def part_weighted(rng: tuple[int, int]) -> complex:
         m = np.arange(rng[0], rng[1] + 1, dtype=np.int64)
@@ -273,7 +275,13 @@ def _sup_points(lo: float, hi: float, count: int, margin: float) -> list[float]:
 def window_l1_integral(phi, f: GrowthFunction, A: int, z: float,
                        theta_grid: int = 64, x_samples: int = 8) -> IntegralEstimate:
     """Integral over theta of the sup over window starts x in (f(A), f(2A)]
-    of |sum_{x<m<=x+z} phi(m) e(m theta)| / z."""
+    of |sum_{x<m<=x+z} phi(m) e(m theta)| / z.
+
+    Each window start takes the whole theta grid t/G at once
+    (expsums.window_exp_sums): phi once per window chunk, the grid as rows
+    of 2-D blocks of at most _WINDOW_CHUNK terms, so no block is larger than
+    one window chunk.  Every modulus is np.hypot of the one-theta sum, the
+    value abs() gives."""
     phi = resolve_phi(phi)
     if z < 1:
         raise ValueError("needs z >= 1")
@@ -282,13 +290,12 @@ def window_l1_integral(phi, f: GrowthFunction, A: int, z: float,
     lo, hi = float(f.f(A)), float(f.f(2 * A))
 
     def estimate(grid: int, samples: int) -> float:
-        xs = _sup_points(lo, hi, samples, z)
-        vals = []
-        for t in range(grid):
-            theta = t / grid
-            best = max(abs(window_exp_sum(phi, xx, z, theta).value) for xx in xs)
-            vals.append(best / z)
-        return math.fsum(vals) / grid
+        thetas = np.arange(grid) / grid
+        best = np.zeros(grid)
+        for xx in _sup_points(lo, hi, samples, z):
+            s = window_exp_sums(phi, xx, z, thetas)
+            best = np.maximum(best, np.hypot(s.real, s.imag))
+        return math.fsum(best / z) / grid
 
     value = estimate(theta_grid, x_samples)
     refined = estimate(2 * theta_grid, 2 * x_samples)
@@ -302,7 +309,13 @@ def beatty_substitution_integral(phi, f: GrowthFunction, A: int, K: int,
                                  beta_samples: int = 8) -> IntegralEstimate:
     """Average over slopes alpha in [f'(A), f'(2A)] of the sup over
     intercepts beta in (f(A), f(2A)] of
-    |sum_{0<n<=K} phi(floor(n alpha + beta)) - (1/alpha) sum_{beta<m<=beta+K alpha} phi(m)| / K."""
+    |sum_{0<n<=K} phi(floor(n alpha + beta)) - (1/alpha) sum_{beta<m<=beta+K alpha} phi(m)| / K.
+
+    The floors of all (alpha, beta) pairs of an estimate come as rows of
+    sequences.beatty_floor_rows, in blocks of at most _FLOOR_CHUNK floors
+    (one row where K is larger), and the first sums are one phi pass and a
+    row sum per block.  The second sum is the Thue-Morse prefix-sum closed
+    form, or a sum over its own range for any other phi."""
     phi = resolve_phi(phi)
     if K < 1:
         raise ValueError("needs K >= 1")
@@ -311,26 +324,26 @@ def beatty_substitution_integral(phi, f: GrowthFunction, A: int, K: int,
     a_lo, a_hi = float(f.df(A)), float(f.df(2 * A))
     f_lo, f_hi = float(f.f(A)), float(f.f(2 * A))
 
-    def integrand(alpha: float, beta: float) -> float:
-        line = BeattyLine(alpha=alpha, beta=beta)
-        s1 = _phi_sum(phi, beatty_floor_range(line, 1, K))
-        m_lo = math.floor(beta) + 1
-        m_hi = math.floor(beta + K * alpha)
+    def interval_sum(line: BeattyLine):
+        m_lo = math.floor(line.beta) + 1
+        m_hi = math.floor(line.beta + K * line.alpha)
         if m_hi < m_lo:
-            s2 = 0
-        elif phi is _TM:
-            s2 = thue_morse_prefix_sum(m_hi + 1) - thue_morse_prefix_sum(m_lo)
-        else:
-            s2 = _phi_sum(phi, np.arange(m_lo, m_hi + 1, dtype=np.int64))
-        return abs(s1 - s2 / alpha) / K
+            return 0
+        if phi is _TM:
+            return thue_morse_prefix_sum(m_hi + 1) - thue_morse_prefix_sum(m_lo)
+        return _phi_sum(phi, np.arange(m_lo, m_hi + 1, dtype=np.int64)).item()
 
     def estimate(grid: int, samples: int) -> float:
-        alphas = np.linspace(a_lo, a_hi, grid)
         betas = _sup_points(f_lo, f_hi, samples, K * a_hi)
+        lines = [BeattyLine(alpha=float(al), beta=b)
+                 for al in np.linspace(a_lo, a_hi, grid) for b in betas]
+        s1 = itertools.chain.from_iterable(
+            _phi_sum(phi, block).tolist() for block in beatty_floor_rows(lines, 1, K))
+        vals = [abs(s - interval_sum(line) / line.alpha) / K for s, line in zip(s1, lines)]
         weights = np.ones(grid)
         weights[0] = weights[-1] = 0.5  # trapezoid average in alpha
-        vals = [max(integrand(float(al), b) for b in betas) for al in alphas]
-        return float(np.dot(weights, vals) / weights.sum())
+        best = np.max(np.reshape(vals, (grid, len(betas))), axis=1)
+        return float(np.dot(weights, best) / weights.sum())
 
     value = estimate(alpha_grid, beta_samples)
     refined = estimate(2 * alpha_grid, 2 * beta_samples)

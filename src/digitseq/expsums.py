@@ -43,6 +43,7 @@ __all__ = [
     "CharRoot",
     "JointRateParameters",
     "window_exp_sum",
+    "window_exp_sums",
     "tm_dyadic_expsum",
     "sine_product_integral",
     "sine_product_decay",
@@ -120,13 +121,14 @@ def geometric_sum_modulus(count: int, theta) -> float:
     return float(count) if s == 0.0 else sin_pi(count) / s
 
 
-def reduced_phase_window(m0: int, count: int, theta) -> np.ndarray:
-    """{(m0 + j) * theta} for j < count.  Exact base reduction plus a
-    Dekker-split product for the offsets keeps the error at ulp level."""
+def _phase_block(m0: int, count: int, thetas) -> np.ndarray:
+    """{(m0 + j) * theta} for j < count, one row per theta.  Exact base
+    reduction per row plus a Dekker-split product for the offsets keeps the
+    error at ulp level."""
     if count <= 0:
-        return np.zeros(0)
-    base = reduced_phase(m0, theta)
-    tf = float(theta)
+        return np.zeros((len(thetas), 0))
+    base = np.array([[reduced_phase(m0, t)] for t in thetas])
+    tf = np.array([[float(t)] for t in thetas])
     j = np.arange(count, dtype=np.float64)
     if count > 1 << 26:
         raise ValueError("window too long for the split-phase path")
@@ -137,8 +139,14 @@ def reduced_phase_window(m0: int, count: int, theta) -> np.ndarray:
     return ph % 1.0
 
 
+def reduced_phase_window(m0: int, count: int, theta) -> np.ndarray:
+    """{(m0 + j) * theta} for j < count: the one-row case of the phase block."""
+    return _phase_block(m0, count, [theta])[0]
+
+
 def _kahan(values: Iterable[complex]) -> complex:
-    """Compensated (Kahan) sum, accumulated in the given order."""
+    """Compensated (Kahan) sum, accumulated in the given order (element-wise
+    when the values are arrays)."""
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j
     for v in values:
@@ -159,25 +167,45 @@ class WindowSumResult:
     summation_error_bound: float
 
 
-def window_exp_sum(phi: Callable[[np.ndarray], np.ndarray], x: float, z: float,
-                   theta) -> WindowSumResult:
-    """sum_{x < m <= x+z} phi(m) e(m theta).  phi maps an int64 array to
-    values bounded by 1 in modulus (anything array-like is accepted)."""
+def window_exp_sums(phi: Callable[[np.ndarray], np.ndarray], x: float, z: float,
+                    thetas) -> np.ndarray:
+    """sum_{x < m <= x+z} phi(m) e(m theta) for every theta of a sequence,
+    as a complex128 array.  phi maps an int64 array to values bounded by 1
+    in modulus (anything array-like is accepted).
+
+    phi is evaluated once per chunk of at most _WINDOW_CHUNK terms; the
+    thetas are rows of 2-D blocks of at most _WINDOW_CHUNK terms (one row
+    when a chunk is that long), each row summed by np.sum like a single
+    window.  Chunk partials are combined by _kahan in chunk order, so every
+    entry is the one-theta sum bit for bit."""
     if z < 0:
         raise ValueError("window length must be nonnegative")
     m_lo = math.floor(x) + 1
     m_hi = math.floor(x + z)
-    count = max(0, m_hi - m_lo + 1)
-    if count == 0:
-        return WindowSumResult(0j, 0, 0.0)
     partials = []
     for lo in range(m_lo, m_hi + 1, _WINDOW_CHUNK):
         n = min(_WINDOW_CHUNK, m_hi - lo + 1)
-        ph = reduced_phase_window(lo, n, theta)
-        vals = np.asarray(phi(np.arange(lo, lo + n, dtype=np.int64)))
-        partials.append(complex(np.sum(vals * np.exp(2j * np.pi * ph))))
-    total = _kahan(partials)
-    return WindowSumResult(total, count, _SUM_EPS * count)
+        # phi values as a (1, n) row and the left operand, as in the 1-D
+        # product: numpy's SIMD complex product fuses a_re * b into a
+        # multiply-add, so it is not symmetric in its operands, and a bare
+        # (n,) row against a (1, 1) block takes its unfused scalar loop.
+        vals = np.asarray(phi(np.arange(lo, lo + n, dtype=np.int64))).reshape(1, n)
+        rows = max(1, _WINDOW_CHUNK // n)
+        partials.append(np.concatenate([
+            np.sum(vals * np.exp(2j * np.pi * _phase_block(lo, n, thetas[r:r + rows])), axis=-1)
+            for r in range(0, len(thetas), rows)]))
+    if not partials:
+        return np.zeros(len(thetas), dtype=np.complex128)
+    return _kahan(partials)
+
+
+def window_exp_sum(phi: Callable[[np.ndarray], np.ndarray], x: float, z: float,
+                   theta) -> WindowSumResult:
+    """sum_{x < m <= x+z} phi(m) e(m theta): the one-theta case of
+    window_exp_sums."""
+    count = max(0, math.floor(x + z) - math.floor(x))
+    value = complex(window_exp_sums(phi, x, z, [theta])[0])
+    return WindowSumResult(value, count, _SUM_EPS * count)
 
 
 def tm_dyadic_expsum(ell: int, level: int, theta) -> complex:

@@ -37,6 +37,7 @@ __all__ = [
     "ps_block_chunks",
     "beatty_floor",
     "beatty_floor_range",
+    "beatty_floor_rows",
     "beatty_membership",
     "beatty_membership_range",
     "tangent_window",
@@ -128,8 +129,8 @@ def _affine_guard(v):
 def _certified_floor(v, guard, exact):
     """floor(v) wherever v lies at least `guard` away from every integer, so
     rounding cannot have carried the double across one; exact(i) at each
-    other position i (non-finite values included).  A float gives an int,
-    a float64 array an int64 array."""
+    other position, i its flat (C-order) index (non-finite values included).
+    A float gives an int, a float64 array an int64 array of its shape."""
     fl = np.floor(v)
     frac = v - fl
     near = ~(np.minimum(frac, 1.0 - frac) >= guard)
@@ -137,7 +138,7 @@ def _certified_floor(v, guard, exact):
         return exact(0) if near else int(fl)
     out = fl.astype(np.int64)
     for i in np.flatnonzero(near):
-        out[i] = exact(int(i))
+        out.flat[i] = exact(int(i))
     return out
 
 
@@ -209,12 +210,29 @@ def beatty_floor(n: int, line: BeattyLine) -> int:
         Fraction(n) * Fraction(line.alpha) + Fraction(line.beta)))
 
 
+def beatty_floor_rows(lines: Sequence[BeattyLine], n_lo: int,
+                      n_hi: int) -> Iterator[np.ndarray]:
+    """Stream floor(n*alpha + beta) for n in [n_lo, n_hi], one int64 row per
+    line, in blocks of whole rows and line order.  A block holds at most
+    _FLOOR_CHUNK floors, or one row where a row is longer.  Element-wise
+    identical to beatty_floor, which settles the near-ties."""
+    n = np.arange(n_lo, n_hi + 1, dtype=np.float64)
+    rows = max(1, _FLOOR_CHUNK // max(n.size, 1))
+    for r in range(0, len(lines), rows):
+        block = lines[r:r + rows]
+        v = (n * np.array([[line.alpha] for line in block])
+             + np.array([[line.beta] for line in block]))
+        if v.size and np.max(np.abs(v[:, [0, -1]])) >= 2**62:
+            raise ValueError("Beatty values exceed the int64 range")
+        yield _certified_floor(v, _affine_guard(v), lambda i: beatty_floor(
+            n_lo + i % n.size, block[i // n.size]))
+
+
 def beatty_floor_range(line: BeattyLine, n_lo: int, n_hi: int) -> np.ndarray:
-    """Vectorised beatty_floor for n in [n_lo, n_hi]."""
-    v = np.arange(n_lo, n_hi + 1, dtype=np.float64) * line.alpha + line.beta
-    if v.size and max(abs(v[0]), abs(v[-1])) >= 2**62:
-        raise ValueError("Beatty values exceed the int64 range")
-    return _certified_floor(v, _affine_guard(v), lambda i: beatty_floor(n_lo + i, line))
+    """Vectorised beatty_floor for n in [n_lo, n_hi]: the one-line case of
+    beatty_floor_rows."""
+    (block,) = beatty_floor_rows([line], n_lo, n_hi)
+    return block[0]
 
 
 def beatty_membership(m: int, line: BeattyLine) -> bool:
