@@ -325,8 +325,9 @@ def sine_product_decay(level_max: int) -> list[SineProductDecayRow]:
         raise ValueError("needs level_max >= 2")
     if level_max > _LEVEL_MAX:
         raise ValueError(f"level above the double range guard ({_LEVEL_MAX})")
-    # The levels below level_max are read off one chain; the last row is
-    # sine_product_integral(level_max), the same chain run one level further.
+    # The levels below level_max are read off one chain.  The last row goes
+    # through sine_product_integral, the span perfbench traces for these
+    # integrals; it runs the same chain once more, to level_max.
     results = _sine_product_results(level_max - 1) + [sine_product_integral(level_max)]
     rows = []
     prev = None
