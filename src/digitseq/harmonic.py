@@ -163,7 +163,9 @@ def min_kernel_integral_check(a: float, b: float, b_cap: float) -> tuple[float, 
 def range_extension_check(coefficients, x: float, y: float, z: float) -> tuple[float, float]:
     """Partial-sum bound |sum_{x<n<=y} a_n| <=
     int_0^1 min(y-x+1, ||xi||^-1) |sum_{x<n<=z} a_n e(n xi)| d xi,
-    the right side by trapezoid quadrature refined until stable."""
+    the right side by trapezoid quadrature refined until stable.  At
+    xi = (k+1/2)/res the inner sum is one inverse DFT of a_j e(j/(2 res)),
+    j = n - n_lo, folded by j mod res (the phase index j mod 2 res is exact)."""
     if not x <= y <= z:
         raise ValueError("need x <= y <= z")
     coefs = np.asarray(coefficients, dtype=np.complex128)
@@ -175,13 +177,15 @@ def range_extension_check(coefficients, x: float, y: float, z: float) -> tuple[f
         return 0.0, 0.0
     m = math.floor(y) - math.floor(x)
     lhs = float(abs(coefs[:m].sum()))
-    n = np.arange(n_lo, n_hi + 1, dtype=np.float64)
+    j = np.arange(coefs.size)
     cap = y - x + 1.0
 
     def quad(res: int) -> float:
         xi = (np.arange(res) + 0.5) / res
         kernel = np.minimum(cap, 1.0 / np.minimum(xi, 1.0 - xi))
-        inner = np.abs(np.exp(2j * np.pi * np.multiply.outer(xi, n)) @ coefs)
+        shifted = coefs * np.exp(1j * np.pi * (j % (2 * res)) / res)
+        folded = np.pad(shifted, (0, -j.size % res)).reshape(-1, res).sum(axis=0)
+        inner = res * np.abs(np.fft.ifft(folded))
         return float(np.mean(kernel * inner))
 
     rhs = quad(_EXTENSION_GRID)

@@ -5,7 +5,8 @@ growth-function family.
 Every floor here is certified by one helper in two tiers: the double value is
 trusted wherever it lies farther from an integer than its error guard, and
 only the remaining near-ties go to an exact fallback (integer roots for
-floor(n^c), Fractions for Beatty lines, mpmath for generic growth functions).
+floor(n^c), Fractions for Beatty lines, the standard library's decimal with
+an exact rational last resort for generic growth functions).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -215,16 +217,21 @@ def beatty_floor_rows(lines: Sequence[BeattyLine], n_lo: int,
     """Stream floor(n*alpha + beta) for n in [n_lo, n_hi], one int64 row per
     line, in blocks of whole rows and line order.  A block holds at most
     _FLOOR_CHUNK floors, or one row where a row is longer.  Element-wise
-    identical to beatty_floor, which settles the near-ties."""
+    identical to beatty_floor, which settles the near-ties; rows of integer
+    lines whose values stay below 2**53 are exact doubles, so take guard 0."""
     n = np.arange(n_lo, n_hi + 1, dtype=np.float64)
     rows = max(1, _FLOOR_CHUNK // max(n.size, 1))
+    reach = max(abs(n_lo), abs(n_hi))
     for r in range(0, len(lines), rows):
         block = lines[r:r + rows]
         v = (n * np.array([[line.alpha] for line in block])
              + np.array([[line.beta] for line in block]))
         if v.size and np.max(np.abs(v[:, [0, -1]])) >= 2**62:
             raise ValueError("Beatty values exceed the int64 range")
-        yield _certified_floor(v, _affine_guard(v), lambda i: beatty_floor(
+        guard = _affine_guard(v)
+        guard[[float(line.alpha).is_integer() and float(line.beta).is_integer()
+               and reach * abs(line.alpha) + abs(line.beta) < 2**53 for line in block]] = 0.0
+        yield _certified_floor(v, guard, lambda i: beatty_floor(
             n_lo + i % n.size, block[i // n.size]))
 
 
@@ -275,6 +282,13 @@ def _solve_increasing(g, y, x_min: float):
     return float(hi) if hi.ndim == 0 else hi
 
 
+def _doubling_ratios(f, xs) -> np.ndarray:
+    """f''(y) / f''(x) at 9 equally spaced y in [x, 2x], one row per x in xs:
+    the samples of the doubling comparability of f''."""
+    return (np.asarray(f.d2f(np.linspace(xs, 2 * xs, 9, axis=-1)), float)
+            / np.asarray(f.d2f(xs), float)[:, None])
+
+
 class GrowthFunction:
     """Admissible amplitude function: f, f', f'' > 0 with f'' comparable on
     doubling intervals (constants c1 >= 1/2 and c2).
@@ -285,7 +299,6 @@ class GrowthFunction:
 
     c1: float
     c2: float
-    A0: float
     delta: float
     X_MIN = 1e-9
 
@@ -309,41 +322,47 @@ class GrowthFunction:
         xs = np.linspace(a, b, 257)
         return float(np.max(self.d2f(xs)))
 
-    def f_mp(self, x: int):
-        """mpmath evaluation at the current working precision."""
+    def f_decimal(self, n: int) -> Decimal:
+        """f(n) in the current decimal context, to a few units in its last digit."""
         raise NotImplementedError
 
     def f_exact(self, n: int) -> Fraction | None:
         """f(n) as an exact rational where it is one and known to be, else None."""
         return None
 
+    def _settle_floor(self, n: int) -> int:
+        """floor(f(n)) at a near-tie: f_decimal at 50, then 120 digits, taken
+        where it lies farther than 10^(12-digits) * max(1, |f(n)|) from every
+        integer.  Closer values are decided by f_exact, and raise
+        ArithmeticError where there is no exact value."""
+        for digits in (50, 120):
+            with localcontext(Context(prec=digits)):
+                v = self.f_decimal(n)
+                fl = v.to_integral_value(rounding=ROUND_FLOOR)
+                margin = Decimal(10) ** (12 - digits) * max(1, abs(v))
+                if margin < v - fl < 1 - margin:
+                    return int(fl)
+        exact = self.f_exact(n)
+        if exact is None:
+            raise ArithmeticError(f"could not certify floor(f({n})) at 120 digits")
+        return math.floor(exact)
+
     def floor_exact(self, n: int) -> int:
-        """floor(f(n)) with escalation to high precision near ties.  A value
-        within 10^-108 of an integer at 120 digits is decided by f_exact,
-        and raises ArithmeticError where there is no exact value."""
-        def settle(_) -> int:
-            import mpmath
-
-            for dps in (50, 120):
-                with mpmath.workdps(dps):
-                    v = self.f_mp(n)
-                    fl = mpmath.floor(v)
-                    eps = mpmath.mpf(10) ** (12 - dps)
-                    if eps < v - fl < 1 - eps:
-                        return int(fl)
-            exact = self.f_exact(n)
-            if exact is None:
-                raise ArithmeticError(f"could not certify floor(f({n})) at 120 digits")
-            return math.floor(exact)
-
-        x = float(self.f(n))
-        return _certified_floor(x, _pow_guard(x), settle)
+        """floor(f(n)): the one-value case of floor_block."""
+        (block,) = self.floor_block(n, n)
+        return int(block[0])
 
     def floor_block(self, n_lo: int, n_hi: int) -> Iterator[np.ndarray]:
-        """Stream exact floor(f(n)) in chunks; generic fallback path."""
+        """Stream floor(f(n)) for n in [n_lo, n_hi] as int64 chunks: the double
+        f(n) wherever it clears _pow_guard, _settle_floor at the near-ties."""
+        if n_hi >= 2**53:
+            raise ValueError("block evaluation is limited to n < 2**53")
         for lo in range(n_lo, n_hi + 1, _FLOOR_CHUNK):
             hi = min(lo + _FLOOR_CHUNK - 1, n_hi)
-            yield np.array([self.floor_exact(n) for n in range(lo, hi + 1)], dtype=np.int64)
+            x = np.asarray(self.f(np.arange(lo, hi + 1, dtype=np.float64)), dtype=np.float64)
+            if not np.max(np.abs(x)) < 2**62:
+                raise ValueError("floor values exceed the int64 streaming range")
+            yield _certified_floor(x, _pow_guard(x), lambda i: self._settle_floor(lo + i))
 
     def label(self) -> str:
         return type(self).__name__
@@ -365,7 +384,6 @@ class PowerGrowth(GrowthFunction):
             self.c1, self.c2 = 2.0 ** (self.cf - 2.0), 1.0
         else:
             self.c1, self.c2 = 1.0, 2.0 ** (self.cf - 2.0)
-        self.A0 = max(2.0, (1.0 / self.cf) ** (1.0 / (self.cf - 1.0)))
         self.delta = self.cf - 1.0
 
     def f(self, x):
@@ -386,10 +404,8 @@ class PowerGrowth(GrowthFunction):
     def d2_sup(self, a: float, b: float) -> float:
         return float(max(self.d2f(a), self.d2f(b)))
 
-    def f_mp(self, x: int):
-        import mpmath
-
-        return mpmath.root(mpmath.mpf(int(x) ** self.c.numerator), self.c.denominator)
+    def f_decimal(self, n: int) -> Decimal:
+        return Decimal(int(n) ** self.c.numerator) ** (Decimal(1) / self.c.denominator)
 
     def f_exact(self, n: int) -> Fraction | None:
         """n^c where n^num is a perfect den-th power, else None."""
@@ -405,7 +421,11 @@ class PowerGrowth(GrowthFunction):
     def floor_block(self, n_lo: int, n_hi: int) -> Iterator[np.ndarray]:
         if self._spec is not None:
             return ps_block_chunks(n_lo, n_hi, self._spec)
-        return super().floor_block(n_lo, n_hi)
+        p = self.c.numerator
+        if max(abs(n_lo), abs(n_hi)) ** p >= 2**62:
+            raise ValueError("floor values exceed the int64 streaming range")
+        return (np.arange(lo, min(lo + _FLOOR_CHUNK, n_hi + 1), dtype=np.int64) ** p
+                for lo in range(n_lo, n_hi + 1, _FLOOR_CHUNK))
 
     def label(self) -> str:
         return f"x^{self.c}"
@@ -424,19 +444,9 @@ class PowerLogGrowth(GrowthFunction):
         self.cf = float(c)
         self.eta = float(eta)
         self.delta = self.cf - 1.0 + (0.1 if eta > 0 else 0.0)
-        self._probe_doubling_constants()
-
-    def _probe_doubling_constants(self):
-        xs = np.geomspace(self.X_MIN, 2.0 ** 24, 64)
-        lo, hi = np.inf, 0.0
-        for x in xs:
-            ys = np.linspace(x, 2 * x, 9)
-            r = self.d2f(ys) / self.d2f(x)
-            lo, hi = min(lo, float(r.min())), max(hi, float(r.max()))
-        self.c1 = min(lo, 1.0)
-        self.c2 = max(hi, 1.0)
-        self.A0 = _solve_increasing(self.df, 1.0, self.X_MIN) \
-            if self.df(self.X_MIN) < 1.0 else self.X_MIN
+        ratios = _doubling_ratios(self, np.geomspace(self.X_MIN, 2.0 ** 24, 64))
+        self.c1 = min(float(ratios.min()), 1.0)
+        self.c2 = max(float(ratios.max()), 1.0)
 
     def f(self, x):
         return x ** self.cf * np.log(x) ** self.eta
@@ -451,10 +461,9 @@ class PowerLogGrowth(GrowthFunction):
         poly = c * (c - 1.0) * lx ** 2 + e * (2.0 * c - 1.0) * lx + e * (e - 1.0)
         return x ** (c - 2.0) * lx ** (e - 2.0) * poly
 
-    def f_mp(self, x: int):
-        import mpmath
-
-        return mpmath.mpf(x) ** mpmath.mpf(self.cf) * mpmath.log(x) ** self.eta
+    def f_decimal(self, n: int) -> Decimal:
+        x = Decimal(int(n))
+        return x ** Decimal(self.cf) * x.ln() ** Decimal(self.eta)
 
     def label(self) -> str:
         return f"x^{self.cf}*log^{self.eta}"
@@ -471,7 +480,6 @@ class SumGrowth(GrowthFunction):
         self.terms = list(terms)
         self.c1 = min(g.c1 for _, g in terms)
         self.c2 = max(g.c2 for _, g in terms)
-        self.A0 = max(g.A0 for _, g in terms)
         self.delta = max(g.delta for _, g in terms)
 
     def f(self, x):
@@ -483,10 +491,8 @@ class SumGrowth(GrowthFunction):
     def d2f(self, x):
         return sum(w * g.d2f(x) for w, g in self.terms)
 
-    def f_mp(self, x: int):
-        import mpmath
-
-        return mpmath.fsum(w * g.f_mp(x) for w, g in self.terms)
+    def f_decimal(self, n: int) -> Decimal:
+        return sum((Decimal(w) * g.f_decimal(n) for w, g in self.terms), Decimal(0))
 
     def f_exact(self, n: int) -> Fraction | None:
         """sum of Fraction(w) times the exact term values, where every term has one."""
@@ -620,17 +626,14 @@ def check_admissible(f: GrowthFunction, x_lo: float, x_hi: float,
         violations.append(f"declared c1={f.c1} violates c1 >= 1/2")
 
     c1_emp, c2_emp = np.inf, 0.0
-    if not violations:
-        for x in xs[xs * 2 <= x_hi]:
-            ys = np.linspace(x, 2 * x, 9)
-            r = np.asarray(f.d2f(ys), float) / float(f.d2f(x))
-            c1_emp = min(c1_emp, float(r.min()))
-            c2_emp = max(c2_emp, float(r.max()))
-        if np.isfinite(c1_emp):
-            if c1_emp < f.c1 * (1 - 1e-9):
-                violations.append(f"sampled doubling ratio {c1_emp:.6g} below declared c1={f.c1}")
-            if c2_emp > f.c2 * (1 + 1e-9):
-                violations.append(f"sampled doubling ratio {c2_emp:.6g} above declared c2={f.c2}")
+    pairs = xs[xs * 2 <= x_hi]
+    if not violations and pairs.size:
+        ratios = _doubling_ratios(f, pairs)
+        c1_emp, c2_emp = float(ratios.min()), float(ratios.max())
+        if c1_emp < f.c1 * (1 - 1e-9):
+            violations.append(f"sampled doubling ratio {c1_emp:.6g} below declared c1={f.c1}")
+        if c2_emp > f.c2 * (1 + 1e-9):
+            violations.append(f"sampled doubling ratio {c2_emp:.6g} above declared c2={f.c2}")
 
     constants: dict[str, float] = {}
     if not violations:
@@ -643,7 +646,6 @@ def check_admissible(f: GrowthFunction, x_lo: float, x_hi: float,
             constants["df_over_xd2f_log"] = float(np.max(dfv[big] / (xd2[big] * np.log(xs[big]))))
             constants["log_over_df"] = float(np.max(np.log(xs[big]) / dfv[big]))
             constants["df_over_x_delta"] = float(np.max(dfv[big] / xs[big] ** f.delta))
-        pairs = xs[xs * 2 <= x_hi]
         if pairs.size:
             constants["doubling_df_ratio"] = float(max(f.df(2 * x) / f.df(x) for x in pairs))
             mvt1, mvt2 = [], []

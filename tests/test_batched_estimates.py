@@ -123,11 +123,35 @@ def test_beatty_rows_equal_fraction_floors_at_dyadic_lines(slopes, beta, n_lo, l
     assert rows == [_fraction_floors(line, n_lo, n_hi) for line in lines]
 
 
-def test_beatty_rows_where_every_position_is_a_tie():
+def _count_escalations(monkeypatch) -> list:
+    calls = []
+    scalar = sequences.beatty_floor
+
+    def counted(n, line):
+        calls.append((n, line))
+        return scalar(n, line)
+
+    monkeypatch.setattr(sequences, "beatty_floor", counted)
+    return calls
+
+
+def test_beatty_rows_where_every_position_is_a_tie(monkeypatch):
+    # integer alpha and beta: exact doubles, so no position escalates
+    calls = _count_escalations(monkeypatch)
     lines = [BeattyLine(alpha=float(a), beta=float(b)) for a in (1, 2, 7) for b in (-3, 0, 5)]
     (block,) = beatty_floor_rows(lines, -20, 20)
     assert block.tolist() == [_fraction_floors(line, -20, 20) for line in lines]
     assert beatty_floor_range(lines[4], -20, 20).tolist() == block[4].tolist()
+    assert calls == []
+
+
+def test_beatty_rows_escalate_ties_a_double_may_not_hold(monkeypatch):
+    calls = _count_escalations(monkeypatch)
+    lines = [BeattyLine(alpha=0.5, beta=0.25), BeattyLine(alpha=0.5, beta=3.0),
+             BeattyLine(alpha=2.0 ** 50, beta=1.0)]  # 8 * 2^50 + 1 > 2^53
+    (block,) = beatty_floor_rows(lines, 1, 8)
+    assert block.tolist() == [_fraction_floors(line, 1, 8) for line in lines]
+    assert [line for _, line in calls] == [lines[1]] * 4 + [lines[2]] * 8
 
 
 def test_beatty_rows_guard_the_int64_range():

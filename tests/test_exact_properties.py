@@ -1,7 +1,7 @@
 """Property tests of the certified floors against exact oracles: integer
 roots for floor(n^c), Fractions for Beatty lines, and the bisection inverse
-of the generic growth functions; and of the table-driven digit kernels
-against the scalar digit sums and Thue-Morse signs.
+and 60-digit mpmath floors of the generic growth functions; and of the
+table-driven digit kernels against the scalar digit sums and Thue-Morse signs.
 
 The strategies aim at exact ties: n next to perfect c_den-th powers makes
 n^c an integer or within a hair of one, and dyadic-rational slopes and
@@ -13,6 +13,7 @@ and the greedy passes hand over.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,7 @@ from digitseq import (
     zeckendorf_digit_sum,
     zeckendorf_digit_sum_array,
 )
+from digitseq import sequences
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -131,6 +133,44 @@ def test_bisection_inverse_is_elementwise(f, xs):
     # the array bisection can end one double apart
     assert np.allclose(got, [f.f_inv(float(y)) for y in ys], rtol=1e-15, atol=0)
     assert np.allclose(got, xs, rtol=1e-12, atol=0)
+
+
+FLOOR_GROWTHS = [*GROWTHS, PowerGrowth(2), SumGrowth([(1.0, PowerGrowth(Fraction(3, 2)))])]
+
+
+def _mp_value(f, n: int):
+    """f(n) from its definition, at mpmath's working precision."""
+    if isinstance(f, SumGrowth):
+        return mpmath.fsum(mpmath.mpf(w) * _mp_value(g, n) for w, g in f.terms)
+    if isinstance(f, PowerLogGrowth):
+        return mpmath.mpf(n) ** mpmath.mpf(f.cf) * mpmath.log(n) ** mpmath.mpf(f.eta)
+    return mpmath.root(mpmath.mpf(n ** f.c.numerator), f.c.denominator)
+
+
+@st.composite
+def growth_ranges(draw):
+    """(f, n_lo, n_hi, chunk): up to 41 indices anywhere in [2, 10^7], or
+    around a perfect square, where x^(3/2) is an integer."""
+    f = draw(st.sampled_from(FLOOR_GROWTHS))
+    if draw(st.booleans()):
+        n_lo = draw(st.integers(2, 10 ** 7))
+    else:
+        n_lo = max(2, draw(st.integers(2, 3000)) ** 2 - draw(st.integers(0, 20)))
+    return f, n_lo, n_lo + draw(st.integers(0, 40)), draw(st.integers(1, 50))
+
+
+@PROPERTY
+@given(growth_ranges())
+def test_growth_floor_block_matches_floor_exact_and_mpmath(case):
+    f, n_lo, n_hi, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "_FLOOR_CHUNK", chunk)
+        blocks = list(f.floor_block(n_lo, n_hi))
+    assert all(b.dtype == np.int64 and b.size <= chunk for b in blocks)
+    got = np.concatenate(blocks).tolist()
+    assert got == [f.floor_exact(n) for n in range(n_lo, n_hi + 1)]
+    with mpmath.workdps(60):
+        assert got == [int(mpmath.floor(_mp_value(f, n))) for n in range(n_lo, n_hi + 1)]
 
 
 BASES = [*range(2, 17), 17, 2 ** 16 + 1, 10 ** 6, 2 ** 40]

@@ -305,8 +305,8 @@ def test_exponent_boundary_collapse():
 
 
 def test_generic_floors_settle_exact_integers_in_the_deviation():
-    # floor(n^(3/2)) is an integer at every square n; the generic mpmath
-    # floors decide those from the exact value.
+    # floor(n^(3/2)) is an integer at every square n; the generic floors
+    # decide those from the exact value.
     generic = substitution_deviation("thue-morse", SumGrowth([(1.0, PowerGrowth(Fraction(3, 2)))]),
                                      4096)
     closed = substitution_deviation("thue-morse", PowerGrowth(Fraction(3, 2)), 4096)

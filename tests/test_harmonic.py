@@ -18,6 +18,7 @@ from digitseq import (
     sawtooth,
     vaaler_psi_h,
 )
+from digitseq import harmonic
 
 
 def test_sawtooth_values_and_periodicity():
@@ -179,6 +180,27 @@ def test_min_kernel_antiderivative_against_quadrature():
         num = float(np.mean(np.minimum(cap, 1.0 / np.minimum(xi, 1 - xi))))
         closed, _ = min_kernel_integral_check(0.0, 1.0, cap)
         assert closed == pytest.approx(num, rel=1e-4)
+
+
+def _direct_range_extension_quad(coefs, x, y, z, res):
+    """The trapezoid value at one resolution as a res x N matrix of phases."""
+    n = np.arange(math.floor(x) + 1, math.floor(z) + 1, dtype=np.float64)
+    xi = (np.arange(res) + 0.5) / res
+    kernel = np.minimum(y - x + 1.0, 1.0 / np.minimum(xi, 1.0 - xi))
+    inner = np.abs(np.exp(2j * np.pi * np.multiply.outer(xi, n)) @ coefs)
+    return float(np.mean(kernel * inner))
+
+
+@pytest.mark.parametrize("res", [16, 100, 2048, 4096])
+@pytest.mark.parametrize("x, y, z", [(0, 40, 100), (1000.3, 1010, 1250.9), (7, 8, 1207)])
+def test_range_extension_grid_equals_the_direct_sum(res, x, y, z, monkeypatch):
+    monkeypatch.setattr(harmonic, "_EXTENSION_GRID", res)
+    monkeypatch.setattr(harmonic, "_MAX_DOUBLINGS", 0)
+    rng = np.random.default_rng(res)
+    size = math.floor(z) - math.floor(x)
+    coefs = rng.normal(size=size) + 1j * rng.normal(size=size)
+    _, rhs = range_extension_check(coefs, x, y, z)
+    assert rhs == pytest.approx(_direct_range_extension_quad(coefs, x, y, z, res), rel=1e-12)
 
 
 def test_range_extension_cases():

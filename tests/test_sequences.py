@@ -1,9 +1,11 @@
 """Exact floors, Beatty machinery, tangent approximation, admissibility."""
 
+import decimal
 import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -189,7 +191,7 @@ def test_tangent_window_rejects_bad_input():
 class _Affine(GrowthFunction):
     """Test-only degenerate growth: f equals its own tangent everywhere."""
 
-    c1, c2, A0, delta = 1.0, 1.0, 2.0, 0.0
+    c1, c2, delta = 1.0, 1.0, 0.0
 
     def f(self, x):
         return 3.0 * np.asarray(x, dtype=float) + 0.25
@@ -206,9 +208,8 @@ class _Affine(GrowthFunction):
     def df_inv(self, y):
         return np.ones_like(np.asarray(y, dtype=float)) / 3.0
 
-    def f_mp(self, x):
-        import mpmath
-        return 3 * mpmath.mpf(int(x)) + mpmath.mpf(1) / 4
+    def f_decimal(self, n):
+        return 3 * Decimal(int(n)) + Decimal(1) / 4
 
     def d2_sup(self, a, b):
         return 0.0
@@ -325,8 +326,24 @@ class _NearTie(GrowthFunction):
     def f(self, x):
         return np.asarray(x, dtype=float) ** 2
 
-    def f_mp(self, x):
-        return mpmath.mpf(int(x)) ** 2 + mpmath.mpf(10) ** -115
+    def f_decimal(self, n):
+        return Decimal(int(n)) ** 2 + Decimal(10) ** -115
+
+
+class _RelativeTie(GrowthFunction):
+    """f(n) = 10^15 + n + 10^-26: 10^-41 |f(n)| above an integer, closer than
+    the relative error a 50-digit evaluation may carry.  Records the decimal
+    precision of every evaluation."""
+
+    def __init__(self):
+        self.digits = []
+
+    def f(self, x):
+        return 1e15 + np.asarray(x, dtype=float)
+
+    def f_decimal(self, n):
+        self.digits.append(decimal.getcontext().prec)
+        return Decimal(10 ** 15 + int(n)) + Decimal(10) ** -26
 
 
 def test_generic_floor_at_exact_integers():
@@ -343,18 +360,33 @@ def test_generic_floor_at_exact_integers():
         SumGrowth([(1.0, PowerLogGrowth(2.0, 0.0))]).floor_exact(3)  # 9, no exact form
 
 
-def test_mpmath_is_imported_only_by_the_generic_floors():
+def test_settle_margin_is_relative_to_the_value():
+    tie = _RelativeTie()
+    assert tie.floor_exact(7) == 10 ** 15 + 7
+    assert tie.digits == [50, 120]  # 10^-26 is inside 10^-38 * 10^15 at 50 digits
+
+
+def test_integer_power_floors_stream_int64_powers():
+    square = PowerGrowth(2)
+    assert np.concatenate(list(square.floor_block(-3, 5))).tolist() == [
+        n * n for n in range(-3, 6)]
+    with pytest.raises(ValueError, match="int64"):
+        square.floor_block(1, 2 ** 31)  # 2^62
+    (top,) = square.floor_block(2 ** 31 - 2, 2 ** 31 - 1)
+    assert top.tolist() == [(2 ** 31 - 2) ** 2, (2 ** 31 - 1) ** 2]
+    with pytest.raises(ValueError, match="int64"):
+        list(SumGrowth([(1.0, square)]).floor_block(2 ** 31, 2 ** 31))
+
+
+def test_generic_floors_never_load_mpmath():
     code = (
         "import sys\n"
         "import digitseq.cli\n"
-        "assert 'mpmath' not in sys.modules\n"
         "from fractions import Fraction\n"
         "from digitseq import PowerGrowth, PowerLogGrowth, SumGrowth\n"
-        "assert PowerLogGrowth(1.4, 1.0).floor_exact(1000) == 109480\n"
-        "assert 'mpmath' not in sys.modules\n"
         "assert SumGrowth([(1.0, PowerGrowth(Fraction(3, 2)))]).floor_exact(4225) == 274625\n"
-        "assert 'mpmath' in sys.modules\n"
-        "assert int(PowerLogGrowth(1.4, 1.0).f_mp(1000)) == 109480\n")
+        "assert PowerLogGrowth(1.4, 1.0).floor_exact(1000) == 109480\n"
+        "assert 'mpmath' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=str(Path(digitseq.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
