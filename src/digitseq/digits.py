@@ -5,11 +5,11 @@ sign, Fibonacci/Zeckendorf machinery, and the two interval-decomposition
 procedures (dyadic and Fibonacci-length blocks) used by the exponential-sum
 kernels.  Everything here is pure integer arithmetic.
 
-The array kernels are table-driven.  `digit_sum_array` reads the digit sums
-of 0 .. q^L - 1 (the largest L with q^L <= 2^16) from a uint8 block table,
-one table per base 3 <= q <= 16, and `zeckendorf_digit_sum_array` reads s_Z
-of the part below F_27 from a uint8 low table.  Both tables, and the
-Fibonacci numbers up to the first one above 2^63, are built at import, so
+`digit_sum_array` sums masked popcounts for bases 2, 4, 8 and 16, and reads
+the digit sums of 0 .. q^L - 1 (the largest L with q^L <= 2^16) from a uint8
+block table for the other bases 3 <= q <= 16; `zeckendorf_digit_sum_array`
+reads s_Z of the part below F_27 from a uint8 low table.  Both tables, and
+the Fibonacci numbers up to the first one above 2^63, are built at import, so
 worker threads only ever read them.  The scalar functions extend the
 Fibonacci list on demand for larger integers (an append-only cache).
 """
@@ -69,23 +69,32 @@ def _digit_block_table(q: int) -> np.ndarray:
     return table
 
 
-_DIGIT_BLOCK_TABLES = {q: _digit_block_table(q) for q in range(3, 17)}
+# Masks of bit i = 1 .. k-1 of every digit for q = 2^k <= 16: with P_i the popcount of
+# n under mask i, s_q(n) = sum_i 2^i P_i = popcount(n) + sum_{i>=1} (2^i - 1) P_i < 256.
+_DIGIT_PLANES = {1 << k: [sum(1 << j for j in range(i, 63, k)) for i in range(1, k)]
+                 for k in range(1, 5)}
+_DIGIT_BLOCK_TABLES = {q: _digit_block_table(q) for q in range(3, 17) if q not in _DIGIT_PLANES}
 
 
 def digit_sum_array(values: np.ndarray, q: int) -> np.ndarray:
     """Vectorised digit_sum over a nonnegative int64 array (int64 result).
 
-    q = 2 is a popcount.  For 3 <= q <= 16 each pass splits off a block of
-    L base-q digits with one divmod by q^L and adds its digit sum from the
-    block table, so a value takes ceil(digits / L) passes.  Larger bases
-    split off one digit per pass and add it as it is."""
+    q = 2, 4, 8 and 16 are sums of masked popcounts.  For the other bases
+    3 <= q <= 16 each pass splits off a block of L base-q digits with one
+    divmod by q^L and adds its digit sum from the block table, so a value
+    takes ceil(digits / L) passes.  Larger bases split off one digit per
+    pass and add it as it is."""
     if q < 2:
         raise ValueError(f"digit base must be >= 2, got {q}")
     v = np.asarray(values, dtype=np.int64)
     if v.size and int(v.min()) < 0:
         raise ValueError("digit_sum_array needs nonnegative values")
-    if q == 2:
-        return np.bitwise_count(v).astype(np.int64)
+    planes = _DIGIT_PLANES.get(q)
+    if planes is not None:
+        out = np.bitwise_count(v)
+        for i, plane in enumerate(planes, 1):
+            out += np.bitwise_count(v & plane) * ((1 << i) - 1)
+        return out.astype(np.int64)
     v = v.copy()  # the block passes divide in place
     table = _DIGIT_BLOCK_TABLES.get(q)
     block = q if table is None else table.size

@@ -49,7 +49,9 @@ __all__ = [
 
 _NEAR_MARGIN = 1e-8  # smallest distance to an integer trusted for x**c
 _FLOAT_GUARD_REL = 1e-14  # conservative bound on the relative error of x**c
-_FLOOR_CHUNK = 1 << 20  # values per streamed floor chunk
+# Values per streamed floor chunk: the floor, digit kernels and bincount keep
+# about six live 8-byte arrays of 2^14 entries (768 KB) in a 2 MB L2 cache.
+_FLOOR_CHUNK = 1 << 14
 
 
 class IntegerExponentWarning(UserWarning):
@@ -95,20 +97,23 @@ class PSSpec:
         return self.c_den == 1
 
 
-def int_nth_root(n: int, k: int) -> int:
-    """floor(n**(1/k)) by integer Newton iteration; exact for any size."""
+def int_nth_root(n: int, k: int, seed: int | None = None) -> int:
+    """floor(n**(1/k)), exact for any size: by integer Newton iteration, or by
+    unit steps from `seed` where that is known to lie within a few units."""
     if n < 0 or k < 1:
         raise ValueError("needs n >= 0 and k >= 1")
     if k == 1 or n in (0, 1):
         return n
     if k == 2:
         return math.isqrt(n)
-    x = 1 << -(-n.bit_length() // k)  # >= true root
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
+    x = seed
+    if x is None:
+        x = 1 << -(-n.bit_length() // k)  # >= true root
+        while True:
+            y = ((k - 1) * x + n // x ** (k - 1)) // k
+            if y >= x:
+                break
+            x = y
     while x ** k > n:
         x -= 1
     while (x + 1) ** k <= n:
@@ -117,8 +122,10 @@ def int_nth_root(n: int, k: int) -> int:
 
 
 def _pow_guard(x):
-    """Distance to an integer below which a double x**c is not trusted."""
-    return np.maximum(_NEAR_MARGIN, _FLOAT_GUARD_REL * np.maximum(x, 1.0))
+    """Distance to an integer below which a double x**c (float or array) is not trusted."""
+    if isinstance(x, float):
+        return max(_NEAR_MARGIN, _FLOAT_GUARD_REL * x)
+    return np.maximum(_NEAR_MARGIN, _FLOAT_GUARD_REL * x)
 
 
 def _affine_guard(v):
@@ -129,24 +136,34 @@ def _affine_guard(v):
 
 
 def _certified_floor(v, guard, exact):
-    """floor(v) wherever v lies at least `guard` away from every integer, so
-    rounding cannot have carried the double across one; exact(i) at each
-    other position, i its flat (C-order) index (non-finite values included).
-    A float gives an int, a float64 array an int64 array of its shape."""
+    """floor(v) wherever v lies farther than `guard` (a scalar or an array
+    like v) from every integer, so rounding cannot have carried the double
+    across one; exact(i) at each other position, i its flat (C-order) index
+    (non-finite values included).  A scalar gives an int; a float64 array
+    gives an int64 array of its shape and is overwritten.
+
+    The test is |frac - 1/2| < fl(1/2 - guard), frac = v - floor(v) exact (a
+    multiple of ulp(v) below 1).  Rounding is monotone, so a pass means
+    |frac - 1/2| < 1/2 - guard in the reals, i.e. min(frac, 1 - frac) > guard:
+    every near-tie escalates, NaN included."""
+    if not isinstance(v, np.ndarray):
+        if math.isfinite(v) and abs(v - math.floor(v) - 0.5) < 0.5 - guard:
+            return math.floor(v)
+        return exact(0)
     fl = np.floor(v)
-    frac = v - fl
-    near = ~(np.minimum(frac, 1.0 - frac) >= guard)
-    if np.ndim(v) == 0:
-        return exact(0) if near else int(fl)
+    v -= fl
+    v -= 0.5
+    near = np.flatnonzero(~(np.abs(v, out=v) < 0.5 - guard))
     out = fl.astype(np.int64)
-    for i in np.flatnonzero(near):
+    for i in near:
         out.flat[i] = exact(int(i))
     return out
 
 
 def ps_floor(n: int, spec: PSSpec) -> int:
     """Exactly floor(n**c).  Double fast path; near-ties are decided by the
-    integer root floor((n**c_num) ** (1/c_den))."""
+    integer root floor((n**c_num) ** (1/c_den)), stepped from the double
+    where that still resolves units."""
     if n < 1:
         raise ValueError(f"ps_floor needs n >= 1, got {n}")
     if spec.is_integer:
@@ -154,8 +171,8 @@ def ps_floor(n: int, spec: PSSpec) -> int:
                       IntegerExponentWarning, stacklevel=2)
         return n ** spec.c_num
     x = float(n) ** spec.c_float
-    return _certified_floor(x, _pow_guard(x),
-                            lambda _: int_nth_root(n ** spec.c_num, spec.c_den))
+    return _certified_floor(x, _pow_guard(x), lambda _: int_nth_root(
+        n ** spec.c_num, spec.c_den, int(x) if x < 2**53 else None))
 
 
 def ps_block_chunks(n_lo: int, n_hi: int, spec: PSSpec) -> Iterator[np.ndarray]:
@@ -174,13 +191,15 @@ def ps_block_chunks(n_lo: int, n_hi: int, spec: PSSpec) -> Iterator[np.ndarray]:
         warnings.simplefilter("ignore", IntegerExponentWarning)
         for lo in range(n_lo, n_hi + 1, _FLOOR_CHUNK):
             hi = min(lo + _FLOOR_CHUNK - 1, n_hi)
-            x = np.arange(lo, hi + 1, dtype=np.float64) ** cf
-            if not np.all(np.isfinite(x)) or float(x[-1]) >= 2**62:
+            x = np.arange(lo, hi + 1, dtype=np.float64)
+            np.power(x, cf, out=x)
+            # x grows with n: x[-1] bounds the chunk and its guard every element's.
+            if not x[-1] < 2**62:
                 raise ValueError("floor values exceed the int64 streaming range")
-            out = _certified_floor(x, _pow_guard(x), lambda i: ps_floor(lo + i, spec))
+            out = _certified_floor(x, _pow_guard(float(x[-1])), lambda i: ps_floor(lo + i, spec))
             if prev_last is not None and out[0] < prev_last:
                 raise AssertionError("ps_block lost monotonicity at a chunk boundary")
-            if np.any(np.diff(out) < 0):
+            if np.any(out[1:] < out[:-1]):
                 raise AssertionError("ps_block produced a decreasing value")
             prev_last = int(out[-1])
             yield out
@@ -218,7 +237,7 @@ def beatty_floor_rows(lines: Sequence[BeattyLine], n_lo: int,
     line, in blocks of whole rows and line order.  A block holds at most
     _FLOOR_CHUNK floors, or one row where a row is longer.  Element-wise
     identical to beatty_floor, which settles the near-ties; rows of integer
-    lines whose values stay below 2**53 are exact doubles, so take guard 0."""
+    lines whose values stay below 2**53 are exact doubles, so take guard -inf."""
     n = np.arange(n_lo, n_hi + 1, dtype=np.float64)
     rows = max(1, _FLOOR_CHUNK // max(n.size, 1))
     reach = max(abs(n_lo), abs(n_hi))
@@ -230,7 +249,7 @@ def beatty_floor_rows(lines: Sequence[BeattyLine], n_lo: int,
             raise ValueError("Beatty values exceed the int64 range")
         guard = _affine_guard(v)
         guard[[float(line.alpha).is_integer() and float(line.beta).is_integer()
-               and reach * abs(line.alpha) + abs(line.beta) < 2**53 for line in block]] = 0.0
+               and reach * abs(line.alpha) + abs(line.beta) < 2**53 for line in block]] = -np.inf
         yield _certified_floor(v, guard, lambda i: beatty_floor(
             n_lo + i % n.size, block[i // n.size]))
 
@@ -331,10 +350,13 @@ class GrowthFunction:
         return None
 
     def _settle_floor(self, n: int) -> int:
-        """floor(f(n)) at a near-tie: f_decimal at 50, then 120 digits, taken
-        where it lies farther than 10^(12-digits) * max(1, |f(n)|) from every
-        integer.  Closer values are decided by f_exact, and raise
-        ArithmeticError where there is no exact value."""
+        """floor(f(n)) at a near-tie: from f_exact where it knows the value,
+        else f_decimal at 50, then 120 digits, taken where it lies farther
+        than 10^(12-digits) * max(1, |f(n)|) from every integer.  Closer
+        values raise ArithmeticError."""
+        exact = self.f_exact(n)
+        if exact is not None:
+            return math.floor(exact)
         for digits in (50, 120):
             with localcontext(Context(prec=digits)):
                 v = self.f_decimal(n)
@@ -342,10 +364,7 @@ class GrowthFunction:
                 margin = Decimal(10) ** (12 - digits) * max(1, abs(v))
                 if margin < v - fl < 1 - margin:
                     return int(fl)
-        exact = self.f_exact(n)
-        if exact is None:
-            raise ArithmeticError(f"could not certify floor(f({n})) at 120 digits")
-        return math.floor(exact)
+        raise ArithmeticError(f"could not certify floor(f({n})) at 120 digits")
 
     def floor_exact(self, n: int) -> int:
         """floor(f(n)): the one-value case of floor_block."""

@@ -57,8 +57,10 @@ def test_binary_parity_matches_xor_fold():
 
 def test_digit_sum_array_matches_scalar():
     rng = np.random.default_rng(0)
-    vals = rng.integers(0, 10 ** 12, size=500)
-    for q in (2, 3, 7, 10):
+    vals = np.concatenate([rng.integers(0, 10 ** 12, size=500),
+                           rng.integers(0, 2 ** 63 - 1, size=500),
+                           np.arange(2 ** 62 - 40, 2 ** 62 + 40), np.arange(2 ** 63 - 40, 2 ** 63 - 1)])
+    for q in (2, 3, 4, 7, 8, 10, 16):
         arr = digit_sum_array(vals, q)
         assert all(int(arr[i]) == digit_sum(int(v), q) for i, v in enumerate(vals))
 

@@ -76,6 +76,58 @@ def test_ps_block_near_perfect_powers_matches_integer_root(case):
                             for m in range(lo, n + 5)]
 
 
+@st.composite
+def increasing_chunks(draw):
+    """Sorted doubles on one scale, from 1 up to 2^52: integers, integers
+    within 1e-9, and arbitrary fractional parts."""
+    base = draw(st.sampled_from([1, 10 ** 3, 10 ** 6, 10 ** 9, 10 ** 12, 2 ** 52 - 2 ** 21]))
+    size = draw(st.integers(1, 40))
+    ks = draw(st.lists(st.integers(0, 2 ** 20), min_size=size, max_size=size))
+    offsets = draw(st.lists(st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9),
+                                      st.floats(0.0, 1.0, exclude_max=True)),
+                            min_size=size, max_size=size))
+    return np.sort(np.array(ks, dtype=np.float64) + base + np.array(offsets))
+
+
+@PROPERTY
+@given(increasing_chunks())
+def test_fused_chunk_test_escalates_every_per_element_near_tie(x):
+    frac = x - np.floor(x)
+    guard = np.maximum(sequences._NEAR_MARGIN, sequences._FLOAT_GUARD_REL * np.maximum(x, 1.0))
+    per_element = set(np.flatnonzero(np.minimum(frac, 1.0 - frac) < guard).tolist())
+    fused = []
+    got = sequences._certified_floor(x.copy(), sequences._pow_guard(float(x[-1])),
+                                     lambda i: fused.append(i) or -1)
+    assert per_element <= set(fused)
+    far = np.ones(x.size, dtype=bool)
+    far[fused] = False
+    assert np.array_equal(got[far], np.floor(x[far]).astype(np.int64))
+
+
+@st.composite
+def seeded_roots(draw):
+    """(spec, n): n random below the double-seed limit n^c < 2^53, a
+    perfect c_den-th power, or near 2^27."""
+    c = draw(st.sampled_from([Fraction(19, 10), Fraction(71, 50), Fraction(3, 2), Fraction(9, 7)]))
+    spec = PSSpec.from_rational(c)
+    n_max = int(2.0 ** (53 / float(c))) - 1
+    k_max = int_nth_root(n_max, spec.c_den)
+    n = draw(st.one_of(st.integers(1, n_max),
+                       st.integers(1, k_max).map(lambda k: k ** spec.c_den),
+                       st.integers(2 ** 27 - 2 ** 16, 2 ** 27 + 2 ** 16)))
+    return spec, n
+
+
+@PROPERTY
+@given(seeded_roots())
+def test_seeded_root_equals_newton_root(case):
+    spec, n = case
+    power = n ** spec.c_num
+    newton = int_nth_root(power, spec.c_den)
+    assert int_nth_root(power, spec.c_den, int(float(n) ** spec.c_float)) == newton
+    assert ps_floor(n, spec) == newton
+
+
 def dyadic(lo: int, hi: int, max_shift: int = 10):
     return st.builds(lambda num, shift: num / 2 ** shift,
                      st.integers(lo, hi), st.integers(0, max_shift))

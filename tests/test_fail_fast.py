@@ -85,10 +85,11 @@ def test_max_memory_must_be_a_positive_byte_count(raw, monkeypatch, tmp_path):
 
 
 def test_invariant_checks_survive_python_O():
-    # Each check breaks a proven invariant on purpose.
+    # Each check breaks a proven invariant on purpose; the floor stream's
+    # checks see a floor that decreases within a chunk and across chunks.
     script = textwrap.dedent("""
         import numpy as np
-        from digitseq import digits
+        from digitseq import digits, sequences
 
         def descend_with_wrong_top_index():
             digits._zeck_descend(4, 5)
@@ -98,12 +99,28 @@ def test_invariant_checks_survive_python_O():
                 lambda values, spec: np.asarray(values, dtype=np.int64)
             digits.count_carry_mismatches(0, 1000, 1, digits.TruncatedDigitSpec(2, 8))
 
-        for check in (descend_with_wrong_top_index, carries_without_truncation):
+        def decreasing_floors(chunk):
+            def check():
+                sequences._FLOOR_CHUNK = chunk
+                sequences._certified_floor = \\
+                    lambda v, guard, exact: -np.floor(v).astype(np.int64)
+                list(sequences.ps_block_chunks(10, 20, sequences.PSSpec(3, 2)))
+            check.__name__ = f"decreasing_floors_in_chunks_of_{chunk}"
+            return check
+
+        for check in (descend_with_wrong_top_index, carries_without_truncation,
+                      decreasing_floors(1 << 14), decreasing_floors(1)):
             try:
                 check()
             except AssertionError:
                 continue
             raise SystemExit(f"{check.__name__}: violation passed unnoticed")
+        try:
+            list(sequences.ps_block_chunks(2 ** 42, 2 ** 42 + 1, sequences.PSSpec(3, 2)))
+        except ValueError:
+            pass
+        else:
+            raise SystemExit("floors beyond 2**62 passed unnoticed")
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(digitseq.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,

@@ -30,7 +30,9 @@ from digitseq import (
     count_floor_mismatches,
     int_nth_root,
     ps_block,
+    ps_block_chunks,
     ps_floor,
+    sequences,
     tangent_window,
 )
 
@@ -110,6 +112,24 @@ def test_ps_floor_huge_values_escalate_correctly():
     spec = PSSpec(3, 2)
     for n in (10 ** 10, 10 ** 12 + 7, (1 << 40) + 3):
         assert ps_floor(n, spec) == math.isqrt(n ** 3)
+
+
+# The benchmark's floor(n^c) exponents, and 19/10, whose doubles near
+# n = 2^27 are too coarse for the guard, so that every value escalates.
+STREAM_EXPONENTS = ["3/2", "4/3", "9/7", "7/5", "71/50", "19/10"]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+@pytest.mark.parametrize("c", STREAM_EXPONENTS)
+def test_ps_block_chunks_match_integer_roots_at_any_chunk_size(monkeypatch, c, chunk):
+    monkeypatch.setattr(sequences, "_FLOOR_CHUNK", chunk)
+    spec = PSSpec.from_rational(Fraction(c))
+    ranges = [(1, 60), (2 ** 27 - 30, 2 ** 27 + 30)] if chunk < 1 << 14 else [(1, chunk + 40)]
+    for n_lo, n_hi in ranges:
+        blocks = list(ps_block_chunks(n_lo, n_hi, spec))
+        assert max(b.size for b in blocks) <= chunk
+        assert np.concatenate(blocks).tolist() == [
+            int_nth_root(n ** spec.c_num, spec.c_den) for n in range(n_lo, n_hi + 1)]
 
 
 def test_beatty_floor_examples():
@@ -358,6 +378,17 @@ def test_generic_floor_at_exact_integers():
         _NearTie().floor_exact(7)
     with pytest.raises(ArithmeticError, match="120 digits"):
         SumGrowth([(1.0, PowerLogGrowth(2.0, 0.0))]).floor_exact(3)  # 9, no exact form
+
+
+class _ExactOnly(SumGrowth):
+    """A SumGrowth whose decimal evaluation must not be reached."""
+
+    def f_decimal(self, n):
+        raise AssertionError("f_decimal was evaluated")
+
+
+def test_settle_asks_f_exact_first():
+    assert _ExactOnly([(1.0, PowerGrowth(Fraction(3, 2)))]).floor_exact(4225) == 274625
 
 
 def test_settle_margin_is_relative_to_the_value():
