@@ -58,6 +58,11 @@ CASES = {
                             "--a", "808000", "--b", "812000"],
     "deviation-3-2": ["deviation", "--f-power", "3/2", "--scale", "4096"],
     "deviation-5-4": ["deviation", "--f-power", "5/4", "--scale", "32768"],
+    # A complex phi, whose 2nd sum is taken term by term through f.df_inv,
+    # and c = 2, whose floors come from the int64 power stream.
+    "deviation-digit-exp": ["deviation", "--phi", "digit-exp:3:1/3", "--f-power", "5/4",
+                            "--scale", "4096"],
+    "deviation-2": ["deviation", "--f-power", "2", "--scale", "1024"],
     "audit-thm1-3-2": ["audit-thm1", "--f-power", "3/2", "--scale", "2048", "--z", "64",
                        "--theta-grid", "8", "--x-samples", "3"],
     "audit-thm1-5-4": ["audit-thm1", "--f-power", "5/4", "--scale", "4096", "--z", "64",
