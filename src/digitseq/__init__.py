@@ -1,52 +1,41 @@
 """digitseq: digit-sum statistics on Piatetski-Shapiro and Beatty sequences.
 
-Exact floors of n**c for rational c, Beatty-line approximation machinery,
-exponential-sum kernels for digit functions (binary, general base, and
-Zeckendorf), the sawtooth/discrepancy toolbox, and deterministic desk-scale
-experiments that audit the substitution-rule inequalities numerically.
+Exact floors of n**c for rational c and of Beatty lines, the floor
+mismatches of a tangent Beatty line, exponential-sum kernels for digit
+functions (binary, general base, and Zeckendorf), the sawtooth/discrepancy
+toolbox, and deterministic desk-scale experiments that audit the
+substitution-rule inequalities numerically.
 """
 
 from .digits import (
     DecompositionSegment,
-    TruncatedDigitSpec,
     ZeckendorfRepr,
-    count_carry_mismatches,
     digit_sum,
     digit_sum_array,
-    dyadic_decompose,
     fibonacci,
     thue_morse_prefix_sum,
     thue_morse_sign,
     thue_morse_sign_array,
-    truncated_digit_sum,
     zeckendorf,
     zeckendorf_decompose,
     zeckendorf_digit_sum,
     zeckendorf_digit_sum_array,
 )
 from .sequences import (
-    AdmissibilityReport,
     BeattyLine,
     GrowthFunction,
     IntegerExponentWarning,
     MismatchReport,
     PSSpec,
     PowerGrowth,
-    PowerLogGrowth,
-    SumGrowth,
-    TangentWindow,
     beatty_floor,
     beatty_floor_range,
     beatty_floor_rows,
-    beatty_membership,
-    beatty_membership_range,
-    check_admissible,
     count_floor_mismatches,
     int_nth_root,
     ps_block,
     ps_block_chunks,
     ps_floor,
-    tangent_window,
 )
 from .expsums import (
     CharRoot,
@@ -55,7 +44,6 @@ from .expsums import (
     WindowSumResult,
     ZeckBlockSum,
     char_root_modulus,
-    digit_fourier_coefficient,
     digit_fourier_decay_constant,
     digit_fourier_table,
     fourier_coefficient_bound,
@@ -63,8 +51,6 @@ from .expsums import (
     joint_rate_parameters,
     sine_product_decay,
     sine_product_integral,
-    tm_dyadic_expsum,
-    tm_sine_product_magnitude,
     window_exp_sum,
     window_exp_sums,
     zeckendorf_block_sum,
@@ -77,8 +63,6 @@ from .harmonic import (
     erdos_turan_bound,
     exact_discrepancy,
     fejer_majorant,
-    min_kernel_integral_check,
-    range_extension_check,
     sawtooth,
     vaaler_psi_h,
 )

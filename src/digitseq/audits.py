@@ -7,7 +7,6 @@ violation count, so a nonzero count can map to a failing exit status.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

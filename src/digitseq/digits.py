@@ -1,9 +1,8 @@
 """Exact integer digit arithmetic.
 
-Base-q digit sums and their truncated periodic variants, the Thue-Morse
-sign, Fibonacci/Zeckendorf machinery, and the two interval-decomposition
-procedures (dyadic and Fibonacci-length blocks) used by the exponential-sum
-kernels.  Everything here is pure integer arithmetic.
+Base-q digit sums, the Thue-Morse sign, and Fibonacci/Zeckendorf
+machinery with the Fibonacci-length block decomposition used by the
+Zeckendorf window sums.  Everything here is pure integer arithmetic.
 
 `digit_sum_array` sums masked popcounts for bases 2, 4, 8 and 16, and reads
 the digit sums of 0 .. q^L - 1 (the largest L with q^L <= 2^16) from a uint8
@@ -22,13 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TruncatedDigitSpec",
     "ZeckendorfRepr",
     "DecompositionSegment",
     "digit_sum",
     "digit_sum_array",
-    "truncated_digit_sum",
-    "truncated_digit_sum_array",
     "thue_morse_sign",
     "thue_morse_sign_array",
     "thue_morse_prefix_sum",
@@ -37,9 +33,7 @@ __all__ = [
     "zeckendorf",
     "zeckendorf_digit_sum",
     "zeckendorf_digit_sum_array",
-    "dyadic_decompose",
     "zeckendorf_decompose",
-    "count_carry_mismatches",
 ]
 
 
@@ -107,39 +101,6 @@ def digit_sum_array(values: np.ndarray, q: int) -> np.ndarray:
         top //= block
     out += v if table is None else table[v]
     return out
-
-
-@dataclass(frozen=True)
-class TruncatedDigitSpec:
-    """Base q and truncation level; s_{q,level} sums the lowest `level`
-    digits and extends q^level-periodically to all integers."""
-
-    q: int
-    level: int
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"digit base must be >= 2, got {self.q}")
-        if self.level < 0:
-            raise ValueError(f"truncation level must be >= 0, got {self.level}")
-
-    @property
-    def period(self) -> int:
-        return self.q ** self.level
-
-
-def truncated_digit_sum(n: int, spec: TruncatedDigitSpec) -> int:
-    """Digit sum of the lowest `level` base-q digits; periodic extension
-    (floored modulus) handles negative n."""
-    return digit_sum(n % spec.period, spec.q)
-
-
-def truncated_digit_sum_array(values: np.ndarray, spec: TruncatedDigitSpec) -> np.ndarray:
-    period = spec.period
-    if period > 2**62:
-        raise ValueError("period exceeds the vectorised integer range")
-    v = np.asarray(values, dtype=np.int64) % np.int64(period)
-    return digit_sum_array(v, spec.q)
 
 
 def thue_morse_sign(n: int) -> int:
@@ -283,31 +244,10 @@ def zeckendorf_digit_sum_array(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecompositionSegment:
-    """Half-open block [offset, offset + length) where length is 2**scale
-    in dyadic mode and F_scale in Zeckendorf mode."""
+    """Half-open block [offset, offset + F_scale)."""
 
     offset: int
     scale: int
-
-
-def dyadic_decompose(a: int, b: int) -> list[DecompositionSegment]:
-    """Partition [a, b) into aligned dyadic blocks [m*2^j, (m+1)*2^j),
-    at most two blocks per scale (one from each side)."""
-    if a < 0 or b < a:
-        raise ValueError(f"need 0 <= a <= b, got ({a}, {b})")
-    left: list[DecompositionSegment] = []
-    right: list[DecompositionSegment] = []
-    j = 0
-    while a < b:
-        step = 1 << j
-        if a & step:
-            left.append(DecompositionSegment(a, j))
-            a += step
-        if b & step:
-            b -= step
-            right.append(DecompositionSegment(b, j))
-        j += 1
-    return left + right[::-1]
 
 
 def _zeck_ascend(a: int, k_top: int) -> list[DecompositionSegment]:
@@ -354,29 +294,3 @@ def zeckendorf_decompose(a: int, b: int) -> list[DecompositionSegment]:
         segs = [DecompositionSegment(s.offset + common, s.scale) for s in segs]
     return segs
 
-
-def count_carry_mismatches(x: int, y: int, r: int, spec: TruncatedDigitSpec) -> int:
-    """Exact count of n in [x, y) where the shift-by-r digit-sum increment
-    differs between the full and the truncated digit sum, i.e. where the
-    carry of n + r propagates past the lowest `level` digits."""
-    if y <= x:
-        return 0
-    if x < 0 or x + r < 0:
-        raise ValueError("interval and shifted interval must stay in the nonnegative integers")
-    period = spec.period
-    count = 0
-    if y + abs(r) < 2**62 and period < 2**62 and y - x <= 10**7:
-        n = np.arange(x, y, dtype=np.int64)
-        full = digit_sum_array(n + r, spec.q) - digit_sum_array(n, spec.q)
-        trunc = truncated_digit_sum_array(n + r, spec) - truncated_digit_sum_array(n, spec)
-        count = int(np.count_nonzero(full != trunc))
-    else:
-        for n in range(x, y):
-            full = digit_sum(n + r, spec.q) - digit_sum(n, spec.q)
-            trunc = truncated_digit_sum(n + r, spec) - truncated_digit_sum(n, spec)
-            if full != trunc:
-                count += 1
-    bound = (y - x) * abs(r) / period + abs(r)
-    if count > bound + 1e-9:
-        raise AssertionError("carry-mismatch count exceeded its proven bound")
-    return count

@@ -33,7 +33,6 @@ from .digits import (
 from .expsums import _kahan, window_exp_sums
 from .sequences import (
     BeattyLine,
-    GrowthFunction,
     PowerGrowth,
     PSSpec,
     beatty_floor_rows,
@@ -213,7 +212,7 @@ class DeviationReport:
     f_label: str
 
 
-def substitution_deviation(phi, f: GrowthFunction, A: int, threads: int = 1) -> DeviationReport:
+def substitution_deviation(phi, f: PowerGrowth, A: int, threads: int = 1) -> DeviationReport:
     """|sum_{A<n<=2A} phi(floor(f(n))) - sum_{f(A)<m<=f(2A)} phi(m) (f^-1)'(m)| / A.
 
     For the Thue-Morse sign t and f(x) = x^c the second sum cancels in
@@ -222,7 +221,7 @@ def substitution_deviation(phi, f: GrowthFunction, A: int, threads: int = 1) -> 
     with w = y^e / c, e = 1/c - 1, its modulus is at most
     2^(k(k-1)/2) k! x^(e-k) / c.  Blocks whose bounds total at most
     2^-80 w(floor(f(A)) + 1) are dropped and the remaining terms are summed
-    exactly; every other phi and f sums term by term."""
+    exactly; every other phi sums term by term."""
     phi = resolve_phi(phi)
     if A < 2:
         raise ValueError("needs A >= 2")
@@ -243,7 +242,7 @@ def substitution_deviation(phi, f: GrowthFunction, A: int, threads: int = 1) -> 
     m_lo = f.floor_exact(A)
     if m_hi <= m_lo:
         sum2 = 0j
-    elif phi is _TM and isinstance(f, PowerGrowth):
+    elif phi is _TM:
         sum2 = complex(_tm_weighted_sum(f, m_lo, m_hi))
     else:
         sum2 = _kahan(_map_ordered(part_weighted, _chunk_ranges(m_lo + 1, m_hi), threads))
@@ -272,7 +271,7 @@ def _sup_points(lo: float, hi: float, count: int, margin: float) -> list[float]:
     return sorted({p for p in base + adversarial if lo < p <= hi})
 
 
-def window_l1_integral(phi, f: GrowthFunction, A: int, z: float,
+def window_l1_integral(phi, f: PowerGrowth, A: int, z: float,
                        theta_grid: int = 64, x_samples: int = 8) -> IntegralEstimate:
     """Integral over theta of the sup over window starts x in (f(A), f(2A)]
     of |sum_{x<m<=x+z} phi(m) e(m theta)| / z.
@@ -304,7 +303,7 @@ def window_l1_integral(phi, f: GrowthFunction, A: int, z: float,
                             refinement_delta=abs(refined - value))
 
 
-def beatty_substitution_integral(phi, f: GrowthFunction, A: int, K: int,
+def beatty_substitution_integral(phi, f: PowerGrowth, A: int, K: int,
                                  alpha_grid: int = 32,
                                  beta_samples: int = 8) -> IntegralEstimate:
     """Average over slopes alpha in [f'(A), f'(2A)] of the sup over
@@ -371,7 +370,7 @@ class Theorem1Audit:
     f_label: str
 
 
-def audit_theorem1(phi, f: GrowthFunction, A: int, z: float,
+def audit_theorem1(phi, f: PowerGrowth, A: int, z: float,
                    theta_grid: int = 64, x_samples: int = 8,
                    threads: int = 1) -> Theorem1Audit:
     phi = resolve_phi(phi)

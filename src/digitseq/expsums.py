@@ -1,10 +1,10 @@
 """Exponential-sum kernels.
 
 Windowed sums sum phi(m) e(m theta) with accurate phase reduction, the
-Thue-Morse sine-product identity on dyadic blocks, the sine-product integral
-and its geometric decay rate, discrete digit Fourier coefficients with their
-uniform decay bound, joint two-base digit sums, and the Fibonacci-block sum
-recurrence behind the Zeckendorf window sums.
+Thue-Morse sine-product integral and its geometric decay rate, discrete digit
+Fourier coefficient tables with their uniform decay bound, joint two-base
+digit sums, and the Fibonacci-block sum recurrence behind the Zeckendorf
+window sums.
 
 Phases m*theta are never reduced in plain double arithmetic: the base point
 is reduced exactly through the integer representation of the float (or an
@@ -30,7 +30,6 @@ import numpy as np
 from .digits import (
     digit_sum_array,
     fibonacci,
-    thue_morse_sign,
     zeckendorf_decompose,
     zeckendorf_digit_sum,
 )
@@ -44,11 +43,8 @@ __all__ = [
     "JointRateParameters",
     "window_exp_sum",
     "window_exp_sums",
-    "tm_dyadic_expsum",
     "sine_product_integral",
     "sine_product_decay",
-    "tm_sine_product_magnitude",
-    "digit_fourier_coefficient",
     "digit_fourier_table",
     "digit_fourier_decay_constant",
     "fourier_coefficient_bound",
@@ -208,30 +204,6 @@ def window_exp_sum(phi: Callable[[np.ndarray], np.ndarray], x: float, z: float,
     return WindowSumResult(value, count, _SUM_EPS * count)
 
 
-def tm_dyadic_expsum(ell: int, level: int, theta) -> complex:
-    """Thue-Morse signed exponential sum over [ell*2^level, (ell+1)*2^level)
-    via the closed product: sign(ell) e(ell 2^level theta)
-    prod_{k<level} (1 - e(2^k theta))."""
-    if ell < 0 or level < 0:
-        raise ValueError("needs ell >= 0 and level >= 0")
-    prod = 1.0 + 0.0j
-    for k in range(level):
-        prod *= 1.0 - cmath.exp(2j * math.pi * reduced_phase(1 << k, theta))
-    t0 = reduced_phase(ell << level, theta)
-    return thue_morse_sign(ell) * cmath.exp(2j * math.pi * t0) * prod
-
-
-def tm_sine_product_magnitude(level: int, theta) -> float:
-    """2^level * prod_{k<level} |sin(2^k pi theta)| with each doubled phase
-    reduced mod 1 exactly, so the factors stay accurate near sine zeros."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    prod = 1.0
-    for k in range(level):
-        prod *= 2.0 * abs(math.sin(math.pi * reduced_phase(1 << k, theta)))
-    return prod
-
-
 @dataclass(frozen=True)
 class SineProductResult:
     """Integral over [0,1] of prod_{k<level} |sin(2^k pi theta)|."""
@@ -353,19 +325,6 @@ def fourier_coefficient_bound(q: int, level: int, alpha: float) -> float:
     return math.exp(math.pi ** 2 / 48.0) * q ** (-c_q * dist_to_int((q - 1) * alpha) ** 2 * level)
 
 
-def digit_fourier_coefficient(q: int, level: int, h: int, alpha: float) -> complex:
-    """F_{q,level}(h, alpha) = q^-level sum_u e(alpha s_{q,level}(u) - h u / q^level),
-    evaluated as the per-digit product in O(level * q) time."""
-    if q < 2 or level < 0:
-        raise ValueError("needs q >= 2 and level >= 0")
-    out = 1.0 + 0.0j
-    for j in range(level):
-        t = alpha - h / float(q ** (level - j))
-        s = sum(cmath.exp(2j * math.pi * (d * t)) for d in range(q))
-        out *= s / q
-    return out
-
-
 @dataclass(frozen=True)
 class FourierTable:
     """All digit Fourier coefficients at fixed (q, level, alpha); index h."""
@@ -383,13 +342,6 @@ class FourierTable:
 
     def bound_violations(self) -> int:
         return int(np.count_nonzero(np.abs(self.coefficients) > self.uniform_bound() + _BOUND_SLACK))
-
-    def invert(self, n: int) -> complex:
-        """Reconstruct e(alpha s_{q,level}(n)) from the coefficients."""
-        size = self.q ** self.level
-        h = np.arange(size)
-        return complex(np.sum(np.exp(2j * np.pi * ((h * (n % size)) % size) / size)
-                              * self.coefficients))
 
 
 def digit_fourier_table(q: int, level: int, alpha: float) -> FourierTable:

@@ -2,20 +2,16 @@
 
 The Vaaler trigonometric approximation of the sawtooth with its Fejer-type
 majorant, the constant-1 Erdos-Turan discrepancy inequality with an exact
-sorted-points discrepancy, and the two small integral lemmas (the min-kernel
-integral and the summation range extension) as verifiable numeric checks.
+sorted-points discrepancy.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 _GATE_GRID = 4096  # points of the Vaaler construction gate
-_EXTENSION_GRID = 2048  # first trapezoid grid of range_extension_check
-_MAX_DOUBLINGS = 4  # refinements of that grid
 
 __all__ = [
     "VaalerApprox",
@@ -25,8 +21,6 @@ __all__ = [
     "fejer_majorant",
     "erdos_turan_bound",
     "exact_discrepancy",
-    "min_kernel_integral_check",
-    "range_extension_check",
 ]
 
 
@@ -127,70 +121,3 @@ def erdos_turan_bound(points, degree: int) -> float:
     means = np.abs(np.exp(2j * np.pi * np.multiply.outer(h, x)).mean(axis=1))
     return 1.0 / (degree + 1) + float(np.sum(means / h))
 
-
-def _min_kernel_antiderivative(t: float, b_cap: float) -> float:
-    # int_0^t min(B, ||x||^-1) dx for t in [0, 1].
-    per = 2.0 * (1.0 + math.log(b_cap / 2.0))
-
-    def half(u: float) -> float:  # u in [0, 1/2]
-        if u <= 1.0 / b_cap:
-            return b_cap * u
-        return 1.0 + math.log(b_cap * u)
-
-    if t <= 0.5:
-        return half(t)
-    return per - half(1.0 - t)
-
-
-def min_kernel_integral_check(a: float, b: float, b_cap: float) -> tuple[float, float]:
-    """Closed-form integral of min(B, ||x||^-1) over [a, b] together with
-    the bound 2 (b - a + 1)(1 + log B); the integral never exceeds it."""
-    if b < a:
-        raise ValueError("need a <= b")
-    if b_cap < 2:
-        raise ValueError("need B >= 2")
-    per = 2.0 * (1.0 + math.log(b_cap / 2.0))
-
-    def cumulative(x: float) -> float:
-        fl = math.floor(x)
-        return fl * per + _min_kernel_antiderivative(x - fl, b_cap)
-
-    integral = cumulative(b) - cumulative(a)
-    bound = 2.0 * (b - a + 1.0) * (1.0 + math.log(b_cap))
-    return integral, bound
-
-
-def range_extension_check(coefficients, x: float, y: float, z: float) -> tuple[float, float]:
-    """Partial-sum bound |sum_{x<n<=y} a_n| <=
-    int_0^1 min(y-x+1, ||xi||^-1) |sum_{x<n<=z} a_n e(n xi)| d xi,
-    the right side by trapezoid quadrature refined until stable.  At
-    xi = (k+1/2)/res the inner sum is one inverse DFT of a_j e(j/(2 res)),
-    j = n - n_lo, folded by j mod res (the phase index j mod 2 res is exact)."""
-    if not x <= y <= z:
-        raise ValueError("need x <= y <= z")
-    coefs = np.asarray(coefficients, dtype=np.complex128)
-    n_lo = math.floor(x) + 1
-    n_hi = math.floor(z)
-    if coefs.size != max(0, n_hi - n_lo + 1):
-        raise ValueError("coefficient count must match the integer window (x, z]")
-    if coefs.size == 0:
-        return 0.0, 0.0
-    m = math.floor(y) - math.floor(x)
-    lhs = float(abs(coefs[:m].sum()))
-    j = np.arange(coefs.size)
-    cap = y - x + 1.0
-
-    def quad(res: int) -> float:
-        xi = (np.arange(res) + 0.5) / res
-        kernel = np.minimum(cap, 1.0 / np.minimum(xi, 1.0 - xi))
-        shifted = coefs * np.exp(1j * np.pi * (j % (2 * res)) / res)
-        folded = np.pad(shifted, (0, -j.size % res)).reshape(-1, res).sum(axis=0)
-        inner = res * np.abs(np.fft.ifft(folded))
-        return float(np.mean(kernel * inner))
-
-    rhs = quad(_EXTENSION_GRID)
-    for doubling in range(1, _MAX_DOUBLINGS + 1):
-        prev, rhs = rhs, quad(_EXTENSION_GRID << doubling)
-        if abs(rhs - prev) < 1e-9 * max(1.0, abs(rhs)):
-            break
-    return lhs, rhs

@@ -1,7 +1,6 @@
 """Digit arithmetic: examples, independent oracles, and the decomposition
 side conditions."""
 
-import math
 import tracemalloc
 from functools import lru_cache
 
@@ -10,17 +9,13 @@ import pytest
 
 from digitseq import (
     DecompositionSegment,
-    TruncatedDigitSpec,
     ZeckendorfRepr,
-    count_carry_mismatches,
     digit_sum,
     digit_sum_array,
-    dyadic_decompose,
     fibonacci,
     thue_morse_prefix_sum,
     thue_morse_sign,
     thue_morse_sign_array,
-    truncated_digit_sum,
     zeckendorf,
     zeckendorf_decompose,
     zeckendorf_digit_sum,
@@ -63,19 +58,6 @@ def test_digit_sum_array_matches_scalar():
     for q in (2, 3, 4, 7, 8, 10, 16):
         arr = digit_sum_array(vals, q)
         assert all(int(arr[i]) == digit_sum(int(v), q) for i, v in enumerate(vals))
-
-
-def test_truncated_examples():
-    assert truncated_digit_sum(7, TruncatedDigitSpec(2, 2)) == 2
-    assert truncated_digit_sum(12345, TruncatedDigitSpec(7, 0)) == 0
-    assert truncated_digit_sum(-1, TruncatedDigitSpec(2, 3)) == 3
-
-
-def test_truncated_equals_full_below_period():
-    for q, level in ((2, 10), (3, 6), (10, 3)):
-        spec = TruncatedDigitSpec(q, level)
-        for n in range(0, spec.period, 7):
-            assert truncated_digit_sum(n, spec) == digit_sum(n, q)
 
 
 def test_thue_morse_examples_and_recurrences():
@@ -235,28 +217,10 @@ def test_digit_kernels_return_int64():
         assert thue_morse_sign_array(arr).dtype == np.int64
 
 
-def test_dyadic_examples():
-    assert dyadic_decompose(0, 8) == [DecompositionSegment(0, 3)]
-    assert dyadic_decompose(3, 5) == [DecompositionSegment(3, 0), DecompositionSegment(4, 0)]
-    assert dyadic_decompose(5, 5) == []
-
-
 def test_zeckendorf_decompose_examples():
     for k in (2, 5, 10, 20):
         assert zeckendorf_decompose(0, fibonacci(k)) == [DecompositionSegment(0, k)]
     assert zeckendorf_decompose(17, 17) == []
-
-
-def _check_dyadic(a, b, segs):
-    pos = a
-    per_scale = {}
-    for s in segs:
-        assert s.offset == pos
-        assert s.offset % (1 << s.scale) == 0
-        per_scale[s.scale] = per_scale.get(s.scale, 0) + 1
-        pos += 1 << s.scale
-    assert pos == b
-    assert all(v <= 2 for v in per_scale.values())
 
 
 def _check_zeck(a, b, segs, sample_shift=False):
@@ -283,7 +247,6 @@ def test_decomposition_properties_random():
     for trial in range(10_000):
         a = int(rng.integers(0, 10 ** 7))
         b = a + int(rng.integers(0, 10 ** 6))
-        _check_dyadic(a, b, dyadic_decompose(a, b))
         _check_zeck(a, b, zeckendorf_decompose(a, b), sample_shift=(trial % 50 == 0))
 
 
@@ -311,42 +274,6 @@ def test_zeckendorf_decompose_is_an_enumerated_partition():
         _enumerate_zeck_partitions(a, b, {}, [], found)
         assert found, "oracle found no valid decomposition"
         assert tuple(zeckendorf_decompose(a, b)) in set(found)
-
-
-def test_carry_mismatch_examples():
-    spec = TruncatedDigitSpec(2, 3)
-    assert count_carry_mismatches(5, 200, 0, spec) == 0
-    for q, level, r in ((2, 4, 3), (3, 3, 5), (10, 2, 7)):
-        s = TruncatedDigitSpec(q, level)
-        assert count_carry_mismatches(0, s.period - r, r, s) == 0
-    # frozen from exhaustive evaluation over [0, 64)
-    assert count_carry_mismatches(0, 64, 1, spec) == 6
-
-
-def test_carry_mismatch_shift_out_of_domain():
-    with pytest.raises(ValueError):
-        count_carry_mismatches(0, 10, -1, TruncatedDigitSpec(2, 2))
-
-
-def test_carry_mismatch_brute_force_and_bound():
-    rng = np.random.default_rng(3)
-    for _ in range(1000):
-        q = int(rng.choice([2, 3, 5, 10]))
-        level = int(rng.integers(0, 7))
-        spec = TruncatedDigitSpec(q, level)
-        x = int(rng.integers(0, 10 ** 6))
-        y = x + int(rng.integers(0, 400))
-        r = int(rng.integers(-50, 51))
-        if x + r < 0:
-            r = -x
-        got = count_carry_mismatches(x, y, r, spec)
-        brute = 0
-        for n in range(x, y):
-            full = digit_sum(n + r, q) - digit_sum(n, q)
-            trunc = truncated_digit_sum(n + r, spec) - truncated_digit_sum(n, spec)
-            brute += full != trunc
-        assert got == brute
-        assert got <= (y - x) * abs(r) / spec.period + abs(r) + 1e-9
 
 
 def test_thue_morse_prefix_sum_matches_the_running_sum():

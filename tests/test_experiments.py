@@ -12,7 +12,6 @@ from digitseq import (
     PHI_FUNCTIONS,
     PSSpec,
     PowerGrowth,
-    SumGrowth,
     audit_theorem1,
     beatty_substitution_integral,
     corollary1_exponent_audit,
@@ -155,16 +154,15 @@ def test_closed_forms_are_selected_by_identity_not_by_name():
 
 
 def test_closed_forms_agree_with_the_direct_sums():
-    # the same Thue-Morse values through the direct paths: another
-    # ArithmeticFunction object, and a growth function that is not a PowerGrowth
+    # the same Thue-Morse values through the direct paths of another
+    # ArithmeticFunction object
     tm = PHI_FUNCTIONS["thue-morse"]
     copy = ArithmeticFunction("tm-copy", tm.func)
-    f = PowerGrowth(Fraction(71, 50))  # no integer f(n) for the generic floors to settle
+    f = PowerGrowth(Fraction(71, 50))
     closed = substitution_deviation(tm, f, 4096)
-    for phi, g in ((copy, f), (tm, SumGrowth([(1.0, f)]))):
-        direct = substitution_deviation(phi, g, 4096)
-        assert direct.sum1 == closed.sum1
-        assert abs(direct.sum2 - closed.sum2) < 1e-14
+    direct = substitution_deviation(copy, f, 4096)
+    assert direct.sum1 == closed.sum1
+    assert abs(direct.sum2 - closed.sum2) < 1e-14
     got = beatty_substitution_integral(tm, F32, 1 << 12, 64, alpha_grid=4, beta_samples=3)
     want = beatty_substitution_integral(copy, F32, 1 << 12, 64, alpha_grid=4, beta_samples=3)
     assert got == want
@@ -207,11 +205,11 @@ def test_audit_theorem1_zero_and_one():
 
 
 def test_tm_density_small_and_flags():
-    rep = tm_density_experiment(PSSpec.from_decimal("1.3"), 1, checkpoints=1)
+    rep = tm_density_experiment(PSSpec.from_rational("1.3"), 1, checkpoints=1)
     assert rep.checkpoints[0].m == 1 and rep.checkpoints[0].partial_sum == -1
     rep = tm_density_experiment(PSSpec(3, 2), 64, checkpoints=3)
     assert rep.outside_proven_range
-    rep = tm_density_experiment(PSSpec.from_decimal("1.3"), 64, checkpoints=3)
+    rep = tm_density_experiment(PSSpec.from_rational("1.3"), 64, checkpoints=3)
     assert not rep.outside_proven_range
     with pytest.raises(ValueError):
         tm_density_experiment(PSSpec(5, 2), 64)  # c >= 2
@@ -219,9 +217,9 @@ def test_tm_density_small_and_flags():
 
 def test_tm_density_checkpoint_consistency():
     n = 5000
-    rep = tm_density_experiment(PSSpec.from_decimal("1.3"), n, checkpoints=5)
+    rep = tm_density_experiment(PSSpec.from_rational("1.3"), n, checkpoints=5)
     from digitseq import ps_block
-    floors = ps_block(1, n, PSSpec.from_decimal("1.3"))
+    floors = ps_block(1, n, PSSpec.from_rational("1.3"))
     signs = thue_morse_sign_array(floors)
     cums = np.cumsum(signs)
     for cp in rep.checkpoints:
@@ -237,7 +235,7 @@ def test_tm_partial_sum_identity_even_blocks():
 
 
 def test_joint_residue_trivial_and_conservation():
-    spec = PSSpec.from_decimal("1.05")
+    spec = PSSpec.from_rational("1.05")
     rep = joint_residue_experiment(spec, 2, 3, 1, 1, 0, 0, 777)
     assert rep.counts[(0, 0)] == 777 and rep.expected == 777
     rep = joint_residue_experiment(spec, 2, 3, 3, 5, 1, 2, 0)
@@ -248,7 +246,7 @@ def test_joint_residue_trivial_and_conservation():
 
 
 def test_joint_residue_hypothesis_signals():
-    spec = PSSpec.from_decimal("1.05")
+    spec = PSSpec.from_rational("1.05")
     with pytest.raises(ValueError, match=r"gcd\(q1, q2\)"):
         joint_residue_experiment(spec, 2, 4, 1, 1, 0, 0, 10)
     with pytest.warns(UserWarning, match=r"gcd\(m1, q1 - 1\)"):
@@ -256,14 +254,14 @@ def test_joint_residue_hypothesis_signals():
 
 
 def test_joint_residue_deterministic_across_threads():
-    spec = PSSpec.from_decimal("1.05")
+    spec = PSSpec.from_rational("1.05")
     a = joint_residue_experiment(spec, 2, 3, 3, 5, 1, 2, 300_000, threads=1)
     b = joint_residue_experiment(spec, 2, 3, 3, 5, 1, 2, 300_000, threads=8)
     assert a.counts == b.counts
 
 
 def test_zeckendorf_residue_trivial_and_conservation():
-    spec = PSSpec.from_decimal("1.25")
+    spec = PSSpec.from_rational("1.25")
     rep = zeckendorf_residue_experiment(spec, 1, 0, 555)
     assert rep.counts[(0,)] == 555
     rep = zeckendorf_residue_experiment(spec, 4, 2, 50_000)
@@ -302,13 +300,3 @@ def test_exponent_boundary_collapse():
     assert 0 < rep.eta_max < Fraction(1, 100) and rep.validity
     rep = corollary1_exponent_audit(a, Fraction(143, 100))
     assert rep.eta_max < 0 and not rep.validity
-
-
-def test_generic_floors_settle_exact_integers_in_the_deviation():
-    # floor(n^(3/2)) is an integer at every square n; the generic floors
-    # decide those from the exact value.
-    generic = substitution_deviation("thue-morse", SumGrowth([(1.0, PowerGrowth(Fraction(3, 2)))]),
-                                     4096)
-    closed = substitution_deviation("thue-morse", PowerGrowth(Fraction(3, 2)), 4096)
-    assert generic.sum1 == closed.sum1
-    assert abs(generic.sum2 - closed.sum2) < 1e-14

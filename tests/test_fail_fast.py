@@ -94,11 +94,6 @@ def test_invariant_checks_survive_python_O():
         def descend_with_wrong_top_index():
             digits._zeck_descend(4, 5)
 
-        def carries_without_truncation():
-            digits.truncated_digit_sum_array = \\
-                lambda values, spec: np.asarray(values, dtype=np.int64)
-            digits.count_carry_mismatches(0, 1000, 1, digits.TruncatedDigitSpec(2, 8))
-
         def decreasing_floors(chunk):
             def check():
                 sequences._FLOOR_CHUNK = chunk
@@ -108,8 +103,8 @@ def test_invariant_checks_survive_python_O():
             check.__name__ = f"decreasing_floors_in_chunks_of_{chunk}"
             return check
 
-        for check in (descend_with_wrong_top_index, carries_without_truncation,
-                      decreasing_floors(1 << 14), decreasing_floors(1)):
+        for check in (descend_with_wrong_top_index, decreasing_floors(1 << 14),
+                      decreasing_floors(1)):
             try:
                 check()
             except AssertionError:

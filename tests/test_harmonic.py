@@ -1,4 +1,4 @@
-"""Sawtooth approximation, discrepancy bound, and the small integral lemmas."""
+"""Sawtooth approximation and the discrepancy bound."""
 
 import itertools
 import math
@@ -13,12 +13,9 @@ from digitseq import (
     erdos_turan_bound,
     exact_discrepancy,
     fejer_majorant,
-    min_kernel_integral_check,
-    range_extension_check,
     sawtooth,
     vaaler_psi_h,
 )
-from digitseq import harmonic
 
 
 def test_sawtooth_values_and_periodicity():
@@ -153,69 +150,3 @@ def test_erdos_turan_dominates_on_random_suites():
         pts = np.clip(pts, 0.0, np.nextafter(1.0, 0.0))
         degree = int(rng.integers(1, 80))
         assert exact_discrepancy(pts) <= erdos_turan_bound(pts, degree) + 1e-12
-
-
-def test_min_kernel_integral():
-    integral, bound = min_kernel_integral_check(0.0, 1.0, 2.0)
-    assert integral == pytest.approx(2.0)
-    assert bound == pytest.approx(4.0 * (1 + math.log(2)))
-    integral, bound = min_kernel_integral_check(3.3, 3.3, 10.0)
-    assert integral == 0.0 <= bound
-    integral, bound = min_kernel_integral_check(0.0, 10.0, 1e3)
-    assert integral < bound
-    rng = np.random.default_rng(16)
-    for _ in range(200):
-        a = float(rng.uniform(-20, 20))
-        b = a + float(rng.uniform(0, 30))
-        cap = float(rng.uniform(2, 1e5))
-        integral, bound = min_kernel_integral_check(a, b, cap)
-        assert 0.0 <= integral <= bound
-    with pytest.raises(ValueError):
-        min_kernel_integral_check(0, 1, 1.5)
-
-
-def test_min_kernel_antiderivative_against_quadrature():
-    xi = (np.arange(2_000_000) + 0.5) / 2_000_000
-    for cap in (2.0, 37.5, 900.0):
-        num = float(np.mean(np.minimum(cap, 1.0 / np.minimum(xi, 1 - xi))))
-        closed, _ = min_kernel_integral_check(0.0, 1.0, cap)
-        assert closed == pytest.approx(num, rel=1e-4)
-
-
-def _direct_range_extension_quad(coefs, x, y, z, res):
-    """The trapezoid value at one resolution as a res x N matrix of phases."""
-    n = np.arange(math.floor(x) + 1, math.floor(z) + 1, dtype=np.float64)
-    xi = (np.arange(res) + 0.5) / res
-    kernel = np.minimum(y - x + 1.0, 1.0 / np.minimum(xi, 1.0 - xi))
-    inner = np.abs(np.exp(2j * np.pi * np.multiply.outer(xi, n)) @ coefs)
-    return float(np.mean(kernel * inner))
-
-
-@pytest.mark.parametrize("res", [16, 100, 2048, 4096])
-@pytest.mark.parametrize("x, y, z", [(0, 40, 100), (1000.3, 1010, 1250.9), (7, 8, 1207)])
-def test_range_extension_grid_equals_the_direct_sum(res, x, y, z, monkeypatch):
-    monkeypatch.setattr(harmonic, "_EXTENSION_GRID", res)
-    monkeypatch.setattr(harmonic, "_MAX_DOUBLINGS", 0)
-    rng = np.random.default_rng(res)
-    size = math.floor(z) - math.floor(x)
-    coefs = rng.normal(size=size) + 1j * rng.normal(size=size)
-    _, rhs = range_extension_check(coefs, x, y, z)
-    assert rhs == pytest.approx(_direct_range_extension_quad(coefs, x, y, z, res), rel=1e-12)
-
-
-def test_range_extension_cases():
-    rng = np.random.default_rng(17)
-    coefs = rng.normal(size=100) + 1j * rng.normal(size=100)
-    lhs, rhs = range_extension_check(coefs, 0, 40, 100)
-    assert lhs <= rhs + 1e-6
-    lhs_full, rhs_full = range_extension_check(coefs, 0, 100, 100)
-    assert lhs_full == pytest.approx(abs(coefs.sum()))
-    assert lhs_full <= rhs_full + 1e-6
-    lhs0, rhs0 = range_extension_check(np.zeros(50, dtype=complex), 0, 20, 50)
-    assert lhs0 == 0.0 and rhs0 == pytest.approx(0.0, abs=1e-12)
-    for _ in range(25):
-        n = int(rng.integers(2, 120))
-        y = float(rng.uniform(1, n))
-        coefs = rng.normal(size=n) + 1j * rng.normal(size=n)
-        lhs, rhs = range_extension_check(coefs, 0, y, n)
-        assert lhs <= rhs + 1e-6 * max(1.0, rhs)

@@ -1,11 +1,10 @@
-"""Exact floors, Beatty machinery, tangent approximation, admissibility."""
+"""Exact floors, Beatty lines, the growth function x^c and the tangent-line
+floor mismatches."""
 
-import decimal
 import math
 import os
 import subprocess
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,20 +19,14 @@ from digitseq import (
     IntegerExponentWarning,
     PSSpec,
     PowerGrowth,
-    PowerLogGrowth,
-    SumGrowth,
     beatty_floor,
     beatty_floor_range,
-    beatty_membership,
-    beatty_membership_range,
-    check_admissible,
     count_floor_mismatches,
     int_nth_root,
     ps_block,
     ps_block_chunks,
     ps_floor,
     sequences,
-    tangent_window,
 )
 
 
@@ -50,9 +43,9 @@ def pure_integer_root_oracle(n: int, num: int, den: int) -> int:
 
 
 def test_psspec_decimal_parsing():
-    assert PSSpec.from_decimal("1.42").c == Fraction(71, 50)
-    assert PSSpec.from_decimal("1.05").c == Fraction(21, 20)
-    assert PSSpec.from_decimal("1.5").c == Fraction(3, 2)
+    assert PSSpec.from_rational("1.42").c == Fraction(71, 50)
+    assert PSSpec.from_rational("1.05").c == Fraction(21, 20)
+    assert PSSpec.from_rational("1.5").c == Fraction(3, 2)
 
 
 def test_psspec_validation():
@@ -153,65 +146,8 @@ def test_beatty_floor_tie_cases_match_exact_rational():
     assert all(int(got[i]) == beatty_floor(n, line) for i, n in enumerate(range(-50, 51)))
 
 
-def test_membership_examples():
-    assert beatty_membership(12345, BeattyLine(1.0, 0.0))
-    assert beatty_membership(4, BeattyLine(2.0, 0.0))
-    assert not beatty_membership(3, BeattyLine(2.0, 0.0))
-    with pytest.raises(ValueError):
-        beatty_membership(3, BeattyLine(0.5, 0.0))
-
-
-def test_membership_equals_enumeration_on_random_lines():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        alpha = float(1 + 9 * rng.random())
-        beta = float(rng.uniform(-25, 25))
-        line = BeattyLine(alpha, beta)
-        member = beatty_membership_range(line, 0, 9_999)
-        n_lo = math.floor(-beta / alpha) - 2
-        n_hi = math.ceil((10_000 - beta) / alpha) + 2
-        hits = beatty_floor_range(line, n_lo, n_hi)
-        enum = {int(v) for v in hits if 0 <= v < 10_000}
-        assert enum == set(np.flatnonzero(member).tolist())
-
-
-def test_tangent_window_degenerate_and_direct():
-    f32 = PowerGrowth(Fraction(3, 2))
-    tw = tangent_window(f32, 100, 100)
-    assert tw.alpha_lo == tw.alpha_hi == pytest.approx(float(f32.df(100)))
-    assert tw.error_bound == 0.0
-    fsq = PowerGrowth(2)
-    tw = tangent_window(fsq, 10, 12)
-    alpha = float(fsq.df(10))  # 20
-    beta = tw.beta(alpha)  # 100 - 200 = -100
-    assert beta == -100.0
-    assert abs(12 * alpha + beta - 144) == pytest.approx(4.0)
-    assert tw.error_bound == pytest.approx(8.0)  # M (b-a)^2 = 2 * 4
-
-
-def test_tangent_window_quality_dense_sampling():
-    f = PowerGrowth(Fraction(3, 2))
-    for a, eps in ((10_000, 0.5), (250_000, 0.05)):
-        k = int((eps / float(f.d2f(a))) ** 0.5)
-        tw = tangent_window(f, a, a + k)
-        xs = np.linspace(a, a + k, 4001)
-        for alpha in (tw.alpha_lo, 0.5 * (tw.alpha_lo + tw.alpha_hi), tw.alpha_hi):
-            err = np.max(np.abs(xs * alpha + tw.beta(alpha) - f.f(xs)))
-            assert err <= tw.error_bound <= eps * 1.0000001
-
-
-def test_tangent_window_rejects_bad_input():
-    f = PowerGrowth(Fraction(3, 2))
-    with pytest.raises(ValueError):
-        tangent_window(f, 10, 5)
-    with pytest.raises(ValueError):
-        tangent_window(f, 0, 5)
-
-
 class _Affine(GrowthFunction):
     """Test-only degenerate growth: f equals its own tangent everywhere."""
-
-    c1, c2, delta = 1.0, 1.0, 0.0
 
     def f(self, x):
         return 3.0 * np.asarray(x, dtype=float) + 0.25
@@ -222,17 +158,14 @@ class _Affine(GrowthFunction):
     def d2f(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def f_inv(self, y):
-        return (np.asarray(y, dtype=float) - 0.25) / 3.0
-
     def df_inv(self, y):
         return np.ones_like(np.asarray(y, dtype=float)) / 3.0
 
-    def f_decimal(self, n):
-        return 3 * Decimal(int(n)) + Decimal(1) / 4
-
     def d2_sup(self, a, b):
         return 0.0
+
+    def floor_block(self, n_lo, n_hi):
+        yield 3 * np.arange(n_lo, n_hi + 1, dtype=np.int64)
 
 
 def test_mismatches_zero_for_affine():
@@ -300,31 +233,6 @@ def test_lemma_bound_matches_direct_exponential_sums():
         assert rep.lemma_bound == pytest.approx(expect, rel=1e-14, abs=0)
 
 
-def test_admissibility_reports():
-    ok = check_admissible(PowerGrowth(Fraction(3, 2)), 2, 10 ** 6)
-    assert ok.passed
-    assert ok.c1_empirical == pytest.approx(2 ** -0.5, rel=1e-9)
-    sq = check_admissible(PowerGrowth(2), 2, 10 ** 6)
-    assert sq.passed
-    assert sq.c1_empirical == pytest.approx(1.0) and sq.c2_empirical == pytest.approx(1.0)
-    bad = check_admissible(_Affine(), 2, 10 ** 4)
-    assert not bad.passed
-    assert any("f''" in v for v in bad.violations)
-    plog = check_admissible(PowerLogGrowth(1.4, 1.0), 2, 10 ** 6)
-    assert plog.passed, plog.violations
-
-
-def test_growth_inverse_roundtrips():
-    plog = PowerLogGrowth(1.4, 1.0)
-    for x in (2.5, 57.3, 4096.0):
-        assert plog.f_inv(plog.f(x)) == pytest.approx(x, rel=1e-10)
-        assert plog.df_inv(plog.f(x)) == pytest.approx(1.0 / plog.df(x), rel=1e-10)
-    combo = SumGrowth([(2.0, PowerGrowth(Fraction(3, 2))), (1.0, PowerGrowth(Fraction(5, 4)))])
-    assert check_admissible(combo, 2, 10 ** 5).passed
-    assert combo.f_inv(combo.f(33.0)) == pytest.approx(33.0, rel=1e-10)
-    assert combo.floor_exact(1000) == math.floor(2 * 1000 ** 1.5 + 1000 ** 1.25)
-
-
 def test_inverse_derivative_sum_stays_linear_in_scale():
     # sum over (f(A), f(2A)] of (f^-1)'(m) should stay below a fixed multiple of A
     for f in (PowerGrowth(Fraction(13, 10)), PowerGrowth(Fraction(21, 20))):
@@ -339,64 +247,6 @@ def test_inverse_derivative_sum_stays_linear_in_scale():
             assert 0.75 <= total / a_scale <= 1.25
 
 
-class _NearTie(GrowthFunction):
-    """f(n) = n^2 + 10^-115: within 10^-108 of an integer at 120 digits, with
-    no exact rational value to decide it."""
-
-    def f(self, x):
-        return np.asarray(x, dtype=float) ** 2
-
-    def f_decimal(self, n):
-        return Decimal(int(n)) ** 2 + Decimal(10) ** -115
-
-
-class _RelativeTie(GrowthFunction):
-    """f(n) = 10^15 + n + 10^-26: 10^-41 |f(n)| above an integer, closer than
-    the relative error a 50-digit evaluation may carry.  Records the decimal
-    precision of every evaluation."""
-
-    def __init__(self):
-        self.digits = []
-
-    def f(self, x):
-        return 1e15 + np.asarray(x, dtype=float)
-
-    def f_decimal(self, n):
-        self.digits.append(decimal.getcontext().prec)
-        return Decimal(10 ** 15 + int(n)) + Decimal(10) ** -26
-
-
-def test_generic_floor_at_exact_integers():
-    square = SumGrowth([(1.0, PowerGrowth(Fraction(3, 2)))])
-    assert square.floor_exact(4225) == 274625  # 65^3
-    assert square.floor_exact(4226) == ps_floor(4226, PSSpec(3, 2))
-    combo = SumGrowth([(2.0, PowerGrowth(Fraction(3, 2))), (1.0, PowerGrowth(Fraction(5, 4)))])
-    assert combo.floor_exact(16) == 160  # 2 * 16^(3/2) + 16^(5/4)
-    assert combo.f_exact(16) == 160 and combo.f_exact(17) is None
-    assert SumGrowth([(0.5, PowerGrowth(3))]).floor_exact(3) == 13  # 27/2
-    with pytest.raises(ArithmeticError, match="120 digits"):
-        _NearTie().floor_exact(7)
-    with pytest.raises(ArithmeticError, match="120 digits"):
-        SumGrowth([(1.0, PowerLogGrowth(2.0, 0.0))]).floor_exact(3)  # 9, no exact form
-
-
-class _ExactOnly(SumGrowth):
-    """A SumGrowth whose decimal evaluation must not be reached."""
-
-    def f_decimal(self, n):
-        raise AssertionError("f_decimal was evaluated")
-
-
-def test_settle_asks_f_exact_first():
-    assert _ExactOnly([(1.0, PowerGrowth(Fraction(3, 2)))]).floor_exact(4225) == 274625
-
-
-def test_settle_margin_is_relative_to_the_value():
-    tie = _RelativeTie()
-    assert tie.floor_exact(7) == 10 ** 15 + 7
-    assert tie.digits == [50, 120]  # 10^-26 is inside 10^-38 * 10^15 at 50 digits
-
-
 def test_integer_power_floors_stream_int64_powers():
     square = PowerGrowth(2)
     assert np.concatenate(list(square.floor_block(-3, 5))).tolist() == [
@@ -405,20 +255,29 @@ def test_integer_power_floors_stream_int64_powers():
         square.floor_block(1, 2 ** 31)  # 2^62
     (top,) = square.floor_block(2 ** 31 - 2, 2 ** 31 - 1)
     assert top.tolist() == [(2 ** 31 - 2) ** 2, (2 ** 31 - 1) ** 2]
-    with pytest.raises(ValueError, match="int64"):
-        list(SumGrowth([(1.0, square)]).floor_block(2 ** 31, 2 ** 31))
 
 
-def test_generic_floors_never_load_mpmath():
+def test_power_floors_never_load_mpmath():
     code = (
         "import sys\n"
         "import digitseq.cli\n"
         "from fractions import Fraction\n"
-        "from digitseq import PowerGrowth, PowerLogGrowth, SumGrowth\n"
-        "assert SumGrowth([(1.0, PowerGrowth(Fraction(3, 2)))]).floor_exact(4225) == 274625\n"
-        "assert PowerLogGrowth(1.4, 1.0).floor_exact(1000) == 109480\n"
+        "from digitseq import PowerGrowth\n"
+        "assert PowerGrowth(Fraction(3, 2)).floor_exact(4225) == 274625\n"
+        "assert PowerGrowth(Fraction(71, 50)).floor_exact(1000) == 18197\n"
+        "assert list(PowerGrowth(Fraction(5, 4)).floor_block(16, 16))[0].tolist() == [32]\n"
+        "assert PowerGrowth(2).floor_exact(1000) == 10 ** 6\n"
         "assert 'mpmath' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=str(Path(digitseq.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("v", [0.0, -0.0, 1.0, -1.0, -3.75, 1e-300, 2.0 ** -40, 1e6 + 0.25,
+                               -1e12, 2.0 ** 53 - 1, 2.0 ** 53, -(2.0 ** 53) - 2, 2.0 ** 62,
+                               math.inf, -math.inf])
+def test_affine_guard_scalar_equals_the_array_guard(v):
+    scalar = sequences._affine_guard(v)
+    assert type(scalar) is float
+    assert scalar == sequences._affine_guard(np.array([v]))[0]
