@@ -300,3 +300,13 @@ def test_exponent_boundary_collapse():
     assert 0 < rep.eta_max < Fraction(1, 100) and rep.validity
     rep = corollary1_exponent_audit(a, Fraction(143, 100))
     assert rep.eta_max < 0 and not rep.validity
+
+
+def test_generic_floors_settle_exact_integers_in_the_deviation():
+    # floor(n^(3/2)) is an integer at every square n; the floors in the
+    # deviation decide those from the exact value.
+    A = 4096
+    rep = substitution_deviation("thue-morse", F32, A)
+    floors = [math.isqrt(n ** 3) for n in range(A + 1, 2 * A + 1)]
+    assert floors[65 ** 2 - A - 1] == 65 ** 3
+    assert rep.sum1 == sum(thue_morse_sign_array(np.array(floors, dtype=np.int64)).tolist())

@@ -247,6 +247,25 @@ def test_inverse_derivative_sum_stays_linear_in_scale():
             assert 0.75 <= total / a_scale <= 1.25
 
 
+def test_growth_inverse_roundtrips():
+    for c in (Fraction(3, 2), Fraction(71, 50), Fraction(5, 4), 2):
+        f = PowerGrowth(c)
+        for x in (2.5, 57.3, 4096.0):
+            assert f.df_inv(f.f(x)) == pytest.approx(1.0 / f.df(x), rel=1e-10)
+        xs = np.array([2.5, 57.3, 4096.0])
+        assert np.allclose(f.df_inv(f.f(xs)), 1.0 / f.df(xs), rtol=1e-10, atol=0)
+
+
+def test_generic_floor_at_exact_integers():
+    f = PowerGrowth(Fraction(3, 2))
+    assert f.floor_exact(4225) == 274625  # 65^3
+    assert f.floor_exact(4226) == ps_floor(4226, PSSpec(3, 2))
+    assert list(f.floor_block(4225, 4226))[0].tolist() == [274625, ps_floor(4226, PSSpec(3, 2))]
+    assert PowerGrowth(Fraction(5, 4)).floor_exact(16) == 32  # 16^(5/4)
+    assert PowerGrowth(Fraction(5, 4)).floor_exact(17) == pure_integer_root_oracle(17, 5, 4)
+    assert PowerGrowth(3).floor_exact(3) == 27
+
+
 def test_integer_power_floors_stream_int64_powers():
     square = PowerGrowth(2)
     assert np.concatenate(list(square.floor_block(-3, 5))).tolist() == [
@@ -257,7 +276,7 @@ def test_integer_power_floors_stream_int64_powers():
     assert top.tolist() == [(2 ** 31 - 2) ** 2, (2 ** 31 - 1) ** 2]
 
 
-def test_power_floors_never_load_mpmath():
+def test_generic_floors_never_load_mpmath():
     code = (
         "import sys\n"
         "import digitseq.cli\n"
