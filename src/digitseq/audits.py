@@ -51,7 +51,7 @@ def fourier_bound_audit(q_list: tuple[int, ...], level_max: int,
                 table = digit_fourier_table(q, level, alpha)
                 rows.append(FourierAuditRow(
                     q=q, level=level, alpha=alpha,
-                    max_abs_coeff=float(np.max(np.abs(table.coefficients))),
+                    max_abs_coeff=table.max_abs_coeff(),
                     uniform_bound=table.uniform_bound(),
                     parseval_error=table.parseval_error(),
                     violations=table.bound_violations()))

@@ -65,6 +65,8 @@ _SUM_EPS = 5e-16  # per-term relative bound fed into the residual estimate
 _WINDOW_CHUNK = 1 << 18  # terms per partial sum of a window sum
 _BOUND_SLACK = 1e-12  # rounding allowance of the uniform coefficient bound
 _LEVEL_MAX = 1713  # I_1713 = 2.26e-308; I_1714 = 1.50e-308 is below the normal doubles
+_TWO_PI = 8 * np.arctan(np.longdouble(1))
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j], dtype=np.clongdouble)
 
 
 def max_table_bytes() -> int:
@@ -327,41 +329,90 @@ def fourier_coefficient_bound(q: int, level: int, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class FourierTable:
-    """All digit Fourier coefficients at fixed (q, level, alpha); index h."""
+    """All digit Fourier coefficients at fixed (q, level, alpha); index h.
+
+    The coefficients are np.clongdouble.  The three summaries share one
+    pass of squared moduli in long double, and each rounds to double once."""
 
     q: int
     level: int
     alpha: float
     coefficients: np.ndarray
 
+    @functools.cached_property
+    def _sq_moduli(self) -> np.ndarray:
+        c = self.coefficients
+        return c.real * c.real + c.imag * c.imag
+
+    def max_abs_coeff(self) -> float:
+        return float(np.sqrt(self._sq_moduli.max()))
+
     def parseval_error(self) -> float:
-        return abs(float(np.sum(np.abs(self.coefficients) ** 2)) - 1.0)
+        return abs(float(self._sq_moduli.sum()) - 1.0)
 
     def uniform_bound(self) -> float:
         return fourier_coefficient_bound(self.q, self.level, self.alpha)
 
     def bound_violations(self) -> int:
-        return int(np.count_nonzero(np.abs(self.coefficients) > self.uniform_bound() + _BOUND_SLACK))
+        limit = np.longdouble(self.uniform_bound() + _BOUND_SLACK)
+        return int(np.count_nonzero(self._sq_moduli > limit * limit))
+
+
+def _e_long_double(phases) -> np.ndarray:
+    """e(t) = exp(2 pi i t) for long-double phases t, as np.clongdouble:
+    the quarter turn i^k, k = rint(4t), times e(t - k/4), whose sine and
+    cosine take arguments of at most pi/4 (the fast and accurate range)."""
+    t = np.asarray(phases, dtype=np.longdouble)
+    k = np.rint(4 * t)
+    r = _TWO_PI * (t - k / 4)
+    out = np.empty(t.shape, dtype=np.clongdouble)
+    out.real, out.imag = np.cos(r), np.sin(r)
+    return out * _QUARTER_TURNS[k.astype(np.int64) % 4]
+
+
+@functools.lru_cache(maxsize=1)
+def _root_table(q: int, level: int) -> np.ndarray:
+    """W[i] = e(-i / q^level) for i < q^level; only the last table is kept,
+    which serves every alpha of one (q, level)."""
+    size = q ** level
+    roots = _e_long_double(-np.arange(size, dtype=np.longdouble) / size)
+    roots.flags.writeable = False
+    return roots
 
 
 def digit_fourier_table(q: int, level: int, alpha: float) -> FourierTable:
-    """Coefficient table for all h < q^level (guarded to 2^22 entries and
-    the DIGITSEQ_MAX_MEMORY allocation cap)."""
+    """Coefficients F(h) = q^-level sum_{u < q^level} e(alpha s_q(u) - h u / q^level)
+    for all h < q^level (guarded to 2^22 entries and, before anything is
+    allocated, to the DIGITSEQ_MAX_MEMORY cap on the table and its root table).
+
+    F(h) is the product over k = 1 ... level of the digit factors
+    (1/q) sum_{d<q} e(d alpha) e(-d r / q^k), which depend on h only through
+    r = h mod q^k.  e(-r / q^k) is W[r q^(level-k)] of the root table, an
+    exact integer index, and each {d alpha} is reduced exactly, so no phase
+    grows with h.  Each factor is a Horner sum in those roots; the product
+    is built up from k = 1, one broadcast per level.  Everything runs in
+    long double, and the np.clongdouble coefficients are rounded only where
+    a summary reports them."""
     if q < 2 or level < 0:
         raise ValueError("needs q >= 2 and level >= 0")
     size = q ** level
     if size > 1 << 22:
         raise ValueError(f"table of {size} coefficients exceeds the 2^22 guard")
-    if 16 * size > max_table_bytes():
+    if 2 * size * np.dtype(np.clongdouble).itemsize > max_table_bytes():
         raise ValueError("table exceeds DIGITSEQ_MAX_MEMORY")
-    h = np.arange(size, dtype=np.float64)
-    coeffs = np.ones(size, dtype=np.complex128)
-    for j in range(level):
-        t = alpha - h / float(q ** (level - j))
-        s = np.zeros(size, dtype=np.complex128)
-        for d in range(q):
-            s += np.exp(2j * np.pi * (d * t))
-        coeffs *= s / q
+    roots = _root_table(q, level)
+    digit_terms = _e_long_double([
+        np.longdouble(p) / np.longdouble(den)
+        for p, den in (_phase_fraction(d, alpha) for d in range(q))]) / q
+    coeffs = np.ones(1, dtype=np.clongdouble)
+    for k in range(1, level + 1):
+        y = roots[::q ** (level - k)]
+        factor = digit_terms[q - 1] * y
+        for d in range(q - 2, 0, -1):
+            factor += digit_terms[d]
+            factor *= y
+        factor += digit_terms[0]
+        coeffs = (factor.reshape(q, -1) * coeffs).ravel()
     return FourierTable(q=q, level=level, alpha=alpha, coefficients=coeffs)
 
 

@@ -11,7 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expsums import _e_long_double
+
 _GATE_GRID = 4096  # points of the Vaaler construction gate
+_ET_ROWS = 16  # rows h of the Erdos-Turan sums held at once
 
 __all__ = [
     "VaalerApprox",
@@ -111,13 +114,25 @@ def exact_discrepancy(points) -> float:
 
 def erdos_turan_bound(points, degree: int) -> float:
     """Constant-1 Erdos-Turan bound 1/(H+1) + sum_{h<=H} |mean e(h x_n)|/h;
-    dominates the exact closed-interval discrepancy."""
+    dominates the exact closed-interval discrepancy.
+
+    Runs in long double.  z_n = e(x_n) is taken once, from the exact
+    fractional part of each double x_n; e(h x_n) = z_n^h comes from
+    cumulative products, _ET_ROWS rows of h at a time, each block carried
+    forward by its last row, so the H x N matrix is never formed.  Row means
+    are pairwise sums, and the whole bound is accumulated in long double and
+    rounded to double once."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    x = np.asarray(points, dtype=np.float64)
+    x = np.asarray(points, dtype=np.float64).ravel()
     if x.size == 0:
         raise ValueError("needs at least one point")
-    h = np.arange(1, degree + 1, dtype=np.float64)
-    means = np.abs(np.exp(2j * np.pi * np.multiply.outer(h, x)).mean(axis=1))
-    return 1.0 / (degree + 1) + float(np.sum(means / h))
-
+    z = _e_long_double(np.fmod(x, 1.0))  # fmod is exact
+    powers = np.cumprod(np.broadcast_to(z, (min(degree, _ET_ROWS), z.size)), axis=0)
+    total = np.longdouble(1) / (degree + 1)
+    block = None
+    for h0 in range(0, degree, _ET_ROWS):
+        block = powers if block is None else powers * block[-1]
+        means = np.abs(block[:degree - h0].mean(axis=1))
+        total += np.sum(means / np.arange(h0 + 1, h0 + 1 + means.size))
+    return float(total)

@@ -23,12 +23,15 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import digitseq
+import oracles
 from digitseq import audits, cli, experiments, expsums, sequences, thue_morse_sign_array
 from digitseq.cli import dispatch
+from oracles import needs_long_double
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -124,11 +127,6 @@ _TERM_BY_TERM = {
     "deviation-5-4": (-0.050000000000001626, 0.01526031494140625),
 }
 
-needs_long_double = pytest.mark.skipif(
-    np.finfo(np.longdouble).eps > 2.0 ** -63,
-    reason="np.longdouble is not the x87 extended format, so the oracle is no better than a double")
-
-
 @lru_cache
 def _long_double_sum2(name: str) -> np.longdouble:
     """sum2 of a deviation case, sum_{f(A)<m<=f(2A)} t(m) m^(1/c-1)/c, term by
@@ -168,6 +166,85 @@ def test_deviation_rows_match_an_oracle(name):
                             (float(row["lhs_per_A"]), float("%.15g" % old_lhs), lhs)):
         if new != old:
             assert abs(np.longdouble(new) - exact) <= abs(np.longdouble(old) - exact), (new, old)
+
+
+# JSON values of the audit reports that the complex128 Erdos-Turan and digit
+# Fourier kernels gave before the exact-phase long-double kernels, by field
+# and row; every other value of those reports is unchanged.
+_COMPLEX128 = {
+    "et-audit": {"bound": {
+        0: 0.2886524367465822, 1: 1.9251522252436486, 3: 0.8591684513815823,
+        4: 1.9237770375122718, 5: 0.13550304402258223, 7: 1.9386354660385454,
+        8: 0.19567708918417026}},
+    "fourier-audit": {
+        "max_abs_coeff": {
+            22: 0.7071067811865475, 23: 0.8535533905932738, 25: 0.7885805074747374,
+            28: 0.6532814824381882, 30: 0.6532814824381875, 42: 0.9106836025229593,
+            43: 0.9772838841927121, 44: 0.6666666666666669, 45: 0.9772838841927121,
+            47: 0.8047378541243648, 50: 0.6938119582052927, 51: 0.916241290990423,
+            52: 0.6398633870159591, 54: 0.6938119582052923, 55: 0.6476030138606875,
+            58: 0.5677110064729055, 59: 0.7845564446628231, 60: 0.6369790354712712,
+            61: 0.7845564446628228, 62: 0.5677110064729053, 63: 0.521150659698721},
+        "parseval_error": {
+            10: 2.220446049250313e-16, 13: 1.1102230246251565e-16, 20: 2.220446049250313e-16,
+            22: 2.220446049250313e-16, 23: 2.220446049250313e-16, 25: 1.1102230246251565e-16,
+            28: 3.3306690738754696e-16, 30: 1.1102230246251565e-15, 41: 2.220446049250313e-16,
+            42: 4.440892098500626e-16, 43: 2.220446049250313e-16, 44: 2.220446049250313e-16,
+            45: 2.220446049250313e-16, 46: 1.1102230246251565e-16, 47: 6.661338147750939e-16,
+            51: 3.3306690738754696e-16, 52: 7.771561172376096e-16, 53: 1.1102230246251565e-16,
+            54: 4.440892098500626e-16, 55: 1.1102230246251565e-15, 58: 2.220446049250313e-16,
+            59: 3.3306690738754696e-16, 60: 3.885780586188048e-15, 61: 1.7763568394002505e-15,
+            62: 4.440892098500626e-16, 63: 4.440892098500626e-16}},
+}
+
+
+@lru_cache
+def _audit_oracle(name: str) -> dict[str, list]:
+    """40-digit exact-phase oracle of every row of an audit case, by field.
+    Parseval's identity makes the exact parseval_error 0."""
+    rows = json.loads((GOLDEN / f"{name}.json").read_text())
+    if name == "fourier-audit":
+        return {"max_abs_coeff": [oracles.max_abs(oracles.fourier_table(r["q"], r["level"], r["alpha"]))
+                                  for r in rows],
+                "parseval_error": [0] * len(rows)}
+    argv = CASES[name]
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(audits, "erdos_turan_bound",
+                      lambda pts, degree: seen.append((pts, degree)) or 0.0)
+        audits.et_audit(sets=int(argv[argv.index("--sets") + 1]),
+                        degree=int(argv[argv.index("--h") + 1]),
+                        max_points=int(argv[argv.index("--max-points") + 1]))
+    assert [len(pts) for pts, _ in seen] == [r["n_points"] for r in rows]
+    return {"bound": [oracles.et_bound(pts, degree) for pts, degree in seen]}
+
+
+@needs_long_double
+@pytest.mark.parametrize("name", sorted(_COMPLEX128))
+def test_audit_rows_are_correctly_rounded(name):
+    rows = json.loads((GOLDEN / f"{name}.json").read_text())
+    field = "bound" if name == "et-audit" else "max_abs_coeff"
+    exact = _audit_oracle(name)[field]
+    assert [r[field] for r in rows] == [float(v) for v in exact]
+
+
+@needs_long_double
+@pytest.mark.parametrize("name", sorted(_COMPLEX128))
+def test_audit_rows_match_an_oracle(name):
+    # Every JSON and CSV value that changed with the long-double kernels is
+    # at least as close to the oracle as the complex128 value was.
+    rows = json.loads((GOLDEN / f"{name}.json").read_text())
+    header, *lines = (GOLDEN / f"{name}.csv").read_text().splitlines()
+    csv_rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    oracle = _audit_oracle(name)
+    for field, old_values in _COMPLEX128[name].items():
+        for i, old in old_values.items():
+            exact = oracle[field][i]
+            for new, before in ((rows[i][field], old),
+                                (float(csv_rows[i][field]), float("%.15g" % old))):
+                if new != before:
+                    with mpmath.workdps(40):
+                        assert abs(new - exact) <= abs(before - exact), (field, i, new, before)
 
 
 def _doubled_fourier_table(q, level, alpha):

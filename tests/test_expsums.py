@@ -10,6 +10,8 @@ import mpmath
 import numpy as np
 import pytest
 
+import oracles
+from digitseq import expsums
 from digitseq import (
     char_root_modulus,
     digit_fourier_decay_constant,
@@ -333,6 +335,41 @@ def test_fourier_table_resource_guards(monkeypatch):
     monkeypatch.setenv("DIGITSEQ_MAX_MEMORY", "1024")
     with pytest.raises(ValueError):
         digit_fourier_table(2, 10, 0.1)
+
+
+def test_fourier_table_memory_guard_counts_the_long_double_bytes(monkeypatch):
+    need = 2 * 2 ** 6 * np.dtype(np.clongdouble).itemsize  # the table and its root table
+    with monkeypatch.context() as patch:
+        patch.setattr(expsums, "_root_table",
+                      lambda q, level: pytest.fail("allocated before the guard"))
+        patch.setenv("DIGITSEQ_MAX_MEMORY", str(need - 1))
+        with pytest.raises(ValueError, match="DIGITSEQ_MAX_MEMORY"):
+            digit_fourier_table(2, 6, 0.1)
+    monkeypatch.setenv("DIGITSEQ_MAX_MEMORY", str(need))
+    assert digit_fourier_table(2, 6, 0.1).coefficients.size == 64
+
+
+@oracles.needs_long_double
+def test_fourier_table_phases_stay_exact_at_large_h():
+    # A phase h / q^k taken in double and never reduced loses accuracy as h
+    # grows (1.2e-15 at h = 200 and 5.7e-14 at worst here).
+    table = digit_fourier_table(3, 6, 0.37)
+    exact = oracles.fourier_table(3, 6, 0.37, dps=30)
+    with mpmath.workdps(30):
+        errors = [abs(complex(c) - v) for c, v in zip(table.coefficients, exact)]
+    assert max(errors) < 1e-16
+
+
+@oracles.needs_long_double
+def test_fourier_table_max_abs_coeff_is_correctly_rounded():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        q = int(rng.choice([2, 3, 5, 7]))
+        level = int(rng.integers(0, 5 if q < 5 else 4))
+        alpha = float(rng.random()) if rng.random() < 0.7 else int(rng.integers(16)) / 16
+        table = digit_fourier_table(q, level, alpha)
+        assert table.max_abs_coeff() == float(oracles.max_abs(oracles.fourier_table(q, level, alpha)))
+        assert table.parseval_error() == 0.0
 
 
 def test_joint_expsum_cases():

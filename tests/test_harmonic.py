@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from digitseq import (
     BeattyLine,
     beatty_floor_range,
@@ -150,3 +151,13 @@ def test_erdos_turan_dominates_on_random_suites():
         pts = np.clip(pts, 0.0, np.nextafter(1.0, 0.0))
         degree = int(rng.integers(1, 80))
         assert exact_discrepancy(pts) <= erdos_turan_bound(pts, degree) + 1e-12
+
+
+@oracles.needs_long_double
+def test_erdos_turan_bound_is_correctly_rounded():
+    rng = np.random.default_rng(16)
+    for trial in range(20):
+        n = int(rng.integers(1, 300))
+        pts = rng.random(n) if trial % 2 else (np.arange(1, n + 1) * rng.random()) % 1.0
+        degree = int(rng.integers(1, 70))
+        assert erdos_turan_bound(pts, degree) == float(oracles.et_bound(pts, degree))
