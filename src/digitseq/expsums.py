@@ -11,6 +11,10 @@ is reduced exactly through the integer representation of the float (or an
 exact Fraction) in reduced_phase, and in-window offsets use a Dekker split,
 so e(m theta) stays accurate for m far beyond 2**53.
 
+Digit Fourier tables are np.clongdouble products of per-digit factors taken
+from one cached long-double table of roots of unity at exact integer
+indices; their summaries round to double once.
+
 The sine-product integral I_level is level products of one transfer-operator
 matrix on Chebyshev nodes with a vector, up to the edge of the double range.
 """

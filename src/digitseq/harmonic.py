@@ -3,6 +3,9 @@
 The Vaaler trigonometric approximation of the sawtooth with its Fejer-type
 majorant, the constant-1 Erdos-Turan discrepancy inequality with an exact
 sorted-points discrepancy.
+
+The Erdos-Turan bound is summed in long double from the exact phases of the
+points and rounded to double once.
 """
 
 from __future__ import annotations
@@ -116,8 +119,8 @@ def erdos_turan_bound(points, degree: int) -> float:
     """Constant-1 Erdos-Turan bound 1/(H+1) + sum_{h<=H} |mean e(h x_n)|/h;
     dominates the exact closed-interval discrepancy.
 
-    Runs in long double.  z_n = e(x_n) is taken once, from the exact
-    fractional part of each double x_n; e(h x_n) = z_n^h comes from
+    Runs in long double.  z_n = e(x_n) is taken once, from x_n mod 1, which
+    fmod takes exactly from each double; e(h x_n) = z_n^h comes from
     cumulative products, _ET_ROWS rows of h at a time, each block carried
     forward by its last row, so the H x N matrix is never formed.  Row means
     are pairwise sums, and the whole bound is accumulated in long double and
@@ -127,12 +130,13 @@ def erdos_turan_bound(points, degree: int) -> float:
     x = np.asarray(points, dtype=np.float64).ravel()
     if x.size == 0:
         raise ValueError("needs at least one point")
-    z = _e_long_double(np.fmod(x, 1.0))  # fmod is exact
+    z = _e_long_double(np.fmod(x, 1.0))
     powers = np.cumprod(np.broadcast_to(z, (min(degree, _ET_ROWS), z.size)), axis=0)
     total = np.longdouble(1) / (degree + 1)
-    block = None
+    block = powers
     for h0 in range(0, degree, _ET_ROWS):
-        block = powers if block is None else powers * block[-1]
+        if h0:
+            block = powers * block[-1]
         means = np.abs(block[:degree - h0].mean(axis=1))
         total += np.sum(means / np.arange(h0 + 1, h0 + 1 + means.size))
     return float(total)
