@@ -209,9 +209,13 @@ def _audit_oracle(name: str) -> dict[str, list]:
                 "parseval_error": [0] * len(rows)}
     argv = CASES[name]
     seen = []
+
+    def record(pts, degree):
+        seen.append((pts, degree))
+        return 0.0
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(audits, "erdos_turan_bound",
-                      lambda pts, degree: seen.append((pts, degree)) or 0.0)
+        patch.setattr(audits, "erdos_turan_bound", record)
         audits.et_audit(sets=int(argv[argv.index("--sets") + 1]),
                         degree=int(argv[argv.index("--h") + 1]),
                         max_points=int(argv[argv.index("--max-points") + 1]))
