@@ -156,8 +156,10 @@ def test_erdos_turan_dominates_on_random_suites():
 @oracles.needs_long_double
 def test_erdos_turan_bound_is_correctly_rounded():
     rng = np.random.default_rng(16)
-    for trial in range(20):
+    for trial in range(21):
         n = int(rng.integers(1, 300))
-        pts = rng.random(n) if trial % 2 else (np.arange(1, n + 1) * rng.random()) % 1.0
+        # uniform draws, a Kronecker orbit, and points outside [0, 1)
+        pts = (rng.random(n), (np.arange(1, n + 1) * rng.random()) % 1.0,
+               rng.uniform(-1000.0, 1000.0, n))[trial % 3]
         degree = int(rng.integers(1, 70))
         assert erdos_turan_bound(pts, degree) == float(oracles.et_bound(pts, degree))
