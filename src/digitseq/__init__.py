@@ -1,23 +1,20 @@
 """digitseq: digit-sum statistics on Piatetski-Shapiro and Beatty sequences.
 
 Exact floors of n**c for rational c and of Beatty lines, the floor
-mismatches of a tangent Beatty line, exponential-sum kernels for digit
-functions (binary, general base, and Zeckendorf), the sawtooth/discrepancy
-toolbox, and deterministic desk-scale experiments that audit the
-substitution-rule inequalities numerically.
+mismatches of a tangent Beatty line, digit sums in base q and in the
+Zeckendorf system, window exponential sums, the Thue-Morse sine-product
+integrals and digit Fourier tables, the sawtooth/discrepancy toolbox, and
+deterministic desk-scale experiments: the substitution-rule inequalities,
+audited numerically, and the paper's three applications as exact counts.
 """
 
 from .digits import (
-    DecompositionSegment,
-    ZeckendorfRepr,
     digit_sum,
     digit_sum_array,
     fibonacci,
     thue_morse_prefix_sum,
     thue_morse_sign,
     thue_morse_sign_array,
-    zeckendorf,
-    zeckendorf_decompose,
     zeckendorf_digit_sum,
     zeckendorf_digit_sum_array,
 )
@@ -38,24 +35,16 @@ from .sequences import (
     ps_floor,
 )
 from .expsums import (
-    CharRoot,
     FourierTable,
     SineProductResult,
     WindowSumResult,
-    ZeckBlockSum,
-    char_root_modulus,
     digit_fourier_decay_constant,
     digit_fourier_table,
     fourier_coefficient_bound,
-    joint_digit_expsum,
-    joint_rate_parameters,
     sine_product_decay,
     sine_product_integral,
     window_exp_sum,
     window_exp_sums,
-    zeckendorf_block_sum,
-    zeckendorf_block_sums,
-    zeckendorf_window_expsum,
 )
 from .harmonic import (
     VaalerApprox,

@@ -12,9 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expsums import digit_fourier_table
-from .harmonic import build_vaaler_approx, erdos_turan_bound, exact_discrepancy, \
-    fejer_majorant, sawtooth, vaaler_psi_h
+from .harmonic import _check_degree, build_vaaler_approx, erdos_turan_bound, \
+    exact_discrepancy, fejer_majorant, sawtooth, vaaler_psi_h
 from .sequences import BeattyLine, beatty_floor_range
+
+_MAX_POINTS = 1 << 16  # largest point set of et_audit: 16 x N long-double powers at once
 
 __all__ = [
     "FourierAuditRow",
@@ -73,6 +75,8 @@ def vaaler_audit(degrees: tuple[int, ...], grid: int = 10000) -> list[VaalerAudi
     nonnegativity for each requested degree."""
     if grid < 2:
         raise ValueError("needs grid >= 2")
+    for degree in degrees:
+        _check_degree(degree)
     rows = []
     ts = np.arange(grid, dtype=np.float64) / grid
     for degree in degrees:
@@ -103,8 +107,9 @@ def et_audit(sets: int = 1000, degree: int = 64, seed: int = 0,
              max_points: int = 2000) -> list[EtAuditRow]:
     """Exact discrepancy against the constant-1 bound on seeded point sets:
     uniform draws, clustered draws, and Beatty-line fractional orbits."""
-    if sets < 1 or degree < 1 or max_points < 2:
-        raise ValueError("needs sets >= 1, degree >= 1, max_points >= 2")
+    if sets < 1 or not 2 <= max_points <= _MAX_POINTS:
+        raise ValueError(f"needs sets >= 1 and 2 <= max_points <= {_MAX_POINTS}")
+    _check_degree(degree)
     rng = np.random.default_rng(seed)
     rows = []
     kinds = ("uniform", "clustered", "beatty")

@@ -1,8 +1,9 @@
 """Exact integer digit arithmetic.
 
-Base-q digit sums, the Thue-Morse sign, and Fibonacci/Zeckendorf
-machinery with the Fibonacci-length block decomposition used by the
-Zeckendorf window sums.  Everything here is pure integer arithmetic.
+Base-q digit sums, the Thue-Morse sign and its prefix sums, Fibonacci
+numbers, and the Zeckendorf digit sum s_Z (the number of summands in the
+greedy representation by non-consecutive Fibonacci numbers).  Everything
+here is pure integer arithmetic.
 
 `digit_sum_array` sums masked popcounts for bases 2, 4, 8 and 16, and reads
 the digit sums of 0 .. q^L - 1 (the largest L with q^L <= 2^16) from a uint8
@@ -16,13 +17,10 @@ Fibonacci list on demand for larger integers (an append-only cache).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ZeckendorfRepr",
-    "DecompositionSegment",
     "digit_sum",
     "digit_sum_array",
     "thue_morse_sign",
@@ -30,10 +28,8 @@ __all__ = [
     "thue_morse_prefix_sum",
     "fibonacci",
     "fibonacci_index_below",
-    "zeckendorf",
     "zeckendorf_digit_sum",
     "zeckendorf_digit_sum_array",
-    "zeckendorf_decompose",
 ]
 
 
@@ -153,46 +149,6 @@ def fibonacci_index_below(n: int) -> int:
     return bisect_right(_FIB, n) - 1
 
 
-@dataclass(frozen=True)
-class ZeckendorfRepr:
-    """Strictly increasing, non-consecutive Fibonacci indices (all >= 2).
-    The empty tuple represents 0."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        prev = 0
-        for i in self.indices:
-            if i < 2:
-                raise ValueError(f"Zeckendorf indices start at 2, got {i}")
-            if i <= prev + 1:
-                raise ValueError(f"indices must be non-consecutive increasing, got {self.indices}")
-            prev = i
-
-    def value(self) -> int:
-        return sum(fibonacci(i) for i in self.indices)
-
-    def digit(self, i: int) -> int:
-        return 1 if i in self.indices else 0
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-def zeckendorf(n: int) -> ZeckendorfRepr:
-    """Greedy (largest F_k first) Zeckendorf representation of n >= 0.
-    Greedy descent is the unique valid non-consecutive representation."""
-    if n < 0:
-        raise ValueError(f"zeckendorf needs n >= 0, got {n}")
-    indices = []
-    rem = n
-    while rem:
-        k = fibonacci_index_below(rem)
-        indices.append(k)
-        rem -= _FIB[k]
-    return ZeckendorfRepr(tuple(reversed(indices)))
-
-
 def zeckendorf_digit_sum(n: int) -> int:
     """Number of summands in the Zeckendorf representation (s_Z; 0 at 0)."""
     if n < 0:
@@ -240,57 +196,3 @@ def zeckendorf_digit_sum_array(values: np.ndarray) -> np.ndarray:
             count += m
     count += _ZECK_LOW_TABLE[v]
     return count.astype(np.int64)
-
-
-@dataclass(frozen=True)
-class DecompositionSegment:
-    """Half-open block [offset, offset + F_scale)."""
-
-    offset: int
-    scale: int
-
-
-def _zeck_ascend(a: int, k_top: int) -> list[DecompositionSegment]:
-    # Cover [a, F_{k_top}); each block [a, a + F_{k-1}) where k is the
-    # lowest set index of a, so the offset has zero digits below the scale.
-    if a == 0:
-        return [DecompositionSegment(0, k_top)]
-    segs = []
-    target = fibonacci(k_top)
-    while a < target:
-        k = min(zeckendorf(a).indices)
-        segs.append(DecompositionSegment(a, k - 1))
-        a += fibonacci(k - 1)
-    return segs
-
-
-def _zeck_descend(b: int, k_top: int) -> list[DecompositionSegment]:
-    # Cover [F_{k_top}, b); one block per representation index below k_top.
-    idx = sorted(zeckendorf(b).indices, reverse=True)
-    if not idx or idx[0] != k_top:
-        raise AssertionError(f"top Zeckendorf index of {b} is not {k_top}")
-    segs = []
-    running = fibonacci(k_top)
-    for j in idx[1:]:
-        segs.append(DecompositionSegment(running, j))
-        running += fibonacci(j)
-    return segs
-
-
-def zeckendorf_decompose(a: int, b: int) -> list[DecompositionSegment]:
-    """Partition [a, b) into blocks [A, A + F_j) whose offsets have zero
-    Zeckendorf digits at indices <= j, at most two blocks per scale.  On
-    each block s_Z(n) = s_Z(A) + s_Z(n - A)."""
-    if a < 0 or b < a:
-        raise ValueError(f"need 0 <= a <= b, got ({a}, {b})")
-    if a == b:
-        return []
-    da = set(zeckendorf(a).indices)
-    db = set(zeckendorf(b).indices)
-    k_top = max(da ^ db)  # highest differing digit; b > a forces it set in b
-    common = sum(fibonacci(i) for i in da if i > k_top)
-    segs = _zeck_ascend(a - common, k_top) + _zeck_descend(b - common, k_top)
-    if common:
-        segs = [DecompositionSegment(s.offset + common, s.scale) for s in segs]
-    return segs
-

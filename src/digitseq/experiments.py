@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17  # fixed partition size; independent of the worker count
+_F_MAX = 1 << 40  # largest floor(f(2A)) an experiment accepts
+_WINDOW_MAX = 1 << 16  # longest window z or K of a sup-integral estimate
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,24 @@ def resolve_phi(phi) -> ArithmeticFunction:
             return ArithmeticFunction(phi, _phi_digit_exp(int(q), float(Fraction(alpha))))
         raise ValueError(f"unknown arithmetic function '{phi}'")
     return ArithmeticFunction(getattr(phi, "__name__", "phi"), phi)
+
+
+def _check_scale(f: PowerGrowth, A: int) -> int:
+    """floor(f(2A)), after the guard f(2A) <= 2^40.  Past it the deviation
+    sums grow beyond desk scale, and the window starts and Beatty intercepts,
+    doubles near f(A) ... f(2A), lose the unit resolution their windows need
+    (a double near 10^18 is a multiple of 128)."""
+    m_hi = f.floor_exact(2 * A)
+    if m_hi > _F_MAX:
+        raise ValueError("f(2A) beyond the experiment resource guard")
+    return m_hi
+
+
+def _check_window(length) -> None:
+    """Window lengths z and K lie in [1, 2^16]: the estimates spend about
+    length terms per grid point, so a longer window never finishes."""
+    if not 1 <= length <= _WINDOW_MAX:
+        raise ValueError(f"window length must lie in [1, {_WINDOW_MAX}], got {length}")
 
 
 def _chunk_ranges(lo: int, hi: int, size: int = _CHUNK) -> list[tuple[int, int]]:
@@ -225,9 +245,7 @@ def substitution_deviation(phi, f: PowerGrowth, A: int, threads: int = 1) -> Dev
     phi = resolve_phi(phi)
     if A < 2:
         raise ValueError("needs A >= 2")
-    m_hi = f.floor_exact(2 * A)
-    if m_hi > 1 << 40:
-        raise ValueError("f(2A) beyond the experiment resource guard")
+    m_hi = _check_scale(f, A)
     start = time.perf_counter()
 
     def part_floors(rng: tuple[int, int]) -> complex:
@@ -282,10 +300,10 @@ def window_l1_integral(phi, f: PowerGrowth, A: int, z: float,
     one window chunk.  Every modulus is np.hypot of the one-theta sum, the
     value abs() gives."""
     phi = resolve_phi(phi)
-    if z < 1:
-        raise ValueError("needs z >= 1")
+    _check_window(z)
     if theta_grid < 2 or x_samples < 2:
         raise ValueError("grids must be >= 2")
+    _check_scale(f, A)
     lo, hi = float(f.f(A)), float(f.f(2 * A))
 
     def estimate(grid: int, samples: int) -> float:
@@ -316,10 +334,10 @@ def beatty_substitution_integral(phi, f: PowerGrowth, A: int, K: int,
     row sum per block.  The second sum is the Thue-Morse prefix-sum closed
     form, or a sum over its own range for any other phi."""
     phi = resolve_phi(phi)
-    if K < 1:
-        raise ValueError("needs K >= 1")
+    _check_window(K)
     if alpha_grid < 2 or beta_samples < 2:
         raise ValueError("grids must be >= 2")
+    _check_scale(f, A)
     a_lo, a_hi = float(f.df(A)), float(f.df(2 * A))
     f_lo, f_hi = float(f.f(A)), float(f.f(2 * A))
 
@@ -374,6 +392,7 @@ def audit_theorem1(phi, f: PowerGrowth, A: int, z: float,
                    theta_grid: int = 64, x_samples: int = 8,
                    threads: int = 1) -> Theorem1Audit:
     phi = resolve_phi(phi)
+    _check_window(z)  # before the deviation spends its work
     dev = substitution_deviation(phi, f, A, threads=threads)
     j_est = window_l1_integral(phi, f, A, z, theta_grid=theta_grid, x_samples=x_samples)
     d2, d1 = float(f.d2f(A)), float(f.df(A))

@@ -1,10 +1,9 @@
 """Exponential-sum kernels.
 
-Windowed sums sum phi(m) e(m theta) with accurate phase reduction, the
-Thue-Morse sine-product integral and its geometric decay rate, discrete digit
-Fourier coefficient tables with their uniform decay bound, joint two-base
-digit sums, and the Fibonacci-block sum recurrence behind the Zeckendorf
-window sums.
+Windowed sums sum phi(m) e(m theta) over a grid of theta with accurate
+phase reduction, the Thue-Morse sine-product integral and its geometric
+decay rate, and discrete digit Fourier coefficient tables with their uniform
+decay bound.
 
 Phases m*theta are never reduced in plain double arithmetic: the base point
 is reduced exactly through the integer representation of the float (or an
@@ -21,30 +20,19 @@ matrix on Chebyshev nodes with a vector, up to the edge of the double range.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 import numpy as np
-
-from .digits import (
-    digit_sum_array,
-    fibonacci,
-    zeckendorf_decompose,
-    zeckendorf_digit_sum,
-)
 
 __all__ = [
     "WindowSumResult",
     "FourierTable",
     "SineProductResult",
-    "ZeckBlockSum",
-    "CharRoot",
-    "JointRateParameters",
     "window_exp_sum",
     "window_exp_sums",
     "sine_product_integral",
@@ -52,14 +40,7 @@ __all__ = [
     "digit_fourier_table",
     "digit_fourier_decay_constant",
     "fourier_coefficient_bound",
-    "joint_digit_expsum",
-    "joint_rate_parameters",
-    "zeckendorf_block_sum",
-    "zeckendorf_block_sums",
-    "char_root_modulus",
-    "zeckendorf_window_expsum",
     "reduced_phase",
-    "reduced_phase_window",
     "geometric_sum_modulus",
     "dist_to_int",
     "max_table_bytes",
@@ -141,11 +122,6 @@ def _phase_block(m0: int, count: int, thetas) -> np.ndarray:
     return ph % 1.0
 
 
-def reduced_phase_window(m0: int, count: int, theta) -> np.ndarray:
-    """{(m0 + j) * theta} for j < count: the one-row case of the phase block."""
-    return _phase_block(m0, count, [theta])[0]
-
-
 def _kahan(values: Iterable[complex]) -> complex:
     """Compensated (Kahan) sum, accumulated in the given order (element-wise
     when the values are arrays)."""
@@ -204,7 +180,8 @@ def window_exp_sums(phi: Callable[[np.ndarray], np.ndarray], x: float, z: float,
 def window_exp_sum(phi: Callable[[np.ndarray], np.ndarray], x: float, z: float,
                    theta) -> WindowSumResult:
     """sum_{x < m <= x+z} phi(m) e(m theta): the one-theta case of
-    window_exp_sums."""
+    window_exp_sums.  No subcommand calls it; it stays as the span perfbench
+    traces for window sums, and as the one-theta reference of the tests."""
     count = max(0, math.floor(x + z) - math.floor(x))
     value = complex(window_exp_sums(phi, x, z, [theta])[0])
     return WindowSumResult(value, count, _SUM_EPS * count)
@@ -418,138 +395,3 @@ def digit_fourier_table(q: int, level: int, alpha: float) -> FourierTable:
         factor += digit_terms[0]
         coeffs = (factor.reshape(q, -1) * coeffs).ravel()
     return FourierTable(q=q, level=level, alpha=alpha, coefficients=coeffs)
-
-
-def joint_digit_expsum(x: float, z: float, q1: int, q2: int, alpha: float,
-                       beta: float, theta) -> WindowSumResult:
-    """Direct evaluation of sum e(alpha s_q1(n) + beta s_q2(n) + n theta)
-    over x < n <= x+z for coprime bases."""
-    if math.gcd(q1, q2) != 1:
-        raise ValueError(f"bases must be coprime, gcd({q1},{q2}) != 1")
-    if z < 0:
-        raise ValueError("window length must be nonnegative")
-
-    def phi(m: np.ndarray) -> np.ndarray:
-        s = alpha * digit_sum_array(m, q1) + beta * digit_sum_array(m, q2)
-        return np.exp(2j * np.pi * (s % 1.0))
-
-    return window_exp_sum(phi, x, z, theta)
-
-
-class JointRateParameters(NamedTuple):
-    """Proof-side parameter choices for the joint digit sums: truncation
-    levels, the van der Corput length R, and the resulting error exponents
-    (as exact fractions of log z where the arithmetic is exact)."""
-
-    lambda1: float
-    lambda2: float
-    r_exponent: Fraction | float
-    term_exponents: tuple
-    max_exponent: Fraction | float
-    eta_alpha: float | None
-
-
-def joint_rate_parameters(z: float, q1: int, q2: int,
-                          alpha: float | None = None) -> JointRateParameters:
-    """Reproduce the exponent arithmetic of the two parameter choices:
-    the universal one (levels 4 log z / (9 log q)) giving the z^(8/9) rate,
-    and, when alpha is given, the alpha-dependent (4+c) variant giving
-    z^(1 - eta(alpha)) with eta(alpha) = ||(q1-1)alpha||^2 / (15 log q1)."""
-    if math.gcd(q1, q2) != 1:
-        raise ValueError(f"bases must be coprime, gcd({q1},{q2}) != 1")
-    if z < 1:
-        raise ValueError("needs z >= 1")
-    logz = math.log(z)
-    if alpha is None:
-        lam1 = 4.0 * logz / (9.0 * math.log(q1))
-        lam2 = 4.0 * logz / (9.0 * math.log(q2))
-        r_exp = Fraction(2, 9)
-        terms = (
-            Fraction(4, 9) + Fraction(4, 9),          # q1^l1 q2^l2
-            Fraction(1, 2) + Fraction(1, 9),          # z^(1/2) R^(1/2)
-            1 + Fraction(1, 9) - Fraction(2, 9),      # z R^(1/2) q^(-l/2)
-            1 - Fraction(1, 9),                       # z R^(-1/2)
-        )
-        return JointRateParameters(lam1, lam2, r_exp, terms, max(terms), None)
-    c = digit_fourier_decay_constant(q1) * dist_to_int((q1 - 1) * alpha) ** 2
-    lam1 = 2.0 * logz / ((4.0 + c) * math.log(q1))
-    lam2 = 2.0 * logz / ((4.0 + c) * math.log(q2))
-    r_exp = (2.0 - 2.0 * c) / (4.0 + c)
-    main = 1.0 - c / (4.0 + c)
-    terms = (
-        2.0 / (4.0 + c) + 2.0 / (4.0 + c),
-        0.5 + r_exp / 2.0,
-        1.0 + r_exp / 2.0 - 1.0 / (4.0 + c),
-        1.0 + lam1 * (0.5 - c) * math.log(q1) / logz - r_exp / 2.0 if logz > 0 else main,
-    )
-    eta = dist_to_int((q1 - 1) * alpha) ** 2 / (15.0 * math.log(q1))
-    return JointRateParameters(lam1, lam2, r_exp, terms, max(main, max(terms)), eta)
-
-
-@dataclass(frozen=True)
-class ZeckBlockSum:
-    """G_k(alpha, theta) = sum_{u < F_k} e(alpha s_Z(u) + theta u)."""
-
-    k: int
-    alpha: float
-    theta: float
-    value: complex
-
-
-def zeckendorf_block_sums(k_max: int, alpha: float, theta=0.0) -> list[complex]:
-    """G_1..G_k_max by the two-term recurrence
-    G_{k+1} = G_k + e(alpha + theta F_k) G_{k-1}, seeds G_1 = G_2 = 1."""
-    if k_max < 1:
-        raise ValueError("needs k_max >= 1")
-    vals = [1.0 + 0.0j, 1.0 + 0.0j]  # G_1, G_2
-    for k in range(2, k_max):
-        ph = (alpha % 1.0 + reduced_phase(fibonacci(k), theta)) % 1.0
-        vals.append(vals[-1] + cmath.exp(2j * math.pi * ph) * vals[-2])
-    return vals[:k_max]
-
-
-def zeckendorf_block_sum(k: int, alpha: float, theta=0.0) -> ZeckBlockSum:
-    if k < 2:
-        raise ValueError("needs k >= 2")
-    value = zeckendorf_block_sums(k, alpha, theta)[-1]
-    return ZeckBlockSum(k=k, alpha=alpha, theta=float(theta), value=value)
-
-
-class CharRoot(NamedTuple):
-    """Largest characteristic-root modulus of the block-sum recurrence and
-    its closed-form bound 1/2 + (17 + 8 cos(2 pi alpha))^(1/4) / 2."""
-
-    modulus: float
-    bound: float
-
-
-def char_root_modulus(alpha: float) -> CharRoot:
-    w = cmath.sqrt(1.0 + 4.0 * cmath.exp(2j * math.pi * alpha))
-    modulus = max(abs(0.5 + 0.5 * w), abs(0.5 - 0.5 * w))
-    bound = 0.5 + 0.5 * (17.0 + 8.0 * math.cos(2.0 * math.pi * alpha)) ** 0.25
-    return CharRoot(modulus=modulus, bound=bound)
-
-
-def zeckendorf_window_expsum(x: float, z: float, alpha: float, theta=0.0) -> WindowSumResult:
-    """sum_{x < n <= x+z} e(alpha s_Z(n) + n theta) assembled from the
-    Fibonacci-block decomposition: each block [A, A + F_j) contributes
-    e(alpha s_Z(A) + theta A) G_j."""
-    if z < 0:
-        raise ValueError("window length must be nonnegative")
-    a = math.floor(x) + 1
-    b = math.floor(x + z) + 1
-    if b <= a:
-        return WindowSumResult(0j, 0, 0.0)
-    if a < 0:
-        raise ValueError("window must lie in the nonnegative integers")
-    segments = zeckendorf_decompose(a, b)
-    if not segments:
-        return WindowSumResult(0j, 0, 0.0)
-    g = zeckendorf_block_sums(max(s.scale for s in segments), alpha, theta)
-    partials = []
-    for seg in segments:
-        ph = (alpha * zeckendorf_digit_sum(seg.offset) % 1.0
-              + reduced_phase(seg.offset, theta)) % 1.0
-        partials.append(cmath.exp(2j * math.pi * ph) * g[seg.scale - 1])
-    total = _kahan(partials)
-    return WindowSumResult(total, b - a, _SUM_EPS * (b - a))

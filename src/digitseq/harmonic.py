@@ -17,6 +17,7 @@ import numpy as np
 from .expsums import _e_long_double
 
 _GATE_GRID = 4096  # points of the Vaaler construction gate
+_DEGREE_MAX = 1 << 10  # largest degree H: the gate holds 4096 x (H + 1) complex values
 _ET_ROWS = 16  # rows h of the Erdos-Turan sums held at once
 
 __all__ = [
@@ -28,6 +29,12 @@ __all__ = [
     "erdos_turan_bound",
     "exact_discrepancy",
 ]
+
+
+def _check_degree(degree: int) -> None:
+    """1 <= H <= 2^10, checked before anything is allocated."""
+    if not 1 <= degree <= _DEGREE_MAX:
+        raise ValueError(f"degree must lie in [1, {_DEGREE_MAX}], got {degree}")
 
 
 def sawtooth(x) -> float:
@@ -67,8 +74,7 @@ def vaaler_psi_h(approx: VaalerApprox, t) -> float:
 
 def fejer_majorant(degree: int, t) -> float:
     """kappa_H(t) = |sum_{h<=H} e(ht)|^2 / (2 (H+1)^2) >= 0 (Fejer form)."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    _check_degree(degree)
     t = np.asarray(t, dtype=np.float64)
     n = degree + 1
     h = np.arange(n, dtype=np.float64)
@@ -81,8 +87,7 @@ def build_vaaler_approx(degree: int) -> VaalerApprox:
     """Standard sawtooth-approximation coefficients a(h) = pi t (1-t) cot(pi t) + t
     at t = h/(H+1), clamped to [0,1].  Fails loudly if the defining
     inequality is violated anywhere on the gate grid."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    _check_degree(degree)
     approx = VaalerApprox(degree=degree, coefficients=_vaaler_coefficients(degree))
     ts = (np.arange(_GATE_GRID) + 0.318) / _GATE_GRID  # irrational-ish offset avoids atypical lattice points
     err = np.abs(sawtooth(ts) - vaaler_psi_h(approx, ts))
@@ -125,8 +130,7 @@ def erdos_turan_bound(points, degree: int) -> float:
     forward by its last row, so the H x N matrix is never formed.  Row means
     are pairwise sums, and the whole bound is accumulated in long double and
     rounded to double once."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    _check_degree(degree)
     x = np.asarray(points, dtype=np.float64).ravel()
     if x.size == 0:
         raise ValueError("needs at least one point")

@@ -70,10 +70,6 @@ class PSSpec:
         return cls(frac.numerator, frac.denominator)
 
     @property
-    def c(self) -> Fraction:
-        return Fraction(self.c_num, self.c_den)
-
-    @property
     def c_float(self) -> float:
         return self.c_num / self.c_den
 

@@ -1,14 +1,19 @@
 """Exports stay in step with the code: every name in a module's __all__
-exists and star-imports, and every name the package imports is listed in the
-__all__ of the module it comes from."""
+exists and star-imports, every name the package imports is listed in the
+__all__ of the module it comes from, and every exported function and method
+runs in some golden case, so code no subcommand reaches cannot pile up."""
 
 import ast
 import importlib
+import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
 import digitseq
+from digitseq.cli import dispatch
+from test_cli_golden import CASES
 
 PACKAGE = Path(digitseq.__file__).resolve().parent
 MODULES = {path.stem: importlib.import_module(f"digitseq.{path.stem}")
@@ -39,3 +44,57 @@ def test_package_imports_only_exported_names():
     stale = [f"{module}.{name}" for module, name in imports
              if name not in getattr(MODULES[module], "__all__", ())]
     assert stale == []
+
+
+# Exported functions no golden case calls, each with its reason to stay.
+UNREACHED = {
+    "expsums.window_exp_sum": "perfbench traces it as the window-sum span",
+    "sequences.GrowthFunction.floor_exact": "perfbench traces it as the floor_exact span",
+    "digits.digit_sum": "scalar oracle of digit_sum_array",
+    "digits.zeckendorf_digit_sum": "scalar oracle of zeckendorf_digit_sum_array",
+    "digits.fibonacci": "scalar oracle of the Fibonacci table",
+    "sequences.ps_block": "test helper that materialises ps_block_chunks",
+    "sequences.beatty_floor": "runs only when a Beatty floor is a near-tie",
+}
+
+
+def _exported_functions() -> dict[str, object]:
+    """"module.name" or "module.Class.method" -> code object, for every
+    function in a module's __all__ and every method its exported classes
+    define in the source (generated dataclass methods excluded)."""
+    out = {}
+    for stem, module in MODULES.items():
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                members = {f"{name}.{attr}": value for attr, value in vars(obj).items()}
+            else:
+                members = {name: obj}
+            for label, value in members.items():
+                # the function behind a classmethod, property or cached_property
+                value = (getattr(value, "__func__", None) or getattr(value, "fget", None)
+                         or getattr(value, "func", None) or value)
+                if inspect.isfunction(value) and value.__code__.co_filename == module.__file__:
+                    out[f"{stem}.{label}"] = value.__code__
+    return out
+
+
+def test_every_exported_function_runs_in_a_golden_case(tmp_path):
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        for argv in CASES.values():
+            for fmt in ("csv", "json"):
+                dispatch([*argv, "--format", fmt, "--threads", "1",
+                          "--out", str(tmp_path / "out")])
+    finally:
+        sys.setprofile(None)
+    functions = _exported_functions()
+    unreached = sorted(label for label, code in functions.items() if code not in called)
+    assert [label for label in unreached if label not in UNREACHED] == []
+    assert sorted(set(UNREACHED) - set(functions)) == []

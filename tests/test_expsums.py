@@ -1,5 +1,5 @@
-"""Exponential-sum kernels: identities, bounds, recurrences, and the two
-classical summation inequalities."""
+"""Exponential-sum kernels: identities, bounds, exact-phase oracles, and the
+two classical summation inequalities."""
 
 import cmath
 import math
@@ -13,25 +13,17 @@ import pytest
 import oracles
 from digitseq import expsums
 from digitseq import (
-    char_root_modulus,
     digit_fourier_decay_constant,
     digit_fourier_table,
-    fibonacci,
     fourier_coefficient_bound,
-    joint_digit_expsum,
-    joint_rate_parameters,
     sine_product_decay,
     sine_product_integral,
     thue_morse_sign,
     thue_morse_sign_array,
     window_exp_sum,
-    zeckendorf_block_sum,
-    zeckendorf_block_sums,
-    zeckendorf_digit_sum_array,
-    zeckendorf_window_expsum,
 )
 from digitseq.digits import digit_sum_array
-from digitseq.expsums import geometric_sum_modulus, reduced_phase, reduced_phase_window
+from digitseq.expsums import _phase_block, geometric_sum_modulus, reduced_phase
 
 
 def _ones(m):
@@ -98,7 +90,7 @@ def test_reduced_phase_is_exact_for_large_m():
     for m in (10 ** 9 + 7, 2 ** 70 + 3):
         expect = ((m % den) * num % den) / den
         assert reduced_phase(m, theta) == expect
-    ph = reduced_phase_window(10 ** 9, 1000, theta)
+    ph = _phase_block(10 ** 9, 1000, [theta])[0]
     direct = [reduced_phase(10 ** 9 + j, theta) for j in range(1000)]
     assert np.max(np.abs(ph - direct)) < 5e-15
 
@@ -370,106 +362,6 @@ def test_fourier_table_max_abs_coeff_is_correctly_rounded():
         table = digit_fourier_table(q, level, alpha)
         assert table.max_abs_coeff() == float(oracles.max_abs(oracles.fourier_table(q, level, alpha)))
         assert table.parseval_error() == 0.0
-
-
-def test_joint_expsum_cases():
-    r = joint_digit_expsum(0, 100, 2, 3, 0.0, 0.0, 0.0)
-    assert r.value == pytest.approx(100.0)
-    # alpha = 1/2 in base 2 gives the Thue-Morse sign; balanced on dyadic blocks
-    r = joint_digit_expsum(-1, 2 ** 10, 2, 3, 0.5, 0.0, 0.0)
-    assert abs(r.value) < 1e-9
-    with pytest.raises(ValueError):
-        joint_digit_expsum(0, 10, 2, 4, 0.1, 0.2, 0.0)
-    # regression anchor from direct summation
-    r = joint_digit_expsum(0, 10 ** 5, 2, 3, 1 / 3, 1 / 5, 0.0)
-    assert abs(r.value) == pytest.approx(229.941987600773, rel=1e-9)
-
-
-def test_joint_rate_parameter_arithmetic():
-    p = joint_rate_parameters(10 ** 4, 2, 3)
-    assert p.max_exponent == Fraction(8, 9)
-    assert p.eta_alpha is None
-    assert p.lambda1 == pytest.approx(4 * math.log(10 ** 4) / (9 * math.log(2)))
-    for alpha in (0.1, 0.25, 0.4):
-        pa = joint_rate_parameters(10 ** 4, 2, 3, alpha=alpha)
-        # the proof's chain: the achieved rate exponent dominates eta(alpha)
-        c = digit_fourier_decay_constant(2) * (abs(alpha - round(alpha))) ** 2
-        assert c / (4 + c) >= pa.eta_alpha - 1e-15
-        assert pa.max_exponent == pytest.approx(1 - c / (4 + c))
-
-
-def test_zeckendorf_block_sum_values():
-    assert zeckendorf_block_sum(2, 0.3).value == pytest.approx(1.0)
-    g3 = zeckendorf_block_sum(3, 0.3).value
-    assert g3 == pytest.approx(1 + cmath.exp(2j * math.pi * 0.3))
-    for k in (5, 12, 30):
-        assert zeckendorf_block_sum(k, 0.0).value == pytest.approx(fibonacci(k))
-    with pytest.raises(ValueError):
-        zeckendorf_block_sum(1, 0.3)
-
-
-def test_zeckendorf_recurrence_matches_defining_sum():
-    rng = np.random.default_rng(9)
-    u = np.arange(fibonacci(25))
-    sz = zeckendorf_digit_sum_array(u)
-    for _ in range(50):
-        alpha = float(rng.random())
-        theta = float(rng.random())
-        vals = zeckendorf_block_sums(25, alpha, theta)
-        # {u theta} by exact reduction: theta * u in plain double loses up to
-        # 1e-8 of phase at u near F_25
-        theta_u = reduced_phase_window(0, len(u), theta)
-        for k in (10, 18, 25):
-            f_k = fibonacci(k)
-            terms = np.exp(2j * np.pi * ((alpha * sz[:f_k] + theta_u[:f_k]) % 1.0))
-            direct = complex(math.fsum(terms.real), math.fsum(terms.imag))
-            assert abs(vals[k - 1] - direct) <= 1e-9 * max(1.0, abs(direct))
-
-
-def test_block_sums_bounded_by_fibonacci():
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        alpha, theta = float(rng.random()), float(rng.random())
-        vals = zeckendorf_block_sums(40, alpha, theta)
-        assert all(abs(v) <= fibonacci(k + 1) + 1e-9 for k, v in enumerate(vals))
-
-
-def test_char_root_examples_and_sweep():
-    phi = (1 + 5 ** 0.5) / 2
-    r0 = char_root_modulus(0.0)
-    assert r0.modulus == pytest.approx(phi) and r0.bound == pytest.approx(phi)
-    r5 = char_root_modulus(0.5)
-    assert r5.modulus == pytest.approx(1.0)
-    assert r5.bound == pytest.approx(0.5 + 0.5 * 3 ** 0.5)
-    for alpha in np.linspace(0.01, 0.99, 99):
-        r = char_root_modulus(float(alpha))
-        assert r.modulus <= r.bound + 1e-12
-        assert r.bound < phi - 1e-6
-
-
-def test_block_sum_decay_below_char_root_bound():
-    for alpha in (0.25, 1 / 3, 0.5):
-        g40 = abs(zeckendorf_block_sums(40, alpha)[-1]) ** (1 / 40)
-        bound = char_root_modulus(alpha).bound
-        assert g40 < bound < (1 + 5 ** 0.5) / 2
-
-
-def test_zeckendorf_window_sum_cases():
-    r = zeckendorf_window_expsum(99.5, 1234, 0.0, 0.0)
-    assert r.value == pytest.approx(1234)
-    for k in (8, 15):
-        r = zeckendorf_window_expsum(-1, fibonacci(k), 0.29, 0.0)
-        assert r.value == pytest.approx(zeckendorf_block_sum(k, 0.29).value)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        x = float(rng.uniform(0, 10 ** 5))
-        z = float(rng.uniform(1, 10 ** 4))
-        alpha, theta = 1 / 3, 0.123
-        got = zeckendorf_window_expsum(x, z, alpha, theta)
-        m = np.arange(math.floor(x) + 1, math.floor(x + z) + 1)
-        direct = np.sum(np.exp(2j * np.pi * ((alpha * zeckendorf_digit_sum_array(m)
-                                              + theta * m) % 1.0)))
-        assert abs(got.value - direct) <= 1e-8 * max(1.0, abs(direct))
 
 
 def test_l1_norm_lower_bound():

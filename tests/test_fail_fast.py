@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import digitseq
-from digitseq import experiments, expsums, sequences, thue_morse_sign, thue_morse_sign_array
+from digitseq import audits, experiments, expsums, sequences, thue_morse_sign, \
+    thue_morse_sign_array
 from digitseq.cli import dispatch
 
 
@@ -41,6 +42,42 @@ def _no_floors(*args, **kwargs):
 ])
 def test_residue_size_guard_runs_before_any_floor(argv, monkeypatch, tmp_path):
     monkeypatch.setattr(experiments, "ps_block_chunks", _no_floors)
+    assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
+
+
+_SCALE_1E12 = ["--f-power", "3/2", "--scale", "1000000000000"]
+_SMALL_SCALE = ["--f-power", "3/2", "--scale", "4096"]
+_WINDOW_SUMS = [(experiments, "window_exp_sums")]
+_BEATTY_ROWS = [(experiments, "beatty_floor_rows")]
+_ET_KERNELS = [(audits, "exact_discrepancy"), (audits, "erdos_turan_bound")]
+
+
+_OVERSIZED = {
+    # f(A) ... f(2A) is 1e18 ... 2.8e18, where doubles are multiples of 128
+    # to 512 and no window (x, x + z] of doubles holds a term: estimate-j read 0.
+    "estimate-j-scale": (["estimate-j", *_SCALE_1E12, "--z", "64", "--theta-grid", "2",
+                          "--x-samples", "2"], _WINDOW_SUMS),
+    "estimate-i-scale": (["estimate-i", *_SCALE_1E12, "--window", "64"], _BEATTY_ROWS),
+    # Inputs that ran out of memory or never finished.
+    "estimate-i-window": (["estimate-i", *_SMALL_SCALE, "--window", "2000000000"],
+                          _BEATTY_ROWS),
+    "estimate-j-z": (["estimate-j", *_SMALL_SCALE, "--z", "1e12"], _WINDOW_SUMS),
+    "audit-thm1-z": (["audit-thm1", *_SMALL_SCALE, "--z", "1e9"],
+                     [(experiments, "substitution_deviation"), *_WINDOW_SUMS]),
+    "vaaler-audit-h": (["vaaler-audit", "--h-list", "200000"],
+                       [(audits, "build_vaaler_approx")]),
+    "vaaler-audit-h-after-a-valid-one": (["vaaler-audit", "--h-list", "5,200000"],
+                                         [(audits, "build_vaaler_approx")]),
+    "et-audit-max-points": (["et-audit", "--max-points", "2000000000"], _ET_KERNELS),
+    "et-audit-h": (["et-audit", "--h", "2000000000"], _ET_KERNELS),
+}
+
+
+@pytest.mark.parametrize("argv, kernels", _OVERSIZED.values(), ids=_OVERSIZED.keys())
+def test_oversized_input_exits_2_before_any_kernel(argv, kernels, monkeypatch, tmp_path):
+    for module, name in kernels:
+        monkeypatch.setattr(module, name, lambda *a, _name=name, **k: pytest.fail(
+            f"{_name} ran before the size guard"))
     assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
 
 
@@ -89,10 +126,7 @@ def test_invariant_checks_survive_python_O():
     # checks see a floor that decreases within a chunk and across chunks.
     script = textwrap.dedent("""
         import numpy as np
-        from digitseq import digits, sequences
-
-        def descend_with_wrong_top_index():
-            digits._zeck_descend(4, 5)
+        from digitseq import sequences
 
         def decreasing_floors(chunk):
             def check():
@@ -103,8 +137,7 @@ def test_invariant_checks_survive_python_O():
             check.__name__ = f"decreasing_floors_in_chunks_of_{chunk}"
             return check
 
-        for check in (descend_with_wrong_top_index, decreasing_floors(1 << 14),
-                      decreasing_floors(1)):
+        for check in (decreasing_floors(1 << 14), decreasing_floors(1)):
             try:
                 check()
             except AssertionError:

@@ -43,9 +43,9 @@ def pure_integer_root_oracle(n: int, num: int, den: int) -> int:
 
 
 def test_psspec_decimal_parsing():
-    assert PSSpec.from_rational("1.42").c == Fraction(71, 50)
-    assert PSSpec.from_rational("1.05").c == Fraction(21, 20)
-    assert PSSpec.from_rational("1.5").c == Fraction(3, 2)
+    assert PSSpec.from_rational("1.42") == PSSpec(71, 50)
+    assert PSSpec.from_rational("1.05") == PSSpec(21, 20)
+    assert PSSpec.from_rational("1.5") == PSSpec(3, 2)
 
 
 def test_psspec_validation():
