@@ -81,8 +81,6 @@ def test_zeckendorf_examples():
         assert zeckendorf_digit_sum(fibonacci(k)) == 1
     assert zeckendorf_digit_sum(0) == 0
     assert zeckendorf_digit_sum(100) == 3  # 3 + 8 + 89
-    with pytest.raises(ValueError):
-        zeckendorf_digit_sum(-1)
 
 
 def test_zeckendorf_reconstruction_bulk_million():

@@ -51,14 +51,14 @@ _WINDOW_SUMS = [(experiments, "window_exp_sums")]
 _BEATTY_ROWS = [(experiments, "beatty_floor_rows")]
 _ET_KERNELS = [(audits, "exact_discrepancy"), (audits, "erdos_turan_bound")]
 
-
 _OVERSIZED = {
     # f(A) ... f(2A) is 1e18 ... 2.8e18, where doubles are multiples of 128
-    # to 512 and no window (x, x + z] of doubles holds a term: estimate-j read 0.
+    # to 512 and no window (x, x + z] of doubles holds a term: estimate-j
+    # would read 0.
     "estimate-j-scale": (["estimate-j", *_SCALE_1E12, "--z", "64", "--theta-grid", "2",
                           "--x-samples", "2"], _WINDOW_SUMS),
     "estimate-i-scale": (["estimate-i", *_SCALE_1E12, "--window", "64"], _BEATTY_ROWS),
-    # Inputs that ran out of memory or never finished.
+    # Inputs that would run out of memory or never finish.
     "estimate-i-window": (["estimate-i", *_SMALL_SCALE, "--window", "2000000000"],
                           _BEATTY_ROWS),
     "estimate-j-z": (["estimate-j", *_SMALL_SCALE, "--z", "1e12"], _WINDOW_SUMS),
