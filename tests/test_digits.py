@@ -115,20 +115,14 @@ def _representation_sizes(i: int, rem: int) -> tuple[int, ...]:
         size + 1 for size in _representation_sizes(i - 2, rem - fibonacci(i)))
 
 
-_TOP = 20  # F_20 = 6765 < 10^4 < F_21
-
-
 def test_zeckendorf_uniqueness_backtracking():
-    assert fibonacci(_TOP) < 10 ** 4 < fibonacci(_TOP + 1)
-    for n in range(1, 10 ** 4):
-        assert len(_representation_sizes(_TOP, n)) == 1
-
-
-def test_zeckendorf_digit_sum_counts_the_unique_representation():
-    # the scalar s_Z is the reference of the array kernel and of the
-    # benchmark's oracle checks; here it meets the enumerated representation
+    # Every n < 10^4 has exactly one representation, and the scalar s_Z, the
+    # reference of the array kernel and of the benchmark's oracle checks,
+    # counts its summands.
+    top = 20  # F_20 = 6765 < 10^4 < F_21
+    assert fibonacci(top) < 10 ** 4 < fibonacci(top + 1)
     for n in range(10 ** 4):
-        assert _representation_sizes(_TOP, n) == (zeckendorf_digit_sum(n),)
+        assert _representation_sizes(top, n) == (zeckendorf_digit_sum(n),)
 
 
 def test_zeckendorf_digit_sum_array_matches_scalar():
