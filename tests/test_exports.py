@@ -59,9 +59,9 @@ UNREACHED = {
 
 
 def _exported_functions() -> dict[str, object]:
-    """"module.name" or "module.Class.method" -> code object, for every
-    function in a module's __all__ and every method its exported classes
-    define in the source (generated dataclass methods excluded)."""
+    """Code objects of every function in a module's __all__ and of every
+    method its exported classes define in the source (generated dataclass
+    methods excluded), keyed module.name or module.Class.method."""
     out = {}
     for stem, module in MODULES.items():
         for name in getattr(module, "__all__", ()):
@@ -90,8 +90,8 @@ def test_every_exported_function_runs_in_a_golden_case(tmp_path):
     try:
         for argv in CASES.values():
             for fmt in ("csv", "json"):
-                dispatch([*argv, "--format", fmt, "--threads", "1",
-                          "--out", str(tmp_path / "out")])
+                assert dispatch([*argv, "--format", fmt, "--threads", "1",
+                                 "--out", str(tmp_path / "out")]) == 0
     finally:
         sys.setprofile(None)
     functions = _exported_functions()
