@@ -1,8 +1,9 @@
 """digitseq: digit-sum statistics on Piatetski-Shapiro and Beatty sequences.
 
-Exact floors of n**c for rational c and of Beatty lines, the floor
-mismatches of a tangent Beatty line, digit sums in base q and in the
-Zeckendorf system, window exponential sums, the Thue-Morse sine-product
+Exact floors of n**c and of Beatty lines, with the exponent c > 1 given
+once as a PowerGrowth (an exact rational; an integer c gives exact powers),
+the floor mismatches of a tangent Beatty line, digit sums in base q and in
+the Zeckendorf system, window exponential sums, the Thue-Morse sine-product
 integrals and digit Fourier tables, the sawtooth/discrepancy toolbox, and
 deterministic desk-scale experiments: the substitution-rule inequalities,
 audited numerically, and the paper's three applications as exact counts.
@@ -21,9 +22,7 @@ from .digits import (
 from .sequences import (
     BeattyLine,
     GrowthFunction,
-    IntegerExponentWarning,
     MismatchReport,
-    PSSpec,
     PowerGrowth,
     beatty_floor,
     beatty_floor_range,
@@ -59,6 +58,7 @@ from .experiments import (
     ArithmeticFunction,
     DeviationReport,
     ExponentAudit,
+    IntegerExponentWarning,
     IntegralEstimate,
     PHI_FUNCTIONS,
     ResidueCountReport,

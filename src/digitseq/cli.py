@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 from . import audits, experiments
 from .expsums import sine_product_decay
-from .sequences import PSSpec, PowerGrowth, count_floor_mismatches
+from .sequences import PowerGrowth, count_floor_mismatches
 from .reports import serialize_report
 
 
@@ -45,16 +45,8 @@ def _threads(text: str) -> int:
     return count
 
 
-def _growth(args) -> PowerGrowth:
-    return PowerGrowth(args.f_power)
-
-
-def _spec(args) -> PSSpec:
-    return PSSpec.from_rational(args.c)
-
-
 def _mismatches(args):
-    f = _growth(args)
+    f = args.f_power
     alpha = args.alpha if args.alpha is not None else float(f.df((args.a + args.b) / 2.0))
     return count_floor_mismatches(f, args.a, args.b, alpha, r_terms=args.r_terms)
 
@@ -71,7 +63,7 @@ class Command(NamedTuple):
     failed: Callable | None = None
 
 
-_GROWTH = (("--phi", str, "thue-morse"), ("--f-power", str), ("--scale", int))
+_GROWTH = (("--phi", str, "thue-morse"), ("--f-power", PowerGrowth), ("--scale", int))
 _WINDOW = (("--z", float), ("--theta-grid", int, 64), ("--x-samples", int, 8))
 
 # Runners look layer functions up when they run, so patched module bindings
@@ -89,23 +81,23 @@ COMMANDS = {
         lambda r: r.violations > 0 or r.parseval_error > 1e-10),
     "tm-density": Command(
         "Thue-Morse density along floor(n^c)",
-        (("--c", str), ("--n", int), ("--checkpoints", int, 12)),
+        (("--c", PowerGrowth), ("--n", int), ("--checkpoints", int, 12)),
         lambda a: experiments.tm_density_experiment(
-            _spec(a), a.n, checkpoints=a.checkpoints, threads=a.threads)),
+            a.c, a.n, checkpoints=a.checkpoints, threads=a.threads)),
     "joint-residues": Command(
         "joint digit-sum residue counts",
-        (("--c", str), ("--q1", int), ("--q2", int), ("--m1", int), ("--m2", int),
+        (("--c", PowerGrowth), ("--q1", int), ("--q2", int), ("--m1", int), ("--m2", int),
          ("--l1", int, 0), ("--l2", int, 0), ("--x", int)),
         lambda a: experiments.joint_residue_experiment(
-            _spec(a), a.q1, a.q2, a.m1, a.m2, a.l1, a.l2, a.x, threads=a.threads)),
+            a.c, a.q1, a.q2, a.m1, a.m2, a.l1, a.l2, a.x, threads=a.threads)),
     "zeck-residues": Command(
         "Zeckendorf digit-sum residue counts",
-        (("--c", str), ("--m", int), ("--a", int, 0), ("--x", int)),
+        (("--c", PowerGrowth), ("--m", int), ("--a", int, 0), ("--x", int)),
         lambda a: experiments.zeckendorf_residue_experiment(
-            _spec(a), a.m, a.a, a.x, threads=a.threads)),
+            a.c, a.m, a.a, a.x, threads=a.threads)),
     "beatty-mismatch": Command(
         "tangent-line floor mismatch count",
-        (("--f-power", str, ..., "rational exponent of the growth function"),
+        (("--f-power", PowerGrowth, ..., "rational exponent of the growth function"),
          ("--a", int), ("--b", int),
          ("--alpha", float, None, "tangent slope (default: f' at the window midpoint)"),
          ("--r-terms", int, None)),
@@ -115,24 +107,24 @@ COMMANDS = {
         "substitution-rule deviation at one scale",
         _GROWTH,
         lambda a: experiments.substitution_deviation(
-            a.phi, _growth(a), a.scale, threads=a.threads)),
+            a.phi, a.f_power, a.scale, threads=a.threads)),
     "audit-thm1": Command(
         "main-inequality constant-stability audit",
         _GROWTH + _WINDOW,
         lambda a: experiments.audit_theorem1(
-            a.phi, _growth(a), a.scale, a.z, theta_grid=a.theta_grid,
+            a.phi, a.f_power, a.scale, a.z, theta_grid=a.theta_grid,
             x_samples=a.x_samples, threads=a.threads)),
     "estimate-j": Command(
         "sup-window exponential-sum integral",
         _GROWTH + _WINDOW,
         lambda a: experiments.window_l1_integral(
-            a.phi, _growth(a), a.scale, a.z, theta_grid=a.theta_grid,
+            a.phi, a.f_power, a.scale, a.z, theta_grid=a.theta_grid,
             x_samples=a.x_samples)),
     "estimate-i": Command(
         "Beatty substitution integral",
         _GROWTH + (("--window", int), ("--alpha-grid", int, 32), ("--beta-samples", int, 8)),
         lambda a: experiments.beatty_substitution_integral(
-            a.phi, _growth(a), a.scale, a.window, alpha_grid=a.alpha_grid,
+            a.phi, a.f_power, a.scale, a.window, alpha_grid=a.alpha_grid,
             beta_samples=a.beta_samples)),
     "exponents": Command(
         "corollary exponent arithmetic",

@@ -3,7 +3,9 @@
 The substitution-rule deviation, the two sup-integral estimates from the
 main inequality, the inequality audit itself, and the three application
 experiments (Thue-Morse density, joint two-base digit residues, Zeckendorf
-residues), plus the pure exponent arithmetic of the corollary.
+residues), plus the pure exponent arithmetic of the corollary.  Each takes
+its exponent c as a PowerGrowth; for an integer c the residue experiments
+warn once (IntegerExponentWarning), before any worker starts.
 
 All experiments are deterministic: sampling grids are fixed (no RNG), index
 ranges are partitioned into fixed-size chunks whatever the worker count,
@@ -34,12 +36,12 @@ from .expsums import _kahan, window_exp_sums
 from .sequences import (
     BeattyLine,
     PowerGrowth,
-    PSSpec,
     beatty_floor_rows,
     ps_block_chunks,
 )
 
 __all__ = [
+    "IntegerExponentWarning",
     "ArithmeticFunction",
     "PHI_FUNCTIONS",
     "resolve_phi",
@@ -63,6 +65,11 @@ __all__ = [
 _CHUNK = 1 << 17  # fixed partition size; independent of the worker count
 _F_MAX = 1 << 40  # largest floor(f(2A)) an experiment accepts
 _WINDOW_MAX = 1 << 16  # longest window z or K of a sup-integral estimate
+
+
+class IntegerExponentWarning(UserWarning):
+    """The exponent c is an integer: floors are still well-defined but the
+    analytic statements behind the experiments need noninteger c."""
 
 
 @dataclass(frozen=True)
@@ -424,11 +431,11 @@ class TmDensityReport:
     outside_proven_range: bool
 
 
-def tm_density_experiment(spec: PSSpec, n: int, checkpoints: int = 12,
+def tm_density_experiment(f: PowerGrowth, n: int, checkpoints: int = 12,
                           threads: int = 1) -> TmDensityReport:
     """Thue-Morse partial sums over floor(n^c) at geometric checkpoints,
     with the +1 density and a fitted log-log decay slope."""
-    if not 1 < spec.c_float < 2:
+    if not 1 < f.cf < 2:
         raise ValueError("density experiment needs 1 < c < 2")
     if n < 1:
         raise ValueError("needs n >= 1")
@@ -442,7 +449,7 @@ def tm_density_experiment(spec: PSSpec, n: int, checkpoints: int = 12,
 
     def part(rng: tuple[int, int]) -> int:
         total = 0
-        for arr in ps_block_chunks(rng[0], rng[1], spec):
+        for arr in ps_block_chunks(rng[0], rng[1], f):
             total += int(np.sum(thue_morse_sign_array(arr)))
         return total
 
@@ -463,9 +470,9 @@ def tm_density_experiment(spec: PSSpec, n: int, checkpoints: int = 12,
     if len(logs) >= 2:
         xs, ys = zip(*logs)
         slope = float(np.polyfit(xs, ys, 1)[0])
-    return TmDensityReport(c_num=spec.c_num, c_den=spec.c_den, n=n,
+    return TmDensityReport(c_num=f.c_num, c_den=f.c_den, n=n,
                            checkpoints=tuple(rows), decay_slope=slope,
-                           outside_proven_range=spec.c_float > 1.42)
+                           outside_proven_range=f.cf > 1.42)
 
 
 @dataclass(frozen=True)
@@ -484,13 +491,19 @@ class ResidueCountReport:
     target_count: int
 
 
-def _residue_table(spec: PSSpec, x: int, key: Callable[[np.ndarray], np.ndarray],
+def _warn_integer_exponent(f: PowerGrowth) -> None:
+    if f.c_den == 1:
+        warnings.warn(f"integer exponent c = {f.c}: floor(n^c) degenerates to an integer "
+                      "power", IntegerExponentWarning, stacklevel=3)
+
+
+def _residue_table(f: PowerGrowth, x: int, key: Callable[[np.ndarray], np.ndarray],
                    cells: int, threads: int) -> np.ndarray:
     """Counts of n <= x by the cell key(floor(n^c)) in range(cells), summed
     over fixed chunks in chunk order."""
     def part(rng: tuple[int, int]) -> np.ndarray:
         acc = np.zeros(cells, dtype=np.int64)
-        for arr in ps_block_chunks(rng[0], rng[1], spec):
+        for arr in ps_block_chunks(rng[0], rng[1], f):
             acc += np.bincount(key(arr), minlength=cells)
         return acc
     return sum(_map_ordered(part, _chunk_ranges(1, x), threads), np.zeros(cells, dtype=np.int64))
@@ -509,7 +522,7 @@ def _residue_report(x: int, moduli: tuple[int, ...], target: tuple[int, ...],
         target_count=counts.get(target, 0))
 
 
-def joint_residue_experiment(spec: PSSpec, q1: int, q2: int, m1: int, m2: int,
+def joint_residue_experiment(f: PowerGrowth, q1: int, q2: int, m1: int, m2: int,
                              l1: int, l2: int, x: int,
                              threads: int = 1) -> ResidueCountReport:
     """Exact counts of n <= x by the pair (s_q1(floor(n^c)) mod m1,
@@ -527,14 +540,16 @@ def joint_residue_experiment(spec: PSSpec, q1: int, q2: int, m1: int, m2: int,
             warnings.warn(f"hypothesis gcd{name} = 1 fails (gcd = {math.gcd(u, v)}); "
                           "equidistribution is no longer guaranteed", UserWarning,
                           stacklevel=2)
+    _warn_integer_exponent(f)
+
     def key(arr: np.ndarray) -> np.ndarray:
         return (digit_sum_array(arr, q1) % m1) * m2 + digit_sum_array(arr, q2) % m2
 
-    table = _residue_table(spec, x, key, m1 * m2, threads)
+    table = _residue_table(f, x, key, m1 * m2, threads)
     return _residue_report(x, (m1, m2), (l1 % m1, l2 % m2), table.reshape(m1, m2))
 
 
-def zeckendorf_residue_experiment(spec: PSSpec, m: int, a: int, x: int,
+def zeckendorf_residue_experiment(f: PowerGrowth, m: int, a: int, x: int,
                                   threads: int = 1) -> ResidueCountReport:
     """Exact counts of n <= x by s_Z(floor(n^c)) mod m."""
     if m < 1:
@@ -543,7 +558,8 @@ def zeckendorf_residue_experiment(spec: PSSpec, m: int, a: int, x: int,
         raise ValueError("needs x >= 0")
     if x > 1 << 27:
         raise ValueError("x beyond the experiment resource guard")
-    table = _residue_table(spec, x, lambda arr: zeckendorf_digit_sum_array(arr) % m, m, threads)
+    _warn_integer_exponent(f)
+    table = _residue_table(f, x, lambda arr: zeckendorf_digit_sum_array(arr) % m, m, threads)
     return _residue_report(x, (m,), (a % m,), table)
 
 

@@ -381,11 +381,13 @@ def digit_fourier_table(q: int, level: int, alpha: float) -> FourierTable:
         raise ValueError(f"table of {size} coefficients exceeds the 2^22 guard")
     if 2 * size * np.dtype(np.clongdouble).itemsize > max_table_bytes():
         raise ValueError("table exceeds DIGITSEQ_MAX_MEMORY")
+    coeffs = np.ones(1, dtype=np.clongdouble)
+    if level == 0:  # the empty product; q may be far beyond the guard here
+        return FourierTable(q=q, level=level, alpha=alpha, coefficients=coeffs)
     roots = _root_table(q, level)
     digit_terms = _e_long_double([
         np.longdouble(p) / np.longdouble(den)
         for p, den in (_phase_fraction(d, alpha) for d in range(q))]) / q
-    coeffs = np.ones(1, dtype=np.clongdouble)
     for k in range(1, level + 1):
         y = roots[::q ** (level - k)]
         factor = digit_terms[q - 1] * y

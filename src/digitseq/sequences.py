@@ -2,16 +2,16 @@
 f(x) = x^c, and the count of floors where a tangent Beatty line misses
 floor(f(n)).
 
-Every floor here is certified by one helper in two tiers: the double value is
-trusted wherever it lies farther from an integer than its error guard, and
-only the remaining near-ties go to an exact fallback (integer roots for
-floor(n^c), Fractions for Beatty lines).
+PowerGrowth(c) is the one exponent type.  An integer c streams exact int64
+powers; every other floor is certified by one helper in two tiers: the
+double value is trusted wherever it lies farther from an integer than its
+error guard, and only the remaining near-ties go to an exact fallback
+(integer roots for floor(n^c), Fractions for Beatty lines).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -21,8 +21,6 @@ import numpy as np
 from .expsums import geometric_sum_modulus
 
 __all__ = [
-    "IntegerExponentWarning",
-    "PSSpec",
     "BeattyLine",
     "GrowthFunction",
     "PowerGrowth",
@@ -42,40 +40,14 @@ _FLOAT_GUARD_REL = 1e-14  # conservative bound on the relative error of x**c
 # Values per streamed floor chunk: the floor, digit kernels and bincount keep
 # about six live 8-byte arrays of 2^14 entries (768 KB) in a 2 MB L2 cache.
 _FLOOR_CHUNK = 1 << 14
-
-
-class IntegerExponentWarning(UserWarning):
-    """The exponent c is an integer: floors are still well-defined but the
-    analytic statements behind the experiments need noninteger c."""
-
-
-@dataclass(frozen=True)
-class PSSpec:
-    """Exponent c = c_num/c_den in lowest terms."""
-
-    c_num: int
-    c_den: int = 1
-
-    def __post_init__(self):
-        if self.c_num <= 0 or self.c_den <= 0:
-            raise ValueError("exponent must be a positive rational")
-        if math.gcd(self.c_num, self.c_den) != 1:
-            raise ValueError(f"{self.c_num}/{self.c_den} is not in lowest terms")
-        if self.c_num <= self.c_den:
-            raise ValueError("floor evaluation needs c > 1")
-
-    @classmethod
-    def from_rational(cls, c) -> "PSSpec":
-        frac = Fraction(c)
-        return cls(frac.numerator, frac.denominator)
-
-    @property
-    def c_float(self) -> float:
-        return self.c_num / self.c_den
-
-    @property
-    def is_integer(self) -> bool:
-        return self.c_den == 1
+# Largest exponent: floors are int64 values below 2^62, which 2^c leaves
+# beyond it (and n**c_num alone would not finish for c near 10^20).
+_C_MAX = 62
+# Largest exponent denominator; the exponents in use have c_den <= 50.  Each
+# near-tie of floor(n^c) costs one integer c_den-th root of n**c_num: at most
+# tens of ms for c_den = 1000, c < 2 and n = 2^27 (CPython 3.11, x86-64), but
+# hours for c_den = 10^20.
+_C_DEN_MAX = 1000
 
 
 def int_nth_root(n: int, k: int, seed: int | None = None) -> int:
@@ -143,56 +115,55 @@ def _certified_floor(v, guard, exact):
     return out
 
 
-def ps_floor(n: int, spec: PSSpec) -> int:
-    """Exactly floor(n**c).  Double fast path; near-ties are decided by the
-    integer root floor((n**c_num) ** (1/c_den)), stepped from the double
-    where that still resolves units."""
+def ps_floor(n: int, f: PowerGrowth) -> int:
+    """Exactly floor(n**c): n**c itself for an integer c, else a double fast
+    path whose near-ties are decided by the integer root
+    floor((n**c_num) ** (1/c_den)), stepped from the double where that still
+    resolves units."""
     if n < 1:
         raise ValueError(f"ps_floor needs n >= 1, got {n}")
-    if spec.is_integer:
-        warnings.warn("integer exponent: floor(n^c) degenerates to an integer power",
-                      IntegerExponentWarning, stacklevel=2)
-        return n ** spec.c_num
-    x = float(n) ** spec.c_float
+    if f.c_den == 1:
+        return n ** f.c_num
+    x = float(n) ** f.cf
     return _certified_floor(x, _pow_guard(x), lambda _: int_nth_root(
-        n ** spec.c_num, spec.c_den, int(x) if x < 2**53 else None))
+        n ** f.c_num, f.c_den, int(x) if x < 2**53 else None))
 
 
-def ps_block_chunks(n_lo: int, n_hi: int, spec: PSSpec) -> Iterator[np.ndarray]:
+def ps_block_chunks(n_lo: int, n_hi: int, f: PowerGrowth) -> Iterator[np.ndarray]:
     """Stream floor(n**c) for n in [n_lo, n_hi] as int64 chunks, in index
-    order.  Element-wise identical to ps_floor, which settles the near-ties."""
+    order: exact int64 powers for an integer c, else element-wise identical
+    to ps_floor, which settles the near-ties."""
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"need 1 <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
     if n_hi >= 2**53:
         raise ValueError("block evaluation is limited to n < 2**53")
-    if spec.is_integer:
-        warnings.warn("integer exponent: floor(n^c) degenerates to an integer power",
-                      IntegerExponentWarning, stacklevel=2)
-    cf = spec.c_float
+    if f.c_den == 1 and n_hi ** f.c_num >= 2**62:
+        raise ValueError("floor values exceed the int64 streaming range")
     prev_last: int | None = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegerExponentWarning)
-        for lo in range(n_lo, n_hi + 1, _FLOOR_CHUNK):
-            hi = min(lo + _FLOOR_CHUNK - 1, n_hi)
-            x = np.arange(lo, hi + 1, dtype=np.float64)
-            np.power(x, cf, out=x)
-            # x grows with n: x[-1] bounds the chunk and its guard every element's.
-            if not x[-1] < 2**62:
-                raise ValueError("floor values exceed the int64 streaming range")
-            out = _certified_floor(x, _pow_guard(float(x[-1])), lambda i: ps_floor(lo + i, spec))
-            if prev_last is not None and out[0] < prev_last:
-                raise AssertionError("ps_block lost monotonicity at a chunk boundary")
-            if np.any(out[1:] < out[:-1]):
-                raise AssertionError("ps_block produced a decreasing value")
-            prev_last = int(out[-1])
-            yield out
+    for lo in range(n_lo, n_hi + 1, _FLOOR_CHUNK):
+        hi = min(lo + _FLOOR_CHUNK - 1, n_hi)
+        if f.c_den == 1:
+            yield np.arange(lo, hi + 1, dtype=np.int64) ** f.c_num
+            continue
+        x = np.arange(lo, hi + 1, dtype=np.float64)
+        np.power(x, f.cf, out=x)
+        # x grows with n: x[-1] bounds the chunk and its guard every element's.
+        if not x[-1] < 2**62:
+            raise ValueError("floor values exceed the int64 streaming range")
+        out = _certified_floor(x, _pow_guard(float(x[-1])), lambda i: ps_floor(lo + i, f))
+        if prev_last is not None and out[0] < prev_last:
+            raise AssertionError("ps_block lost monotonicity at a chunk boundary")
+        if np.any(out[1:] < out[:-1]):
+            raise AssertionError("ps_block produced a decreasing value")
+        prev_last = int(out[-1])
+        yield out
 
 
-def ps_block(n_lo: int, n_hi: int, spec: PSSpec) -> np.ndarray:
+def ps_block(n_lo: int, n_hi: int, f: PowerGrowth) -> np.ndarray:
     """Materialised ps_block_chunks (guarded to 2**26 values)."""
     if n_hi - n_lo + 1 > 1 << 26:
         raise ValueError("block too large to materialise; use ps_block_chunks")
-    return np.concatenate(list(ps_block_chunks(n_lo, n_hi, spec)))
+    return np.concatenate(list(ps_block_chunks(n_lo, n_hi, f)))
 
 
 @dataclass(frozen=True)
@@ -259,16 +230,18 @@ class GrowthFunction:
 
 
 class PowerGrowth(GrowthFunction):
-    """f(x) = x**c for an exact rational exponent c > 1."""
+    """f(x) = x**c for an exact rational exponent c = c_num/c_den in
+    (1, _C_MAX], given as a Fraction or anything Fraction parses ("1.42" is
+    71/50), with c_den <= _C_DEN_MAX."""
 
     def __init__(self, c):
         self.c = Fraction(c)
-        if self.c <= 1:
-            raise ValueError("PowerGrowth needs c > 1")
+        if not 1 < self.c <= _C_MAX:
+            raise ValueError(f"PowerGrowth needs 1 < c <= {_C_MAX}")
+        self.c_num, self.c_den = self.c.numerator, self.c.denominator
+        if self.c_den > _C_DEN_MAX:
+            raise ValueError(f"exponent denominator {self.c_den} exceeds {_C_DEN_MAX}")
         self.cf = float(self.c)
-        self._spec = None
-        if self.c.denominator > 1:
-            self._spec = PSSpec(self.c.numerator, self.c.denominator)
 
     def f(self, x):
         return x ** self.cf
@@ -286,18 +259,10 @@ class PowerGrowth(GrowthFunction):
         return float(max(self.d2f(a), self.d2f(b)))
 
     def floor_exact(self, n: int) -> int:
-        if self._spec is not None:
-            return ps_floor(n, self._spec)
-        return int(n) ** self.c.numerator
+        return ps_floor(n, self)
 
     def floor_block(self, n_lo: int, n_hi: int) -> Iterator[np.ndarray]:
-        if self._spec is not None:
-            return ps_block_chunks(n_lo, n_hi, self._spec)
-        p = self.c.numerator
-        if max(abs(n_lo), abs(n_hi)) ** p >= 2**62:
-            raise ValueError("floor values exceed the int64 streaming range")
-        return (np.arange(lo, min(lo + _FLOOR_CHUNK, n_hi + 1), dtype=np.int64) ** p
-                for lo in range(n_lo, n_hi + 1, _FLOOR_CHUNK))
+        return ps_block_chunks(n_lo, n_hi, self)
 
     def label(self) -> str:
         return f"x^{self.c}"

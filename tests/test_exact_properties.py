@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from digitseq import (
     BeattyLine,
-    PSSpec,
     PowerGrowth,
     beatty_floor,
     beatty_floor_range,
@@ -46,30 +45,28 @@ EXPONENTS = [Fraction(3, 2), Fraction(4, 3), Fraction(5, 3), Fraction(7, 4), Fra
 
 @st.composite
 def near_perfect_powers(draw):
-    """(spec, n) with n within 3 of k**c_den, n < 2**52 and n^c < 2**60."""
-    c = draw(st.sampled_from(EXPONENTS))
-    spec = PSSpec.from_rational(c)
-    n_max = int(2.0 ** min(52.0, 60 / float(c)))
-    k = draw(st.integers(1, max(1, int_nth_root(n_max, spec.c_den) - 1)))
-    n = k ** spec.c_den + draw(st.integers(-3, 3))
-    return spec, max(n, 1)
+    """(f, n) with n within 3 of k**c_den, n < 2**52 and n^c < 2**60."""
+    f = PowerGrowth(draw(st.sampled_from(EXPONENTS)))
+    n_max = int(2.0 ** min(52.0, 60 / f.cf))
+    k = draw(st.integers(1, max(1, int_nth_root(n_max, f.c_den) - 1)))
+    n = k ** f.c_den + draw(st.integers(-3, 3))
+    return f, max(n, 1)
 
 
 @PROPERTY
 @given(near_perfect_powers())
 def test_ps_floor_near_perfect_powers_matches_integer_root(case):
-    spec, n = case
-    assert ps_floor(n, spec) == int_nth_root(n ** spec.c_num, spec.c_den)
+    f, n = case
+    assert ps_floor(n, f) == int_nth_root(n ** f.c_num, f.c_den)
 
 
 @PROPERTY
 @given(near_perfect_powers())
 def test_ps_block_near_perfect_powers_matches_integer_root(case):
-    spec, n = case
+    f, n = case
     lo = max(1, n - 4)
-    got = ps_block(lo, n + 4, spec)
-    assert got.tolist() == [int_nth_root(m ** spec.c_num, spec.c_den)
-                            for m in range(lo, n + 5)]
+    got = ps_block(lo, n + 4, f)
+    assert got.tolist() == [int_nth_root(m ** f.c_num, f.c_den) for m in range(lo, n + 5)]
 
 
 @st.composite
@@ -102,26 +99,26 @@ def test_fused_chunk_test_escalates_every_per_element_near_tie(x):
 
 @st.composite
 def seeded_roots(draw):
-    """(spec, n): n random below the double-seed limit n^c < 2^53, a
+    """(f, n): n random below the double-seed limit n^c < 2^53, a
     perfect c_den-th power, or near 2^27."""
     c = draw(st.sampled_from([Fraction(19, 10), Fraction(71, 50), Fraction(3, 2), Fraction(9, 7)]))
-    spec = PSSpec.from_rational(c)
-    n_max = int(2.0 ** (53 / float(c))) - 1
-    k_max = int_nth_root(n_max, spec.c_den)
+    f = PowerGrowth(c)
+    n_max = int(2.0 ** (53 / f.cf)) - 1
+    k_max = int_nth_root(n_max, f.c_den)
     n = draw(st.one_of(st.integers(1, n_max),
-                       st.integers(1, k_max).map(lambda k: k ** spec.c_den),
+                       st.integers(1, k_max).map(lambda k: k ** f.c_den),
                        st.integers(2 ** 27 - 2 ** 16, 2 ** 27 + 2 ** 16)))
-    return spec, n
+    return f, n
 
 
 @PROPERTY
 @given(seeded_roots())
 def test_seeded_root_equals_newton_root(case):
-    spec, n = case
-    power = n ** spec.c_num
-    newton = int_nth_root(power, spec.c_den)
-    assert int_nth_root(power, spec.c_den, int(float(n) ** spec.c_float)) == newton
-    assert ps_floor(n, spec) == newton
+    f, n = case
+    power = n ** f.c_num
+    newton = int_nth_root(power, f.c_den)
+    assert int_nth_root(power, f.c_den, int(float(n) ** f.cf)) == newton
+    assert ps_floor(n, f) == newton
 
 
 def dyadic(lo: int, hi: int, max_shift: int = 10):

@@ -2,6 +2,7 @@
 the recorded desk-scale regression anchors."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +11,7 @@ import pytest
 
 from digitseq import (
     PHI_FUNCTIONS,
-    PSSpec,
+    IntegerExponentWarning,
     PowerGrowth,
     audit_theorem1,
     beatty_substitution_integral,
@@ -30,6 +31,7 @@ from digitseq.experiments import (
     _tm_weighted_sum,
     resolve_phi,
 )
+from digitseq.cli import dispatch
 
 F32 = PowerGrowth(Fraction(3, 2))
 F1310 = PowerGrowth(Fraction(13, 10))
@@ -205,21 +207,22 @@ def test_audit_theorem1_zero_and_one():
 
 
 def test_tm_density_small_and_flags():
-    rep = tm_density_experiment(PSSpec.from_rational("1.3"), 1, checkpoints=1)
+    rep = tm_density_experiment(PowerGrowth("1.3"), 1, checkpoints=1)
     assert rep.checkpoints[0].m == 1 and rep.checkpoints[0].partial_sum == -1
-    rep = tm_density_experiment(PSSpec(3, 2), 64, checkpoints=3)
+    rep = tm_density_experiment(PowerGrowth("3/2"), 64, checkpoints=3)
     assert rep.outside_proven_range
-    rep = tm_density_experiment(PSSpec.from_rational("1.3"), 64, checkpoints=3)
+    rep = tm_density_experiment(PowerGrowth("1.3"), 64, checkpoints=3)
     assert not rep.outside_proven_range
+    assert not tm_density_experiment(PowerGrowth("1.42"), 64, checkpoints=3).outside_proven_range
     with pytest.raises(ValueError):
-        tm_density_experiment(PSSpec(5, 2), 64)  # c >= 2
+        tm_density_experiment(PowerGrowth("5/2"), 64)  # c >= 2
 
 
 def test_tm_density_checkpoint_consistency():
     n = 5000
-    rep = tm_density_experiment(PSSpec.from_rational("1.3"), n, checkpoints=5)
+    rep = tm_density_experiment(PowerGrowth("1.3"), n, checkpoints=5)
     from digitseq import ps_block
-    floors = ps_block(1, n, PSSpec.from_rational("1.3"))
+    floors = ps_block(1, n, PowerGrowth("1.3"))
     signs = thue_morse_sign_array(floors)
     cums = np.cumsum(signs)
     for cp in rep.checkpoints:
@@ -235,40 +238,66 @@ def test_tm_partial_sum_identity_even_blocks():
 
 
 def test_joint_residue_trivial_and_conservation():
-    spec = PSSpec.from_rational("1.05")
-    rep = joint_residue_experiment(spec, 2, 3, 1, 1, 0, 0, 777)
+    f = PowerGrowth("1.05")
+    rep = joint_residue_experiment(f, 2, 3, 1, 1, 0, 0, 777)
     assert rep.counts[(0, 0)] == 777 and rep.expected == 777
-    rep = joint_residue_experiment(spec, 2, 3, 3, 5, 1, 2, 0)
+    rep = joint_residue_experiment(f, 2, 3, 3, 5, 1, 2, 0)
     assert sum(rep.counts.values()) == 0 and rep.target_count == 0
-    rep = joint_residue_experiment(spec, 2, 3, 3, 5, 1, 2, 20_000)
+    rep = joint_residue_experiment(f, 2, 3, 3, 5, 1, 2, 20_000)
     assert sum(rep.counts.values()) == 20_000
     assert rep.expected == pytest.approx(20_000 / 15)
 
 
 def test_joint_residue_hypothesis_signals():
-    spec = PSSpec.from_rational("1.05")
+    f = PowerGrowth("1.05")
     with pytest.raises(ValueError, match=r"gcd\(q1, q2\)"):
-        joint_residue_experiment(spec, 2, 4, 1, 1, 0, 0, 10)
+        joint_residue_experiment(f, 2, 4, 1, 1, 0, 0, 10)
     with pytest.warns(UserWarning, match=r"gcd\(m1, q1 - 1\)"):
-        joint_residue_experiment(spec, 3, 2, 2, 1, 0, 0, 10)
+        joint_residue_experiment(f, 3, 2, 2, 1, 0, 0, 10)
 
 
 def test_joint_residue_deterministic_across_threads():
-    spec = PSSpec.from_rational("1.05")
-    a = joint_residue_experiment(spec, 2, 3, 3, 5, 1, 2, 300_000, threads=1)
-    b = joint_residue_experiment(spec, 2, 3, 3, 5, 1, 2, 300_000, threads=8)
+    f = PowerGrowth("1.05")
+    a = joint_residue_experiment(f, 2, 3, 3, 5, 1, 2, 300_000, threads=1)
+    b = joint_residue_experiment(f, 2, 3, 3, 5, 1, 2, 300_000, threads=8)
     assert a.counts == b.counts
 
 
+@pytest.mark.parametrize("run", [
+    lambda f: joint_residue_experiment(f, 2, 3, 3, 5, 1, 2, 1000, threads=2),
+    lambda f: zeckendorf_residue_experiment(f, 3, 0, 1000, threads=2),
+], ids=["joint", "zeck"])
+def test_residue_experiments_warn_once_for_an_integer_exponent(run):
+    with pytest.warns(IntegerExponentWarning) as record:
+        rep = run(PowerGrowth(2))
+    assert len(record) == 1
+    assert sum(rep.counts.values()) == 1000
+    run(PowerGrowth("3/2"))  # no warning: warnings are errors here
+
+
+def test_integer_exponent_runs_leave_the_warning_filters_alone(tmp_path):
+    # Worker threads must not touch the process-wide filter list: a filter
+    # left behind by one run would silence the warning for every later run.
+    argv = ["joint-residues", "--c", "2", "--q1", "2", "--q2", "3", "--m1", "3", "--m2", "5",
+            "--x", "400000", "--threads", "2", "--out", str(tmp_path / "out")]
+    for _ in range(6):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            filters = list(warnings.filters)
+            assert dispatch(argv) == 0
+            assert warnings.filters == filters
+        assert [w.category for w in caught] == [IntegerExponentWarning]
+
+
 def test_zeckendorf_residue_trivial_and_conservation():
-    spec = PSSpec.from_rational("1.25")
-    rep = zeckendorf_residue_experiment(spec, 1, 0, 555)
+    f = PowerGrowth("1.25")
+    rep = zeckendorf_residue_experiment(f, 1, 0, 555)
     assert rep.counts[(0,)] == 555
-    rep = zeckendorf_residue_experiment(spec, 4, 2, 50_000)
+    rep = zeckendorf_residue_experiment(f, 4, 2, 50_000)
     assert sum(rep.counts.values()) == 50_000
     assert rep.target == (2,)
     with pytest.raises(ValueError):
-        zeckendorf_residue_experiment(spec, 0, 0, 10)
+        zeckendorf_residue_experiment(f, 0, 0, 10)
 
 
 def test_exponent_audit_cases():

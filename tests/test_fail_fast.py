@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,31 @@ def test_oversized_input_exits_2_before_any_kernel(argv, kernels, monkeypatch, t
     assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
 
 
+_HUGE_DENOMINATOR = "1.50000000000000000001"  # c_den = 10^20
+
+_QUICK_EXITS = {
+    # A tie at n = 4 would need the 10^20-th root of 4^(1.5 * 10^20).
+    "tm-density-huge-denominator": (["tm-density", "--c", _HUGE_DENOMINATOR, "--n", "10"], 2),
+    "deviation-huge-denominator": (["deviation", "--f-power", _HUGE_DENOMINATOR,
+                                    "--scale", "4"], 2),
+    "deviation-huge-integer-exponent": (["deviation", "--f-power", "100000000000000000000",
+                                         "--scale", "4"], 2),
+    "tm-density-largest-denominator": (["tm-density", "--c", "1999/1000", "--n", "10"], 0),
+    # Level 0 is the one-entry table, whatever the base; level 1 has q entries.
+    "fourier-audit-level-0-huge-base": (["fourier-audit", "--q-list", "1000000000000",
+                                         "--lambda-max", "0", "--alpha-grid", "1"], 0),
+    "fourier-audit-level-1-huge-base": (["fourier-audit", "--q-list", "1000000000000",
+                                         "--lambda-max", "1", "--alpha-grid", "1"], 2),
+}
+
+
+@pytest.mark.parametrize("argv, status", _QUICK_EXITS.values(), ids=_QUICK_EXITS.keys())
+def test_extreme_exponents_and_bases_exit_within_a_second(argv, status, tmp_path):
+    start = time.perf_counter()
+    assert dispatch([*argv, "--out", str(tmp_path / "out")]) == status
+    assert time.perf_counter() - start < 1.0
+
+
 def _no_floor_block(*args, **kwargs):
     pytest.fail("floor_block ran before the r_terms check")
 
@@ -133,7 +159,7 @@ def test_invariant_checks_survive_python_O():
                 sequences._FLOOR_CHUNK = chunk
                 sequences._certified_floor = \\
                     lambda v, guard, exact: -np.floor(v).astype(np.int64)
-                list(sequences.ps_block_chunks(10, 20, sequences.PSSpec(3, 2)))
+                list(sequences.ps_block_chunks(10, 20, sequences.PowerGrowth("3/2")))
             check.__name__ = f"decreasing_floors_in_chunks_of_{chunk}"
             return check
 
@@ -144,7 +170,7 @@ def test_invariant_checks_survive_python_O():
                 continue
             raise SystemExit(f"{check.__name__}: violation passed unnoticed")
         try:
-            list(sequences.ps_block_chunks(2 ** 42, 2 ** 42 + 1, sequences.PSSpec(3, 2)))
+            list(sequences.ps_block_chunks(2 ** 42, 2 ** 42 + 1, sequences.PowerGrowth("3/2")))
         except ValueError:
             pass
         else:

@@ -16,8 +16,6 @@ import digitseq
 from digitseq import (
     BeattyLine,
     GrowthFunction,
-    IntegerExponentWarning,
-    PSSpec,
     PowerGrowth,
     beatty_floor,
     beatty_floor_range,
@@ -42,30 +40,50 @@ def pure_integer_root_oracle(n: int, num: int, den: int) -> int:
     return m
 
 
-def test_psspec_decimal_parsing():
-    assert PSSpec.from_rational("1.42") == PSSpec(71, 50)
-    assert PSSpec.from_rational("1.05") == PSSpec(21, 20)
-    assert PSSpec.from_rational("1.5") == PSSpec(3, 2)
+def test_power_growth_decimal_parsing():
+    assert PowerGrowth("1.42").c == Fraction(71, 50)
+    assert PowerGrowth("1.05").c == Fraction(21, 20)
+    assert PowerGrowth("1.5").c == Fraction(3, 2)
+    f = PowerGrowth("1.42")
+    assert (f.c_num, f.c_den, f.cf) == (71, 50, 1.42)
 
 
-def test_psspec_validation():
+def test_power_growth_validation():
     with pytest.raises(ValueError):
-        PSSpec(6, 4)  # not in lowest terms
+        PowerGrowth(Fraction(1, 2))  # c <= 1
     with pytest.raises(ValueError):
-        PSSpec(1, 2)  # c <= 1
+        PowerGrowth(1)
+    assert PowerGrowth(sequences._C_MAX).c == 62
+    with pytest.raises(ValueError):
+        PowerGrowth(sequences._C_MAX + Fraction(1, 2))
+    with pytest.raises(ValueError):
+        PowerGrowth(10 ** 20)  # floor(2^c) alone would not finish
+
+
+def test_exponent_denominator_is_bounded():
+    # One near-tie at a denominator of 10^20 would take an integer root of a
+    # number with about 10^20 digits; the constructor refuses it.
+    with pytest.raises(ValueError, match="denominator"):
+        PowerGrowth("1.50000000000000000001")
+    with pytest.raises(ValueError, match="denominator"):
+        PowerGrowth(Fraction(1999, sequences._C_DEN_MAX + 1))
+    f = PowerGrowth(Fraction(1999, sequences._C_DEN_MAX))
+    assert f.c_den == sequences._C_DEN_MAX
+    assert ps_floor(2 ** 27, f) == int_nth_root((2 ** 27) ** 1999, 1000)
 
 
 def test_ps_floor_examples():
-    assert ps_floor(4, PSSpec(3, 2)) == 8
-    assert ps_floor(3, PSSpec(3, 2)) == 5  # isqrt(27)
-    assert ps_floor(10, PSSpec(71, 50)) == 26
+    assert ps_floor(4, PowerGrowth("3/2")) == 8
+    assert ps_floor(3, PowerGrowth("3/2")) == 5  # isqrt(27)
+    assert ps_floor(10, PowerGrowth("71/50")) == 26
 
 
-def test_ps_floor_validation_and_integer_warning():
+def test_ps_floor_validation_and_integer_exponent():
     with pytest.raises(ValueError):
-        ps_floor(0, PSSpec(3, 2))
-    with pytest.warns(IntegerExponentWarning):
-        assert ps_floor(7, PSSpec(2, 1)) == 49
+        ps_floor(0, PowerGrowth("3/2"))
+    with pytest.raises(ValueError):
+        ps_floor(0, PowerGrowth(2))
+    assert ps_floor(7, PowerGrowth(2)) == 49
 
 
 def test_int_nth_root():
@@ -78,33 +96,38 @@ def test_int_nth_root():
 
 
 def test_ps_block_examples():
-    assert list(ps_block(1, 5, PSSpec(3, 2))) == [1, 2, 5, 8, 11]
-    assert list(ps_block(7, 7, PSSpec(3, 2))) == [ps_floor(7, PSSpec(3, 2))]
-    with pytest.warns(IntegerExponentWarning):
-        assert list(ps_block(1, 3, PSSpec(2, 1))) == [1, 4, 9]
+    assert list(ps_block(1, 5, PowerGrowth("3/2"))) == [1, 2, 5, 8, 11]
+    assert list(ps_block(7, 7, PowerGrowth("3/2"))) == [ps_floor(7, PowerGrowth("3/2"))]
+    assert list(ps_block(1, 3, PowerGrowth(2))) == [1, 4, 9]
+
+
+def test_integer_exponent_streams_exact_powers_without_escalating(monkeypatch):
+    monkeypatch.setattr(sequences, "ps_floor", lambda *a: pytest.fail("ps_floor ran"))
+    got = np.concatenate(list(ps_block_chunks(1, 300_000, PowerGrowth(2))))
+    assert np.array_equal(got, np.arange(1, 300_001, dtype=np.int64) ** 2)
 
 
 def test_ps_block_strictly_increasing_sample():
     # strictly increasing once n >= 2^(1/(c-1))
-    vals = ps_block(4, 10_000, PSSpec(3, 2))
+    vals = ps_block(4, 10_000, PowerGrowth("3/2"))
     assert np.all(np.diff(vals) > 0)
     lo = 1 << 20
-    vals = ps_block(lo, lo + 10_000, PSSpec(21, 20))
+    vals = ps_block(lo, lo + 10_000, PowerGrowth("21/20"))
     assert np.all(np.diff(vals) > 0)
 
 
 @pytest.mark.parametrize("c", ["1.5", "4/3", "21/20", "71/50"])
 def test_ps_floor_matches_integer_root_oracle(c):
-    spec = PSSpec.from_rational(Fraction(c))
-    vals = ps_block(1, 100_000, spec)
+    f = PowerGrowth(c)
+    vals = ps_block(1, 100_000, f)
     for n in range(1, 100_001):
-        assert vals[n - 1] == pure_integer_root_oracle(n, spec.c_num, spec.c_den)
+        assert vals[n - 1] == pure_integer_root_oracle(n, f.c_num, f.c_den)
 
 
 def test_ps_floor_huge_values_escalate_correctly():
-    spec = PSSpec(3, 2)
+    f = PowerGrowth("3/2")
     for n in (10 ** 10, 10 ** 12 + 7, (1 << 40) + 3):
-        assert ps_floor(n, spec) == math.isqrt(n ** 3)
+        assert ps_floor(n, f) == math.isqrt(n ** 3)
 
 
 # The benchmark's floor(n^c) exponents, and 19/10, whose doubles near
@@ -116,13 +139,13 @@ STREAM_EXPONENTS = ["3/2", "4/3", "9/7", "7/5", "71/50", "19/10"]
 @pytest.mark.parametrize("c", STREAM_EXPONENTS)
 def test_ps_block_chunks_match_integer_roots_at_any_chunk_size(monkeypatch, c, chunk):
     monkeypatch.setattr(sequences, "_FLOOR_CHUNK", chunk)
-    spec = PSSpec.from_rational(Fraction(c))
+    f = PowerGrowth(c)
     ranges = [(1, 60), (2 ** 27 - 30, 2 ** 27 + 30)] if chunk < 1 << 14 else [(1, chunk + 40)]
     for n_lo, n_hi in ranges:
-        blocks = list(ps_block_chunks(n_lo, n_hi, spec))
+        blocks = list(ps_block_chunks(n_lo, n_hi, f))
         assert max(b.size for b in blocks) <= chunk
         assert np.concatenate(blocks).tolist() == [
-            int_nth_root(n ** spec.c_num, spec.c_den) for n in range(n_lo, n_hi + 1)]
+            int_nth_root(n ** f.c_num, f.c_den) for n in range(n_lo, n_hi + 1)]
 
 
 def test_beatty_floor_examples():
@@ -259,19 +282,22 @@ def test_growth_inverse_roundtrips():
 def test_generic_floor_at_exact_integers():
     f = PowerGrowth(Fraction(3, 2))
     assert f.floor_exact(4225) == 274625  # 65^3
-    assert f.floor_exact(4226) == ps_floor(4226, PSSpec(3, 2))
-    assert list(f.floor_block(4225, 4226))[0].tolist() == [274625, ps_floor(4226, PSSpec(3, 2))]
+    assert f.floor_exact(4226) == ps_floor(4226, f)
+    assert list(f.floor_block(4225, 4226))[0].tolist() == [274625, ps_floor(4226, f)]
     assert PowerGrowth(Fraction(5, 4)).floor_exact(16) == 32  # 16^(5/4)
     assert PowerGrowth(Fraction(5, 4)).floor_exact(17) == pure_integer_root_oracle(17, 5, 4)
     assert PowerGrowth(3).floor_exact(3) == 27
 
 
 def test_integer_power_floors_stream_int64_powers():
+    # floor(n^c) is defined on n >= 1 for every c, integer c included
     square = PowerGrowth(2)
-    assert np.concatenate(list(square.floor_block(-3, 5))).tolist() == [
-        n * n for n in range(-3, 6)]
+    assert np.concatenate(list(square.floor_block(1, 5))).tolist() == [
+        n * n for n in range(1, 6)]
+    with pytest.raises(ValueError, match="n_lo"):
+        next(square.floor_block(-3, 5))
     with pytest.raises(ValueError, match="int64"):
-        square.floor_block(1, 2 ** 31)  # 2^62
+        next(square.floor_block(1, 2 ** 31))  # 2^62
     (top,) = square.floor_block(2 ** 31 - 2, 2 ** 31 - 1)
     assert top.tolist() == [(2 ** 31 - 2) ** 2, (2 ** 31 - 1) ** 2]
 
