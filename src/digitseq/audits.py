@@ -11,12 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expsums import digit_fourier_table
+from .expsums import _check_fourier_table, digit_fourier_table
 from .harmonic import _check_degree, build_vaaler_approx, erdos_turan_bound, \
     exact_discrepancy, fejer_majorant, sawtooth, vaaler_psi_h
 from .sequences import BeattyLine, beatty_floor_range
 
 _MAX_POINTS = 1 << 16  # largest point set of et_audit: 16 x N long-double powers at once
+_ALPHA_GRID_MAX = 1 << 12  # alpha grid of fourier_bound_audit
+_SETS_MAX = 1 << 16  # point sets of et_audit
 
 __all__ = [
     "FourierAuditRow",
@@ -42,21 +44,29 @@ class FourierAuditRow:
 def fourier_bound_audit(q_list: tuple[int, ...], level_max: int,
                         alpha_grid: int) -> list[FourierAuditRow]:
     """Exhaustive check of the uniform coefficient bound and Parseval over
-    all h, for every base, level <= level_max and a uniform alpha grid."""
-    if level_max < 0 or alpha_grid < 1:
-        raise ValueError("needs level_max >= 0 and alpha_grid >= 1")
+    all h, for every base, level <= level_max and a uniform alpha grid.
+
+    Every table guard is checked first.  Each (q, alpha) then takes one
+    digit_fourier_table call at level_max, whose chain holds the tables of
+    every lower level; one chain is held at a time, and the rows come out
+    in (q, level, alpha) order."""
+    if level_max < 0 or not 1 <= alpha_grid <= _ALPHA_GRID_MAX:
+        raise ValueError(f"needs level_max >= 0 and 1 <= alpha_grid <= {_ALPHA_GRID_MAX}")
+    for q in q_list:
+        _check_fourier_table(q, level_max)
     rows = []
     for q in q_list:
-        for level in range(level_max + 1):
-            for i in range(alpha_grid):
-                alpha = i / alpha_grid
-                table = digit_fourier_table(q, level, alpha)
-                rows.append(FourierAuditRow(
-                    q=q, level=level, alpha=alpha,
+        by_level = [[] for _ in range(level_max + 1)]
+        for i in range(alpha_grid):
+            for table in digit_fourier_table(q, level_max, i / alpha_grid).chain():
+                by_level[table.level].append(FourierAuditRow(
+                    q=q, level=table.level, alpha=table.alpha,
                     max_abs_coeff=table.max_abs_coeff(),
                     uniform_bound=table.uniform_bound(),
                     parseval_error=table.parseval_error(),
                     violations=table.bound_violations()))
+        for level_rows in by_level:
+            rows += level_rows
     return rows
 
 
@@ -107,8 +117,8 @@ def et_audit(sets: int = 1000, degree: int = 64, seed: int = 0,
              max_points: int = 2000) -> list[EtAuditRow]:
     """Exact discrepancy against the constant-1 bound on seeded point sets:
     uniform draws, clustered draws, and Beatty-line fractional orbits."""
-    if sets < 1 or not 2 <= max_points <= _MAX_POINTS:
-        raise ValueError(f"needs sets >= 1 and 2 <= max_points <= {_MAX_POINTS}")
+    if not 1 <= sets <= _SETS_MAX or not 2 <= max_points <= _MAX_POINTS:
+        raise ValueError(f"needs 1 <= sets <= {_SETS_MAX} and 2 <= max_points <= {_MAX_POINTS}")
     _check_degree(degree)
     rng = np.random.default_rng(seed)
     rows = []

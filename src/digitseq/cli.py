@@ -45,6 +45,15 @@ def _threads(text: str) -> int:
     return count
 
 
+def _growth(text: str) -> PowerGrowth:
+    """PowerGrowth(text), with the constructor's reason kept in the message
+    (argparse would replace it by "invalid PowerGrowth value")."""
+    try:
+        return PowerGrowth(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"invalid exponent {text!r}: {exc}")
+
+
 def _mismatches(args):
     f = args.f_power
     alpha = args.alpha if args.alpha is not None else float(f.df((args.a + args.b) / 2.0))
@@ -63,7 +72,7 @@ class Command(NamedTuple):
     failed: Callable | None = None
 
 
-_GROWTH = (("--phi", str, "thue-morse"), ("--f-power", PowerGrowth), ("--scale", int))
+_GROWTH = (("--phi", str, "thue-morse"), ("--f-power", _growth), ("--scale", int))
 _WINDOW = (("--z", float), ("--theta-grid", int, 64), ("--x-samples", int, 8))
 
 # Runners look layer functions up when they run, so patched module bindings
@@ -81,23 +90,23 @@ COMMANDS = {
         lambda r: r.violations > 0 or r.parseval_error > 1e-10),
     "tm-density": Command(
         "Thue-Morse density along floor(n^c)",
-        (("--c", PowerGrowth), ("--n", int), ("--checkpoints", int, 12)),
+        (("--c", _growth), ("--n", int), ("--checkpoints", int, 12)),
         lambda a: experiments.tm_density_experiment(
             a.c, a.n, checkpoints=a.checkpoints, threads=a.threads)),
     "joint-residues": Command(
         "joint digit-sum residue counts",
-        (("--c", PowerGrowth), ("--q1", int), ("--q2", int), ("--m1", int), ("--m2", int),
+        (("--c", _growth), ("--q1", int), ("--q2", int), ("--m1", int), ("--m2", int),
          ("--l1", int, 0), ("--l2", int, 0), ("--x", int)),
         lambda a: experiments.joint_residue_experiment(
             a.c, a.q1, a.q2, a.m1, a.m2, a.l1, a.l2, a.x, threads=a.threads)),
     "zeck-residues": Command(
         "Zeckendorf digit-sum residue counts",
-        (("--c", PowerGrowth), ("--m", int), ("--a", int, 0), ("--x", int)),
+        (("--c", _growth), ("--m", int), ("--a", int, 0), ("--x", int)),
         lambda a: experiments.zeckendorf_residue_experiment(
             a.c, a.m, a.a, a.x, threads=a.threads)),
     "beatty-mismatch": Command(
         "tangent-line floor mismatch count",
-        (("--f-power", PowerGrowth, ..., "rational exponent of the growth function"),
+        (("--f-power", _growth, ..., "rational exponent of the growth function"),
          ("--a", int), ("--b", int),
          ("--alpha", float, None, "tangent slope (default: f' at the window midpoint)"),
          ("--r-terms", int, None)),

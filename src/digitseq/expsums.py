@@ -12,7 +12,8 @@ so e(m theta) stays accurate for m far beyond 2**53.
 
 Digit Fourier tables are np.clongdouble products of per-digit factors taken
 from one cached long-double table of roots of unity at exact integer
-indices; their summaries round to double once.
+indices; one product chain yields the table of every level up to the one
+asked for, and their summaries round to double once.
 
 The sine-product integral I_level is level products of one transfer-operator
 matrix on Chebyshev nodes with a vector, up to the edge of the double range.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -49,6 +50,7 @@ __all__ = [
 _SUM_EPS = 5e-16  # per-term relative bound fed into the residual estimate
 _WINDOW_CHUNK = 1 << 18  # terms per partial sum of a window sum
 _BOUND_SLACK = 1e-12  # rounding allowance of the uniform coefficient bound
+_TABLE_LOG2_MAX = 22  # digit Fourier tables hold at most 2^22 coefficients
 _LEVEL_MAX = 1713  # I_1713 = 2.26e-308; I_1714 = 1.50e-308 is below the normal doubles
 _TWO_PI = 8 * np.arctan(np.longdouble(1))
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j], dtype=np.clongdouble)
@@ -313,12 +315,21 @@ class FourierTable:
     """All digit Fourier coefficients at fixed (q, level, alpha); index h.
 
     The coefficients are np.clongdouble.  The three summaries share one
-    pass of squared moduli in long double, and each rounds to double once."""
+    pass of squared moduli in long double, and each rounds to double once.
+    coarser is the level - 1 table of the same product chain (None at level
+    0); chain() lists the tables from level 0 up to this one."""
 
     q: int
     level: int
     alpha: float
     coefficients: np.ndarray
+    coarser: FourierTable | None = field(default=None, repr=False, compare=False)
+
+    def chain(self) -> list[FourierTable]:
+        tables = [self]
+        while tables[-1].coarser is not None:
+            tables.append(tables[-1].coarser)
+        return tables[::-1]
 
     @functools.cached_property
     def _sq_moduli(self) -> np.ndarray:
@@ -361,29 +372,39 @@ def _root_table(q: int, level: int) -> np.ndarray:
     return roots
 
 
+def _check_fourier_table(q: int, level: int) -> None:
+    """The guards of digit_fourier_table, without any allocation: q >= 2,
+    level >= 0, at most 2^22 coefficients (q ** level is never formed for a
+    level past 22), and the table and its root table within
+    DIGITSEQ_MAX_MEMORY."""
+    if q < 2 or level < 0:
+        raise ValueError("needs q >= 2 and level >= 0")
+    if level > _TABLE_LOG2_MAX or q ** level > 1 << _TABLE_LOG2_MAX:
+        raise ValueError(f"table of {q}^{level} coefficients exceeds the 2^{_TABLE_LOG2_MAX} guard")
+    if 2 * q ** level * np.dtype(np.clongdouble).itemsize > max_table_bytes():
+        raise ValueError("table exceeds DIGITSEQ_MAX_MEMORY")
+
+
 def digit_fourier_table(q: int, level: int, alpha: float) -> FourierTable:
     """Coefficients F(h) = q^-level sum_{u < q^level} e(alpha s_q(u) - h u / q^level)
-    for all h < q^level (guarded to 2^22 entries and, before anything is
-    allocated, to the DIGITSEQ_MAX_MEMORY cap on the table and its root table).
+    for all h < q^level, with the tables of every lower level linked through
+    coarser (guarded by _check_fourier_table before anything is allocated;
+    the lower levels add at most 1/(q - 1) of the table's size).
 
     F(h) is the product over k = 1 ... level of the digit factors
     (1/q) sum_{d<q} e(d alpha) e(-d r / q^k), which depend on h only through
     r = h mod q^k.  e(-r / q^k) is W[r q^(level-k)] of the root table, an
     exact integer index, and each {d alpha} is reduced exactly, so no phase
     grows with h.  Each factor is a Horner sum in those roots; the product
-    is built up from k = 1, one broadcast per level.  Everything runs in
-    long double, and the np.clongdouble coefficients are rounded only where
-    a summary reports them."""
-    if q < 2 or level < 0:
-        raise ValueError("needs q >= 2 and level >= 0")
-    size = q ** level
-    if size > 1 << 22:
-        raise ValueError(f"table of {size} coefficients exceeds the 2^22 guard")
-    if 2 * size * np.dtype(np.clongdouble).itemsize > max_table_bytes():
-        raise ValueError("table exceeds DIGITSEQ_MAX_MEMORY")
-    coeffs = np.ones(1, dtype=np.clongdouble)
+    is built up from k = 1, one broadcast per level, and the product after
+    k factors is the level-k table: its roots are bitwise those of the
+    level-k root table, since r q^(level-k) / q^level rounds exactly as
+    r / q^k does.  Everything runs in long double, and the np.clongdouble
+    coefficients are rounded only where a summary reports them."""
+    _check_fourier_table(q, level)
+    table = FourierTable(q=q, level=0, alpha=alpha, coefficients=np.ones(1, dtype=np.clongdouble))
     if level == 0:  # the empty product; q may be far beyond the guard here
-        return FourierTable(q=q, level=level, alpha=alpha, coefficients=coeffs)
+        return table
     roots = _root_table(q, level)
     digit_terms = _e_long_double([
         np.longdouble(p) / np.longdouble(den)
@@ -395,5 +416,6 @@ def digit_fourier_table(q: int, level: int, alpha: float) -> FourierTable:
             factor += digit_terms[d]
             factor *= y
         factor += digit_terms[0]
-        coeffs = (factor.reshape(q, -1) * coeffs).ravel()
-    return FourierTable(q=q, level=level, alpha=alpha, coefficients=coeffs)
+        table = FourierTable(q=q, level=k, alpha=alpha, coarser=table,
+                             coefficients=(factor.reshape(q, -1) * table.coefficients).ravel())
+    return table

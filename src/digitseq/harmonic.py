@@ -125,22 +125,24 @@ def erdos_turan_bound(points, degree: int) -> float:
     dominates the exact closed-interval discrepancy.
 
     Runs in long double.  z_n = e(x_n) is taken once, from x_n mod 1, which
-    fmod takes exactly from each double; e(h x_n) = z_n^h comes from
-    cumulative products, _ET_ROWS rows of h at a time, each block carried
-    forward by its last row, so the H x N matrix is never formed.  Row means
-    are pairwise sums, and the whole bound is accumulated in long double and
-    rounded to double once."""
+    fmod takes exactly from each double, and e(h x_n) = z_n^h for the first
+    _ET_ROWS rows of h comes from cumulative products; those rows are
+    averaged by pairwise sums.  A later block of rows h0 + j is summed as
+    one product of that block with w = z^h0, which is carried forward by one
+    multiply per block, so no block beyond the first is formed.  The bound
+    is accumulated in long double and rounded to double once, so it is
+    faithful (within one ulp of the exact bound) but not always correctly
+    rounded where the exact bound lies near a halfway point of the doubles."""
     _check_degree(degree)
     x = np.asarray(points, dtype=np.float64).ravel()
     if x.size == 0:
         raise ValueError("needs at least one point")
     z = _e_long_double(np.fmod(x, 1.0))
     powers = np.cumprod(np.broadcast_to(z, (min(degree, _ET_ROWS), z.size)), axis=0)
-    total = np.longdouble(1) / (degree + 1)
-    block = powers
-    for h0 in range(0, degree, _ET_ROWS):
-        if h0:
-            block = powers * block[-1]
-        means = np.abs(block[:degree - h0].mean(axis=1))
+    means = np.abs(powers.mean(axis=1))
+    total = np.longdouble(1) / (degree + 1) + np.sum(means / np.arange(1, means.size + 1))
+    for h0 in range(_ET_ROWS, degree, _ET_ROWS):
+        w = powers[-1] if h0 == _ET_ROWS else w * powers[-1]
+        means = np.abs(powers[:degree - h0].dot(w)) / z.size
         total += np.sum(means / np.arange(h0 + 1, h0 + 1 + means.size))
     return float(total)

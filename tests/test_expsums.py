@@ -305,6 +305,18 @@ def test_fourier_table_parseval_inversion_and_bound():
             digit_fourier_coefficient(q, level, h, alpha), abs=1e-12)
 
 
+@pytest.mark.parametrize("q, level", [(2, 9), (3, 6), (5, 4)])
+def test_fourier_table_chain_holds_every_lower_level(q, level):
+    for alpha in (0.0, 0.37, 1 / 3, 0.5):
+        chain = digit_fourier_table(q, level, alpha).chain()
+        assert [t.level for t in chain] == list(range(level + 1))
+        assert chain[0].coarser is None
+        for table in chain:
+            fresh = digit_fourier_table(q, table.level, alpha)
+            assert (table.q, table.alpha) == (q, alpha)
+            assert np.array_equal(table.coefficients, fresh.coefficients)
+
+
 def test_fourier_bound_randomized_sweep():
     rng = np.random.default_rng(8)
     for _ in range(1000):

@@ -71,6 +71,13 @@ _OVERSIZED = {
                                          [(audits, "build_vaaler_approx")]),
     "et-audit-max-points": (["et-audit", "--max-points", "2000000000"], _ET_KERNELS),
     "et-audit-h": (["et-audit", "--h", "2000000000"], _ET_KERNELS),
+    "et-audit-sets": (["et-audit", "--sets", "1000000000000"], _ET_KERNELS),
+    "fourier-audit-alpha-grid": (["fourier-audit", "--alpha-grid", "1000000000000"],
+                                 [(audits, "digit_fourier_table")]),
+    # 2^14 coefficients fit the guard, 3^14 do not: no base-2 table is built.
+    "fourier-audit-level-past-the-guard-in-a-later-base": (
+        ["fourier-audit", "--q-list", "2,3", "--lambda-max", "14", "--alpha-grid", "1"],
+        [(audits, "digit_fourier_table")]),
 }
 
 
@@ -105,6 +112,32 @@ def test_extreme_exponents_and_bases_exit_within_a_second(argv, status, tmp_path
     start = time.perf_counter()
     assert dispatch([*argv, "--out", str(tmp_path / "out")]) == status
     assert time.perf_counter() - start < 1.0
+
+
+def test_fourier_level_guard_runs_before_any_root_table(monkeypatch, tmp_path):
+    monkeypatch.setattr(expsums, "_root_table", lambda q, level: pytest.fail(
+        f"a root table of {q}^{level} entries was built before the level guard"))
+    argv = ["fourier-audit", "--q-list", "2", "--lambda-max", "1000000000000",
+            "--alpha-grid", "1", "--out", str(tmp_path / "out")]
+    start = time.perf_counter()
+    assert dispatch(argv) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_audit_loops_are_bounded_by_named_limits():
+    with pytest.raises(ValueError, match=str(audits._ALPHA_GRID_MAX)):
+        audits.fourier_bound_audit((2,), 1, audits._ALPHA_GRID_MAX + 1)
+    with pytest.raises(ValueError, match=str(audits._SETS_MAX)):
+        audits.et_audit(sets=audits._SETS_MAX + 1)
+
+
+@pytest.mark.parametrize("c, limit", [
+    (_HUGE_DENOMINATOR, str(sequences._C_DEN_MAX)),
+    ("1", f"1 < c <= {sequences._C_MAX}"),
+])
+def test_bad_exponent_names_the_limit(c, limit, capsys, tmp_path):
+    assert dispatch(["tm-density", "--c", c, "--n", "10", "--out", str(tmp_path / "out")]) == 2
+    assert limit in capsys.readouterr().err
 
 
 def _no_floor_block(*args, **kwargs):

@@ -3,10 +3,12 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import oracles
+from digitseq import audits
 from digitseq import (
     BeattyLine,
     beatty_floor_range,
@@ -163,3 +165,42 @@ def test_erdos_turan_bound_is_correctly_rounded():
                rng.uniform(-1000.0, 1000.0, n))[trial % 3]
         degree = int(rng.integers(1, 70))
         assert erdos_turan_bound(pts, degree) == float(oracles.et_bound(pts, degree))
+
+
+def _within_one_ulp(value: float, exact) -> bool:
+    with mpmath.workdps(40):
+        return abs(mpmath.mpf(value) - exact) < np.spacing(float(exact))
+
+
+@oracles.needs_long_double
+def test_erdos_turan_bound_past_the_first_block_is_faithful():
+    # H > 16 sums the later blocks as products with z^h0; N and H as large
+    # as the workloads' sets.
+    rng = np.random.default_rng(17)
+    cases = ((rng.random(1000), 40),
+             ((np.arange(1, 1501) * ((5 ** 0.5 - 1) / 2)) % 1.0, 53),
+             (rng.normal(0.3, 0.05, 2000) % 1.0, 64))
+    for pts, degree in cases:
+        assert _within_one_ulp(erdos_turan_bound(pts, degree), oracles.et_bound(pts, degree))
+
+
+# Seed-0 expsum-audits sets (workload op, set index, and that op's et-audit
+# arguments) that the 16-row blocks of the parent kernel misrounded.
+_PINNED_ET_SETS = {
+    (111, 13): dict(degree=52, seed=354802522, max_points=263),
+    (111, 40): dict(degree=52, seed=354802522, max_points=263),
+    (195, 46): dict(degree=17, seed=1027598424, max_points=388),
+    (255, 29): dict(degree=63, seed=599512340, max_points=292),
+    (323, 119): dict(degree=17, seed=475638006, max_points=2001),
+}
+
+
+@oracles.needs_long_double
+@pytest.mark.parametrize("op, index", _PINNED_ET_SETS, ids=[f"{op}-{i}" for op, i in _PINNED_ET_SETS])
+def test_erdos_turan_bound_is_faithful_on_workload_sets(op, index, monkeypatch):
+    seen = []
+    monkeypatch.setattr(audits, "erdos_turan_bound", lambda pts, degree: seen.append(pts) or 0.0)
+    audits.et_audit(sets=150, **_PINNED_ET_SETS[op, index])
+    monkeypatch.undo()
+    pts, degree = seen[index], _PINNED_ET_SETS[op, index]["degree"]
+    assert _within_one_ulp(erdos_turan_bound(pts, degree), oracles.et_bound(pts, degree))
