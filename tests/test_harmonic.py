@@ -184,8 +184,9 @@ def test_erdos_turan_bound_past_the_first_block_is_faithful():
         assert _within_one_ulp(erdos_turan_bound(pts, degree), oracles.et_bound(pts, degree))
 
 
-# Seed-0 expsum-audits sets (workload op, set index, and that op's et-audit
-# arguments) that the 16-row blocks of the parent kernel misrounded.
+# Seed-0 expsum-audits sets (workload op and set index, with that op's
+# et-audit arguments) whose bounds lie so close to a halfway point between
+# doubles that a long-double sum is easily one ulp off.
 _PINNED_ET_SETS = {
     (111, 13): dict(degree=52, seed=354802522, max_points=263),
     (111, 40): dict(degree=52, seed=354802522, max_points=263),
