@@ -19,6 +19,7 @@ from .sequences import BeattyLine, beatty_floor_range
 _MAX_POINTS = 1 << 16  # largest point set of et_audit: 16 x N long-double powers at once
 _ALPHA_GRID_MAX = 1 << 12  # alpha grid of fourier_bound_audit
 _SETS_MAX = 1 << 16  # point sets of et_audit
+_Q_LIST_MAX = 1 << 6  # bases of fourier_bound_audit, each a full level and alpha sweep
 
 __all__ = [
     "FourierAuditRow",
@@ -52,6 +53,8 @@ def fourier_bound_audit(q_list: tuple[int, ...], level_max: int,
     in (q, level, alpha) order."""
     if level_max < 0 or not 1 <= alpha_grid <= _ALPHA_GRID_MAX:
         raise ValueError(f"needs level_max >= 0 and 1 <= alpha_grid <= {_ALPHA_GRID_MAX}")
+    if len(q_list) > _Q_LIST_MAX:
+        raise ValueError(f"at most {_Q_LIST_MAX} bases, got {len(q_list)}")
     for q in q_list:
         _check_fourier_table(q, level_max)
     rows = []

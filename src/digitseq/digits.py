@@ -7,11 +7,15 @@ here is pure integer arithmetic.
 
 `digit_sum_array` sums masked popcounts for bases 2, 4, 8 and 16, and reads
 the digit sums of 0 .. q^L - 1 (the largest L with q^L <= 2^16) from a uint8
-block table for the other bases 3 <= q <= 16; `zeckendorf_digit_sum_array`
-reads s_Z of the part below F_27 from a uint8 low table.  Both tables, and
-the Fibonacci numbers up to the first one above 2^63, are built at import, so
-worker threads only ever read them.  The scalar functions extend the
-Fibonacci list on demand for larger integers (an append-only cache).
+block table for the other bases 3 <= q <= 16, splitting off one block per
+floor division and multiply-subtract pass.  `zeckendorf_digit_sum_array`
+reads the summands from F_27 up of a value below F_48 from two bucket
+tables (the high part and its summand count at every multiple of F_26),
+and s_Z of the rest, below F_27, from a uint8 low table; only values from
+F_48 up take greedy passes first.  The tables, and the Fibonacci numbers up
+to the first one above 2^63, are built at import, so worker threads only
+ever read them.  The scalar functions extend the Fibonacci list on demand
+for larger integers (an append-only cache).
 """
 
 from __future__ import annotations
@@ -71,9 +75,9 @@ def digit_sum_array(values: np.ndarray, q: int) -> np.ndarray:
 
     q = 2, 4, 8 and 16 are sums of masked popcounts.  For the other bases
     3 <= q <= 16 each pass splits off a block of L base-q digits with one
-    divmod by q^L and adds its digit sum from the block table, so a value
-    takes ceil(digits / L) passes.  Larger bases split off one digit per
-    pass and add it as it is."""
+    floor division by q^L and adds its digit sum from the block table, so a
+    value takes ceil(digits / L) passes.  Larger bases split off one digit
+    per pass and add it as it is."""
     if q < 2:
         raise ValueError(f"digit base must be >= 2, got {q}")
     v = np.asarray(values, dtype=np.int64)
@@ -85,15 +89,19 @@ def digit_sum_array(values: np.ndarray, q: int) -> np.ndarray:
         for i, plane in enumerate(planes, 1):
             out += np.bitwise_count(v & plane) * ((1 << i) - 1)
         return out.astype(np.int64)
-    v = v.copy()  # the block passes divide in place
     table = _DIGIT_BLOCK_TABLES.get(q)
     block = q if table is None else table.size
     out = np.zeros(v.shape, dtype=np.int64)
-    r = np.empty_like(v)
     top = int(v.max()) if v.size else 0
+    if top >= block:
+        v, quot, r = v.copy(), np.empty_like(v), np.empty_like(v)  # the passes work in place
     while top >= block:
-        np.divmod(v, block, out=(v, r))
+        # r = v - (v // block) * block: cheaper than one np.divmod pass
+        np.floor_divide(v, block, out=quot)
+        np.multiply(quot, block, out=r)
+        np.subtract(v, r, out=r)
         out += r if table is None else table[r]
+        v, quot = quot, v
         top //= block
     out += v if table is None else table[v]
     return out
@@ -173,26 +181,58 @@ def _zeckendorf_low_table(k: int) -> np.ndarray:
     return cur
 
 
+def _zeckendorf_greedy(v: np.ndarray, count: np.ndarray, k_hi: int, k_lo: int) -> None:
+    """Greedy top-down subtraction of F_k for k = k_hi .. k_lo, in place,
+    adding one to count per summand.  After subtracting F_k the remainder
+    is < F_{k-1}, so the indices are automatically non-consecutive, and v
+    ends below F_{k_lo} wherever it started below F_{k_hi + 1}."""
+    m = np.empty(v.shape, dtype=bool)
+    for k in range(k_hi, k_lo - 1, -1):
+        np.greater_equal(v, _FIB[k], out=m)
+        np.subtract(v, _FIB[k], out=v, where=m)
+        count += m
+
+
 _ZECK_LOW_TABLE = _zeckendorf_low_table(_ZECK_LOW_INDEX)
+
+# The high part H(v) of v sums the Zeckendorf summands F_k with k >= 27.
+# These sums are increasing in v, and consecutive ones differ by F_26 or
+# F_27 (after a sum ending in F_27 comes the one with F_27 + F_26 = F_28 in
+# its place; after any other, the one with F_27 added), so each bucket
+# [b F_26, (b + 1) F_26) holds at most one start of a new high part.  H(v)
+# is therefore H at the end of bucket b = v // F_26 if that is <= v, else H
+# at the end of bucket b - 1.  The tables hold H and its summand count at
+# every bucket end below F_48 (> 2^32); they take 0.36 MB.
+_ZECK_BUCKET = _FIB[_ZECK_LOW_INDEX - 1]
+_ZECK_HIGH_INDEX = 48
+
+
+def _zeckendorf_high_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    ends = np.arange(1, -(-_FIB[k] // _ZECK_BUCKET) + 1, dtype=np.int64) * _ZECK_BUCKET - 1
+    rest, count = ends.copy(), np.zeros(ends.shape, dtype=np.uint8)
+    _zeckendorf_greedy(rest, count, fibonacci_index_below(int(ends[-1])), _ZECK_LOW_INDEX)
+    return ends - rest, count
+
+
+_ZECK_HIGH, _ZECK_HIGH_COUNT = _zeckendorf_high_tables(_ZECK_HIGH_INDEX)
 
 
 def zeckendorf_digit_sum_array(values: np.ndarray) -> np.ndarray:
     """Vectorised s_Z over a nonnegative int64 array (int64 result).
 
-    Greedy top-down subtraction of F_k for the indices k >= 27, in place
-    (after subtracting F_k the remainder is < F_{k-1}, so the indices are
-    automatically non-consecutive); the remainder, now below F_27, takes its
-    s_Z from the low table."""
+    Values from F_48 up first take greedy passes for the indices k >= 48;
+    the remainder, now below F_48, takes the count of its summands from
+    F_27 up and its high part from the bucket tables, and what is left,
+    below F_27, takes its s_Z from the low table."""
     v = np.array(values, dtype=np.int64, copy=True)
     if v.size and int(v.min()) < 0:
         raise ValueError("zeckendorf_digit_sum_array needs nonnegative values")
     count = np.zeros(v.shape, dtype=np.uint8)  # s_Z <= 46 below 2^63
     top = int(v.max()) if v.size else 0
-    if top >= _FIB[_ZECK_LOW_INDEX]:
-        m = np.empty(v.shape, dtype=bool)
-        for k in range(fibonacci_index_below(top), _ZECK_LOW_INDEX - 1, -1):
-            np.greater_equal(v, _FIB[k], out=m)
-            np.subtract(v, _FIB[k], out=v, where=m)
-            count += m
+    _zeckendorf_greedy(v, count, fibonacci_index_below(max(top, 1)), _ZECK_HIGH_INDEX)
+    b = v // _ZECK_BUCKET
+    b -= _ZECK_HIGH[b] > v
+    v -= _ZECK_HIGH[b]
+    count += _ZECK_HIGH_COUNT[b]
     count += _ZECK_LOW_TABLE[v]
     return count.astype(np.int64)

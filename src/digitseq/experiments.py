@@ -38,6 +38,7 @@ from .sequences import (
     PowerGrowth,
     beatty_floor_rows,
     ps_block_chunks,
+    ps_floor,
 )
 
 __all__ = [
@@ -65,6 +66,9 @@ __all__ = [
 _CHUNK = 1 << 17  # fixed partition size; independent of the worker count
 _F_MAX = 1 << 40  # largest floor(f(2A)) an experiment accepts
 _WINDOW_MAX = 1 << 16  # longest window z or K of a sup-integral estimate
+_MODULUS_MAX = 1 << 16  # largest residue modulus, and product of the joint moduli
+_HIST_MAX = 1 << 14  # raw digit-sum histogram cells counted per chunk
+_ZECK_SUM_WIDTH = 47  # s_Z <= 46 below 2^63
 
 
 class IntegerExponentWarning(UserWarning):
@@ -443,7 +447,8 @@ def tm_density_experiment(f: PowerGrowth, n: int, checkpoints: int = 12,
         raise ValueError("n beyond the experiment resource guard")
     if checkpoints < 1:
         raise ValueError("needs checkpoints >= 1")
-    marks = sorted({max(1, n >> k) for k in range(checkpoints)})
+    # n >> k is 0 for every k >= n.bit_length(), so the marks stop there.
+    marks = sorted({max(1, n >> k) for k in range(min(checkpoints, n.bit_length()))})
     boundaries = sorted({0, n, *marks, *range(0, n, _CHUNK)})
     ranges = [(boundaries[i] + 1, boundaries[i + 1]) for i in range(len(boundaries) - 1)]
 
@@ -497,16 +502,38 @@ def _warn_integer_exponent(f: PowerGrowth) -> None:
                       "power", IntegerExponentWarning, stacklevel=3)
 
 
-def _residue_table(f: PowerGrowth, x: int, key: Callable[[np.ndarray], np.ndarray],
-                   cells: int, threads: int) -> np.ndarray:
-    """Counts of n <= x by the cell key(floor(n^c)) in range(cells), summed
-    over fixed chunks in chunk order."""
+def _residue_table(f: PowerGrowth, x: int, stat: Callable[[np.ndarray], np.ndarray],
+                   fold: np.ndarray, cells: int, threads: int) -> np.ndarray:
+    """Counts of n <= x by the cell fold[stat(floor(n^c))] in range(cells).
+    Each fixed chunk counts its statistic values 0 .. fold.size - 1 with one
+    bincount, and each part folds its histogram into the cells once; the
+    parts are summed in chunk order."""
     def part(rng: tuple[int, int]) -> np.ndarray:
-        acc = np.zeros(cells, dtype=np.int64)
+        hist = np.zeros(fold.size, dtype=np.int64)
         for arr in ps_block_chunks(rng[0], rng[1], f):
-            acc += np.bincount(key(arr), minlength=cells)
-        return acc
+            hist += np.bincount(stat(arr), minlength=fold.size)
+        table = np.zeros(cells, dtype=np.int64)
+        np.add.at(table, fold, hist)
+        return table
     return sum(_map_ordered(part, _chunk_ranges(1, x), threads), np.zeros(cells, dtype=np.int64))
+
+
+def _check_moduli(*moduli: int) -> None:
+    """Each modulus and their product lie in [1, _MODULUS_MAX]: the report
+    lists one row per residue cell."""
+    if not all(1 <= m <= _MODULUS_MAX for m in moduli) or math.prod(moduli) > _MODULUS_MAX:
+        raise ValueError(f"moduli and their product must lie in [1, {_MODULUS_MAX}], "
+                         f"got {moduli}")
+
+
+def _digit_sum_width(q: int, top: int) -> int:
+    """1 + the largest base-q digit sum of 0 .. top: at most q - 1 per digit,
+    and at most the value itself."""
+    digits, rest = 0, top
+    while rest:
+        rest //= q
+        digits += 1
+    return min(top, (q - 1) * digits) + 1
 
 
 def _residue_report(x: int, moduli: tuple[int, ...], target: tuple[int, ...],
@@ -531,8 +558,9 @@ def joint_residue_experiment(f: PowerGrowth, q1: int, q2: int, m1: int, m2: int,
     guarantee, so their violation is a warning, not a failure."""
     if math.gcd(q1, q2) != 1:
         raise ValueError(f"hypothesis gcd(q1, q2) = 1 fails: gcd = {math.gcd(q1, q2)}")
-    if min(q1, q2) < 2 or min(m1, m2) < 1 or x < 0:
-        raise ValueError("needs q1, q2 >= 2, m1, m2 >= 1, x >= 0")
+    if min(q1, q2) < 2 or x < 0:
+        raise ValueError("needs q1, q2 >= 2, x >= 0")
+    _check_moduli(m1, m2)
     if x > 1 << 27:
         raise ValueError("x beyond the experiment resource guard")
     for name, (u, v) in (("(m1, q1 - 1)", (m1, q1 - 1)), ("(m2, q2 - 1)", (m2, q2 - 1))):
@@ -541,25 +569,42 @@ def joint_residue_experiment(f: PowerGrowth, q1: int, q2: int, m1: int, m2: int,
                           "equidistribution is no longer guaranteed", UserWarning,
                           stacklevel=2)
     _warn_integer_exponent(f)
+    top = min(ps_floor(x, f), 1 << 62) if x else 0  # larger floors fail in the stream
+    w1, w2 = _digit_sum_width(q1, top), _digit_sum_width(q2, top)
+    # The raw pairs (s1, s2) are counted while they fit _HIST_MAX cells; past
+    # that, each digit sum wider than its modulus is reduced before counting,
+    # which leaves at most m1 m2 cells.  r1, r2 = 0 leave a sum raw.
+    r1 = r2 = 0
+    if w1 * w2 > _HIST_MAX:
+        r1, r2 = m1 * (w1 > m1), m2 * (w2 > m2)
+        w1, w2 = min(w1, m1), min(w2, m2)
 
-    def key(arr: np.ndarray) -> np.ndarray:
-        return (digit_sum_array(arr, q1) % m1) * m2 + digit_sum_array(arr, q2) % m2
+    def stat(arr: np.ndarray) -> np.ndarray:
+        s1, s2 = digit_sum_array(arr, q1), digit_sum_array(arr, q2)
+        if r1:
+            s1 %= r1
+        if r2:
+            s2 %= r2
+        s1 *= w2
+        s1 += s2
+        return s1
 
-    table = _residue_table(f, x, key, m1 * m2, threads)
+    fold = (np.arange(w1)[:, None] % m1 * m2 + np.arange(w2) % m2).ravel()
+    table = _residue_table(f, x, stat, fold, m1 * m2, threads)
     return _residue_report(x, (m1, m2), (l1 % m1, l2 % m2), table.reshape(m1, m2))
 
 
 def zeckendorf_residue_experiment(f: PowerGrowth, m: int, a: int, x: int,
                                   threads: int = 1) -> ResidueCountReport:
     """Exact counts of n <= x by s_Z(floor(n^c)) mod m."""
-    if m < 1:
-        raise ValueError("needs m >= 1")
+    _check_moduli(m)
     if x < 0:
         raise ValueError("needs x >= 0")
     if x > 1 << 27:
         raise ValueError("x beyond the experiment resource guard")
     _warn_integer_exponent(f)
-    table = _residue_table(f, x, lambda arr: zeckendorf_digit_sum_array(arr) % m, m, threads)
+    fold = np.arange(_ZECK_SUM_WIDTH) % m
+    table = _residue_table(f, x, zeckendorf_digit_sum_array, fold, m, threads)
     return _residue_report(x, (m,), (a % m,), table)
 
 

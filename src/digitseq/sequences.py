@@ -6,7 +6,9 @@ PowerGrowth(c) is the one exponent type.  An integer c streams exact int64
 powers; every other floor is certified by one helper in two tiers: the
 double value is trusted wherever it lies farther from an integer than its
 error guard, and only the remaining near-ties go to an exact fallback
-(integer roots for floor(n^c), Fractions for Beatty lines).
+(integer roots for floor(n^c), Fractions for Beatty lines).  The exact ties
+of floor(n^c) for c = p/q in lowest terms, n = k^q with n^c = k^p, are
+written in closed form in each streamed chunk and never reach the fallback.
 """
 
 from __future__ import annotations
@@ -132,7 +134,8 @@ def ps_floor(n: int, f: PowerGrowth) -> int:
 def ps_block_chunks(n_lo: int, n_hi: int, f: PowerGrowth) -> Iterator[np.ndarray]:
     """Stream floor(n**c) for n in [n_lo, n_hi] as int64 chunks, in index
     order: exact int64 powers for an integer c, else element-wise identical
-    to ps_floor, which settles the near-ties."""
+    to ps_floor, which settles the near-ties other than the exact ties
+    n = k**c_den, whose floors k**c_num each chunk writes directly."""
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"need 1 <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
     if n_hi >= 2**53:
@@ -150,7 +153,15 @@ def ps_block_chunks(n_lo: int, n_hi: int, f: PowerGrowth) -> Iterator[np.ndarray
         # x grows with n: x[-1] bounds the chunk and its guard every element's.
         if not x[-1] < 2**62:
             raise ValueError("floor values exceed the int64 streaming range")
-        out = _certified_floor(x, _pow_guard(float(x[-1])), lambda i: ps_floor(lo + i, f))
+        guard = _pow_guard(float(x[-1]))
+        # The exact ties n = k^c_den, where n^c = k^c_num, are set apart from
+        # every integer (x = 1/2) and written after the certified floor.
+        k = np.arange(int_nth_root(lo - 1, f.c_den) + 1, int_nth_root(hi, f.c_den) + 1,
+                      dtype=np.int64)
+        ties = k ** f.c_den - lo
+        x[ties] = 0.5
+        out = _certified_floor(x, guard, lambda i: ps_floor(lo + i, f))
+        out[ties] = k ** f.c_num
         if prev_last is not None and out[0] < prev_last:
             raise AssertionError("ps_block lost monotonicity at a chunk boundary")
         if np.any(out[1:] < out[:-1]):

@@ -1,5 +1,5 @@
 """mpmath oracles with exact phases for the Erdos-Turan and digit Fourier
-kernels.
+kernels, and the greedy Zeckendorf kernel that the table-driven one replaced.
 
 Every phase is an exact rational (the exact value of a double, or a
 Fraction) reduced mod 1 before mpmath takes its exponential, so the oracles
@@ -11,6 +11,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+
+from digitseq.digits import fibonacci, fibonacci_index_below
 
 needs_long_double = pytest.mark.skipif(
     np.finfo(np.longdouble).eps > 2.0 ** -63,
@@ -58,3 +60,18 @@ def fourier_table(q: int, level: int, alpha, dps: int = 40) -> list[mpmath.mpc]:
 def max_abs(values: list[mpmath.mpc], dps: int = 40) -> mpmath.mpf:
     with mpmath.workdps(dps):
         return max(abs(v) for v in values)
+
+
+def zeckendorf_greedy(values) -> np.ndarray:
+    """s_Z by masked greedy passes over every index from the largest F_k <=
+    max(values) down to F_2, with no table: after subtracting F_k the
+    remainder is < F_{k-1}, so the summands are non-consecutive."""
+    v = np.array(values, dtype=np.int64, copy=True)
+    count = np.zeros(v.shape, dtype=np.int64)
+    if v.size and int(v.max()) > 0:
+        for k in range(fibonacci_index_below(int(v.max())), 1, -1):
+            m = v >= fibonacci(k)
+            v[m] -= fibonacci(k)
+            count += m
+    assert not v.any()
+    return count

@@ -6,6 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from digitseq import digits
 from digitseq import (
     digit_sum,
     digit_sum_array,
@@ -16,6 +17,7 @@ from digitseq import (
     zeckendorf_digit_sum,
     zeckendorf_digit_sum_array,
 )
+from oracles import zeckendorf_greedy
 
 
 def test_digit_sum_examples():
@@ -154,6 +156,25 @@ def test_zeckendorf_kernel_at_fibonacci_boundaries():
     assert got.tolist() == [zeckendorf_digit_sum(v) for v in vals]
     for v in vals:  # alone, so that the array maximum sets the passes
         assert zeckendorf_digit_sum_array([v]).tolist() == [zeckendorf_digit_sum(v)]
+
+
+def test_zeckendorf_high_tables_match_the_greedy_kernel():
+    # Every bucket end +-1 decides between bucket b and b - 1; around F_48,
+    # where the tables end, the greedy passes take over.
+    ends = np.arange(1, digits._ZECK_HIGH.size + 1, dtype=np.int64) * digits._ZECK_BUCKET - 1
+    vals = np.unique(np.concatenate([ends - 1, ends, ends + 1]))
+    assert np.array_equal(zeckendorf_digit_sum_array(vals), zeckendorf_greedy(vals))
+    edge = [fibonacci(k) + d for k in range(digits._ZECK_HIGH_INDEX - 3,
+                                            digits._ZECK_HIGH_INDEX + 4) for d in (-1, 0, 1)]
+    assert zeckendorf_digit_sum_array(edge).tolist() == zeckendorf_greedy(edge).tolist()
+    for v in edge:  # alone, so that the array maximum sets the greedy passes
+        assert zeckendorf_digit_sum_array([v]).tolist() == zeckendorf_greedy([v]).tolist()
+
+
+@pytest.mark.parametrize("top", [10 ** 6, fibonacci(48), 2 ** 40, 2 ** 62])
+def test_zeckendorf_kernel_matches_the_greedy_kernel_on_random_values(top):
+    vals = np.random.default_rng(top % 1000).integers(0, top, size=20_000)
+    assert np.array_equal(zeckendorf_digit_sum_array(vals), zeckendorf_greedy(vals))
 
 
 @pytest.mark.parametrize("q", range(2, 17))

@@ -16,13 +16,17 @@ from digitseq import (
     audit_theorem1,
     beatty_substitution_integral,
     corollary1_exponent_audit,
+    digit_sum_array,
     joint_residue_experiment,
+    ps_block,
     substitution_deviation,
     thue_morse_sign_array,
     tm_density_experiment,
     window_l1_integral,
+    zeckendorf_digit_sum_array,
     zeckendorf_residue_experiment,
 )
+from digitseq import experiments
 from digitseq.experiments import (
     ArithmeticFunction,
     _tm_block_log2_bound,
@@ -287,6 +291,41 @@ def test_integer_exponent_runs_leave_the_warning_filters_alone(tmp_path):
             assert dispatch(argv) == 0
             assert warnings.filters == filters
         assert [w.category for w in caught] == [IntegerExponentWarning]
+
+
+def _floors(f: PowerGrowth, x: int) -> np.ndarray:
+    return ps_block(1, x, f) if x else np.zeros(0, dtype=np.int64)
+
+
+@pytest.mark.parametrize("c, q1, q2, m1, m2, x", [
+    ("3/2", 2, 3, 3, 5, 20_000),
+    ("71/50", 3, 4, 5, 5, 20_000),
+    ("3/2", 2, 3, 3, 5, 0),
+    # s_q1 of a huge base is about the value itself: reduced before counting
+    ("3/2", 10 ** 12, 3, 2, 5, 20_000),
+    # m1 m2 = 65280 cells; s_q2 reduced, s_q1 counted raw
+    ("4/3", 3, 2 ** 40, 255, 256, 5_000),
+])
+@pytest.mark.parametrize("hist_max", [None, 1])  # 1 reduces every sum wider than its modulus
+def test_joint_histogram_counts_match_a_direct_recount(monkeypatch, c, q1, q2, m1, m2, x,
+                                                       hist_max):
+    if hist_max is not None:
+        monkeypatch.setattr(experiments, "_HIST_MAX", hist_max)
+    f = PowerGrowth(c)
+    floors = _floors(f, x)
+    cells = (digit_sum_array(floors, q1) % m1) * m2 + digit_sum_array(floors, q2) % m2
+    want = np.bincount(cells, minlength=m1 * m2)
+    rep = joint_residue_experiment(f, q1, q2, m1, m2, 0, 0, x, threads=2)
+    assert [rep.counts[divmod(i, m2)] for i in range(m1 * m2)] == want.tolist()
+
+
+@pytest.mark.parametrize("m", [1, 5, 47, 48, 2 ** 16])
+@pytest.mark.parametrize("x", [0, 20_000])
+def test_zeckendorf_histogram_counts_match_a_direct_recount(m, x):
+    f = PowerGrowth("3/2")
+    want = np.bincount(zeckendorf_digit_sum_array(_floors(f, x)) % m, minlength=m)
+    rep = zeckendorf_residue_experiment(f, m, 0, x)
+    assert [rep.counts[(i,)] for i in range(m)] == want.tolist()
 
 
 def test_zeckendorf_residue_trivial_and_conservation():

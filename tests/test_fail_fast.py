@@ -46,6 +46,34 @@ def test_residue_size_guard_runs_before_any_floor(argv, monkeypatch, tmp_path):
     assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeck-residues", "--c", "3/2", "--m", "1000000000000", "--x", "1000"],
+    ["zeck-residues", "--c", "3/2", "--m", "0", "--x", "1000"],
+    ["joint-residues", "--c", "3/2", "--q1", "2", "--q2", "3", "--m1", "1000000000000",
+     "--m2", "5", "--x", "1000"],
+    # each modulus within the limit, their product 2^16 + 2^9 + 1 beyond it
+    ["joint-residues", "--c", "3/2", "--q1", "2", "--q2", "3", "--m1", "257", "--m2", "257",
+     "--x", "1000"],
+], ids=["zeck-m", "zeck-m-0", "joint-m1", "joint-product"])
+def test_residue_moduli_are_bounded_before_any_floor(argv, monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(experiments, "ps_block_chunks", _no_floors)
+    assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert str(experiments._MODULUS_MAX) in capsys.readouterr().err
+
+
+def test_checkpoints_stop_at_the_bit_length_of_n(tmp_path):
+    def report(checkpoints: int) -> bytes:
+        out = tmp_path / f"out-{checkpoints}"
+        assert dispatch(["tm-density", "--c", "3/2", "--n", "100", "--checkpoints",
+                         str(checkpoints), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    start = time.perf_counter()
+    huge = report(10 ** 12)
+    assert time.perf_counter() - start < 1.0
+    assert huge == report((100).bit_length())
+
+
 _SCALE_1E12 = ["--f-power", "3/2", "--scale", "1000000000000"]
 _SMALL_SCALE = ["--f-power", "3/2", "--scale", "4096"]
 _WINDOW_SUMS = [(experiments, "window_exp_sums")]
@@ -74,6 +102,8 @@ _OVERSIZED = {
     "et-audit-sets": (["et-audit", "--sets", "1000000000000"], _ET_KERNELS),
     "fourier-audit-alpha-grid": (["fourier-audit", "--alpha-grid", "1000000000000"],
                                  [(audits, "digit_fourier_table")]),
+    "fourier-audit-q-list": (["fourier-audit", "--q-list", ",".join(["5"] * 65)],
+                             [(audits, "digit_fourier_table")]),
     # 2^14 coefficients fit the guard, 3^14 do not: no base-2 table is built.
     "fourier-audit-level-past-the-guard-in-a-later-base": (
         ["fourier-audit", "--q-list", "2,3", "--lambda-max", "14", "--alpha-grid", "1"],
@@ -104,6 +134,9 @@ _QUICK_EXITS = {
                                          "--lambda-max", "0", "--alpha-grid", "1"], 0),
     "fourier-audit-level-1-huge-base": (["fourier-audit", "--q-list", "1000000000000",
                                          "--lambda-max", "1", "--alpha-grid", "1"], 2),
+    # s_q1 is about the value itself: reduced mod m1 before it is counted.
+    "joint-residues-huge-base": (["joint-residues", "--c", "3/2", "--q1", "1000000000000",
+                                  "--q2", "3", "--m1", "2", "--m2", "5", "--x", "400000"], 0),
 }
 
 
@@ -129,6 +162,8 @@ def test_audit_loops_are_bounded_by_named_limits():
         audits.fourier_bound_audit((2,), 1, audits._ALPHA_GRID_MAX + 1)
     with pytest.raises(ValueError, match=str(audits._SETS_MAX)):
         audits.et_audit(sets=audits._SETS_MAX + 1)
+    with pytest.raises(ValueError, match=str(audits._Q_LIST_MAX)):
+        audits.fourier_bound_audit((2,) * (audits._Q_LIST_MAX + 1), 1, 1)
 
 
 @pytest.mark.parametrize("c, limit", [

@@ -148,6 +148,26 @@ def test_ps_block_chunks_match_integer_roots_at_any_chunk_size(monkeypatch, c, c
             int_nth_root(n ** f.c_num, f.c_den) for n in range(n_lo, n_hi + 1)]
 
 
+@pytest.mark.parametrize("c", STREAM_EXPONENTS)
+def test_exact_ties_up_to_2_27_match_integer_roots_without_escalating(monkeypatch, c):
+    # Every exact tie n = k^c_den <= 2^27 with its two neighbours: inside a
+    # chunk, and at the end and the start of a two-value chunk.  No tie
+    # escalates unless its chunk's guard reaches 1/2, where every value does.
+    f = PowerGrowth(c)
+    escalated = []
+    monkeypatch.setattr(sequences, "ps_floor", lambda n, g: escalated.append(n) or ps_floor(n, g))
+    ties = [k ** f.c_den for k in range(1, int_nth_root(2 ** 27, f.c_den) + 1)]
+    for chunk, ranges in ((1 << 14, [(t - 1, t + 1) for t in ties]),
+                          (2, [(t - 1, t + 1) for t in ties] + [(t, t + 1) for t in ties])):
+        monkeypatch.setattr(sequences, "_FLOOR_CHUNK", chunk)
+        for lo, hi in ranges:
+            lo = max(lo, 1)
+            assert ps_block(lo, hi, f).tolist() == [
+                int_nth_root(n ** f.c_num, f.c_den) for n in range(lo, hi + 1)]
+    resolved = {t for t in ties if sequences._pow_guard(float(t + 1) ** f.cf) < 0.5}
+    assert resolved and not set(escalated) & resolved
+
+
 def test_beatty_floor_examples():
     assert beatty_floor(5, BeattyLine(1.0, 0.0)) == 5
     assert beatty_floor(3, BeattyLine(2.0, 0.5)) == 6
