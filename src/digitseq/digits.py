@@ -208,10 +208,16 @@ _ZECK_HIGH_INDEX = 48
 
 
 def _zeckendorf_high_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    ends = np.arange(1, -(-_FIB[k] // _ZECK_BUCKET) + 1, dtype=np.int64) * _ZECK_BUCKET - 1
-    rest, count = ends.copy(), np.zeros(ends.shape, dtype=np.uint8)
-    _zeckendorf_greedy(rest, count, fibonacci_index_below(int(ends[-1])), _ZECK_LOW_INDEX)
-    return ends - rest, count
+    # Built in place: a freed table-sized temporary still adds to the
+    # resident memory of every process that imports the module.
+    buckets = -(-_FIB[k] // _ZECK_BUCKET)
+    high = np.arange(1, buckets + 1, dtype=np.int64)
+    high *= _ZECK_BUCKET
+    high -= 1
+    rest, count = high.copy(), np.zeros(buckets, dtype=np.uint8)
+    _zeckendorf_greedy(rest, count, fibonacci_index_below(int(high[-1])), _ZECK_LOW_INDEX)
+    high -= rest
+    return high, count
 
 
 _ZECK_HIGH, _ZECK_HIGH_COUNT = _zeckendorf_high_tables(_ZECK_HIGH_INDEX)
