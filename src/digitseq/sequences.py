@@ -8,7 +8,8 @@ double value is trusted wherever it lies farther from an integer than its
 error guard, and only the remaining near-ties go to an exact fallback
 (integer roots for floor(n^c), Fractions for Beatty lines).  The exact ties
 of floor(n^c) for c = p/q in lowest terms, n = k^q with n^c = k^p, are
-written in closed form in each streamed chunk and never reach the fallback.
+written in closed form in each streamed chunk; they reach the fallback only
+where the chunk's guard is 1/2 or more and every value does.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from digitseq import digits
 from digitseq import (
     digit_sum,
     digit_sum_array,
+    digits,
     fibonacci,
     thue_morse_prefix_sum,
     thue_morse_sign,

@@ -17,6 +17,7 @@ from digitseq import (
     beatty_substitution_integral,
     corollary1_exponent_audit,
     digit_sum_array,
+    experiments,
     joint_residue_experiment,
     ps_block,
     substitution_deviation,
@@ -26,7 +27,6 @@ from digitseq import (
     zeckendorf_digit_sum_array,
     zeckendorf_residue_experiment,
 )
-from digitseq import experiments
 from digitseq.experiments import (
     ArithmeticFunction,
     _tm_block_log2_bound,
