@@ -29,7 +29,6 @@ from .sequences import (
     beatty_floor_rows,
     count_floor_mismatches,
     int_nth_root,
-    ps_block,
     ps_block_chunks,
     ps_floor,
 )

@@ -20,6 +20,9 @@ _MAX_POINTS = 1 << 16  # largest point set of et_audit: 16 x N long-double power
 _ALPHA_GRID_MAX = 1 << 12  # alpha grid of fourier_bound_audit
 _SETS_MAX = 1 << 16  # point sets of et_audit
 _Q_LIST_MAX = 1 << 6  # bases of fourier_bound_audit, each a full level and alpha sweep
+# grid x (H + 1) values that vaaler_audit holds per degree: as many as the
+# construction gate holds at the largest degree, 4096 x 1024.
+_VAALER_CELLS_MAX = 1 << 22
 
 __all__ = [
     "FourierAuditRow",
@@ -86,10 +89,12 @@ class VaalerAuditRow:
 def vaaler_audit(degrees: tuple[int, ...], grid: int = 10000) -> list[VaalerAuditRow]:
     """Grid check of the defining sawtooth inequality and of the majorant's
     nonnegativity for each requested degree."""
-    if grid < 2:
-        raise ValueError("needs grid >= 2")
     for degree in degrees:
         _check_degree(degree)
+    degree_max = max(degrees, default=0)
+    grid_max = _VAALER_CELLS_MAX // (degree_max + 1)
+    if not 2 <= grid <= grid_max:
+        raise ValueError(f"needs 2 <= grid <= {grid_max} at degree {degree_max}")
     rows = []
     ts = np.arange(grid, dtype=np.float64) / grid
     for degree in degrees:

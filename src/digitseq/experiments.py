@@ -9,8 +9,8 @@ warn once (IntegerExponentWarning), before any worker starts.
 
 All experiments are deterministic: sampling grids are fixed (no RNG), index
 ranges are partitioned into fixed-size chunks whatever the worker count,
-and floating partial results are combined in chunk order with compensated
-summation, so reports are bit-identical run to run.
+and floating partial results are summed exactly by math.fsum, so reports
+are bit-identical run to run and whatever the worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .digits import (
     thue_morse_sign_array,
     zeckendorf_digit_sum_array,
 )
-from .expsums import _kahan, window_exp_sums
+from .expsums import _WINDOW_MAX, window_exp_sums
 from .sequences import (
     BeattyLine,
     PowerGrowth,
@@ -65,7 +65,11 @@ __all__ = [
 
 _CHUNK = 1 << 17  # fixed partition size; independent of the worker count
 _F_MAX = 1 << 40  # largest floor(f(2A)) an experiment accepts
-_WINDOW_MAX = 1 << 16  # longest window z or K of a sup-integral estimate
+_N_MAX = 1 << 27  # largest n or x of the three applications
+# Largest grid and sup sample count of an estimate.  Each estimate also runs
+# at twice both, and estimate-i holds one Beatty line per (alpha, beta) pair.
+_GRID_MAX = 1 << 10
+_SAMPLES_MAX = 1 << 6
 _MODULUS_MAX = 1 << 16  # largest residue modulus, and product of the joint moduli
 _HIST_MAX = 1 << 14  # raw digit-sum histogram cells counted per chunk
 _ZECK_SUM_WIDTH = 47  # s_Z <= 46 below 2^63
@@ -105,18 +109,16 @@ _TM = PHI_FUNCTIONS["thue-morse"]  # the closed forms below are selected by iden
 _DROP_REL = 2.0 ** -80  # dropped Thue-Morse blocks, relative to the first weight
 
 
-def resolve_phi(phi) -> ArithmeticFunction:
-    """Accept a registry name, an ArithmeticFunction, or a bare callable."""
+def resolve_phi(phi: ArithmeticFunction | str) -> ArithmeticFunction:
+    """Accept an ArithmeticFunction or a registry name."""
     if isinstance(phi, ArithmeticFunction):
         return phi
-    if isinstance(phi, str):
-        if phi in PHI_FUNCTIONS:
-            return PHI_FUNCTIONS[phi]
-        if phi.startswith("digit-exp:"):
-            _, q, alpha = phi.split(":")
-            return ArithmeticFunction(phi, _phi_digit_exp(int(q), float(Fraction(alpha))))
-        raise ValueError(f"unknown arithmetic function '{phi}'")
-    return ArithmeticFunction(getattr(phi, "__name__", "phi"), phi)
+    if phi in PHI_FUNCTIONS:
+        return PHI_FUNCTIONS[phi]
+    if phi.startswith("digit-exp:"):
+        _, q, alpha = phi.split(":")
+        return ArithmeticFunction(phi, _phi_digit_exp(int(q), float(Fraction(alpha))))
+    raise ValueError(f"unknown arithmetic function '{phi}'")
 
 
 def _check_scale(f: PowerGrowth, A: int) -> int:
@@ -135,6 +137,14 @@ def _check_window(length) -> None:
     length terms per grid point, so a longer window never finishes."""
     if not 1 <= length <= _WINDOW_MAX:
         raise ValueError(f"window length must lie in [1, {_WINDOW_MAX}], got {length}")
+
+
+def _check_grids(grid: int, samples: int) -> None:
+    """An estimate's grid lies in [2, _GRID_MAX] and its sup sample count in
+    [2, _SAMPLES_MAX], checked before any point is built."""
+    if not (2 <= grid <= _GRID_MAX and 2 <= samples <= _SAMPLES_MAX):
+        raise ValueError(f"needs a grid in [2, {_GRID_MAX}] and sup samples in "
+                         f"[2, {_SAMPLES_MAX}], got {grid} and {samples}")
 
 
 def _chunk_ranges(lo: int, hi: int, size: int = _CHUNK) -> list[tuple[int, int]]:
@@ -229,6 +239,13 @@ def _tm_weighted_sum(f: PowerGrowth, m_lo: int, m_hi: int) -> float:
     return math.fsum(itertools.chain.from_iterable(map(split_terms, ranges)))
 
 
+def _fsum_complex(values) -> complex:
+    """The exact sum of complex (or real) values rounded once per part, in
+    any order: one math.fsum of the real parts and one of the imaginary."""
+    values = list(values)
+    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+
+
 @dataclass(frozen=True)
 class DeviationReport:
     """Normalized substitution-rule deviation at scale A: both competing
@@ -259,22 +276,23 @@ def substitution_deviation(phi, f: PowerGrowth, A: int, threads: int = 1) -> Dev
     m_hi = _check_scale(f, A)
     start = time.perf_counter()
 
-    def part_floors(rng: tuple[int, int]) -> complex:
-        return _kahan([_phi_sum(phi, arr).item() for arr in f.floor_block(rng[0], rng[1])])
+    def part_floors(rng: tuple[int, int]) -> list[complex]:
+        return [_phi_sum(phi, arr).item() for arr in f.floor_block(rng[0], rng[1])]
 
     def part_weighted(rng: tuple[int, int]) -> complex:
         m = np.arange(rng[0], rng[1] + 1, dtype=np.int64)
         w = np.asarray(f.df_inv(m.astype(np.float64)), dtype=np.float64)
         return complex(np.sum(np.asarray(phi(m), dtype=np.complex128) * w))
 
-    sum1 = _kahan(_map_ordered(part_floors, _chunk_ranges(A + 1, 2 * A), threads))
+    sum1 = _fsum_complex(itertools.chain.from_iterable(
+        _map_ordered(part_floors, _chunk_ranges(A + 1, 2 * A), threads)))
     m_lo = f.floor_exact(A)
     if m_hi <= m_lo:
         sum2 = 0j
     elif phi is _TM:
         sum2 = complex(_tm_weighted_sum(f, m_lo, m_hi))
     else:
-        sum2 = _kahan(_map_ordered(part_weighted, _chunk_ranges(m_lo + 1, m_hi), threads))
+        sum2 = _fsum_complex(_map_ordered(part_weighted, _chunk_ranges(m_lo + 1, m_hi), threads))
     return DeviationReport(A=A, lhs_per_A=abs(sum1 - sum2) / A, sum1=sum1, sum2=sum2,
                            runtime=time.perf_counter() - start,
                            phi_name=phi.name, f_label=f.label())
@@ -306,14 +324,12 @@ def window_l1_integral(phi, f: PowerGrowth, A: int, z: float,
     of |sum_{x<m<=x+z} phi(m) e(m theta)| / z.
 
     Each window start takes the whole theta grid t/G at once
-    (expsums.window_exp_sums): phi once per window chunk, the grid as rows
-    of 2-D blocks of at most _WINDOW_CHUNK terms, so no block is larger than
-    one window chunk.  Every modulus is np.hypot of the one-theta sum, the
-    value abs() gives."""
+    (expsums.window_exp_sums): phi once per window, the grid as rows of 2-D
+    blocks of at most expsums._BLOCK_TERMS terms.  Every modulus is np.hypot
+    of the one-theta sum, the value abs() gives."""
     phi = resolve_phi(phi)
     _check_window(z)
-    if theta_grid < 2 or x_samples < 2:
-        raise ValueError("grids must be >= 2")
+    _check_grids(theta_grid, x_samples)
     _check_scale(f, A)
     lo, hi = float(f.f(A)), float(f.f(2 * A))
 
@@ -346,8 +362,7 @@ def beatty_substitution_integral(phi, f: PowerGrowth, A: int, K: int,
     form, or a sum over its own range for any other phi."""
     phi = resolve_phi(phi)
     _check_window(K)
-    if alpha_grid < 2 or beta_samples < 2:
-        raise ValueError("grids must be >= 2")
+    _check_grids(alpha_grid, beta_samples)
     _check_scale(f, A)
     a_lo, a_hi = float(f.df(A)), float(f.df(2 * A))
     f_lo, f_hi = float(f.f(A)), float(f.f(2 * A))
@@ -404,6 +419,7 @@ def audit_theorem1(phi, f: PowerGrowth, A: int, z: float,
                    threads: int = 1) -> Theorem1Audit:
     phi = resolve_phi(phi)
     _check_window(z)  # before the deviation spends its work
+    _check_grids(theta_grid, x_samples)
     dev = substitution_deviation(phi, f, A, threads=threads)
     j_est = window_l1_integral(phi, f, A, z, theta_grid=theta_grid, x_samples=x_samples)
     d2, d1 = float(f.d2f(A)), float(f.df(A))
@@ -443,7 +459,7 @@ def tm_density_experiment(f: PowerGrowth, n: int, checkpoints: int = 12,
         raise ValueError("density experiment needs 1 < c < 2")
     if n < 1:
         raise ValueError("needs n >= 1")
-    if n > 1 << 27:
+    if n > _N_MAX:
         raise ValueError("n beyond the experiment resource guard")
     if checkpoints < 1:
         raise ValueError("needs checkpoints >= 1")
@@ -561,7 +577,7 @@ def joint_residue_experiment(f: PowerGrowth, q1: int, q2: int, m1: int, m2: int,
     if min(q1, q2) < 2 or x < 0:
         raise ValueError("needs q1, q2 >= 2, x >= 0")
     _check_moduli(m1, m2)
-    if x > 1 << 27:
+    if x > _N_MAX:
         raise ValueError("x beyond the experiment resource guard")
     for name, (u, v) in (("(m1, q1 - 1)", (m1, q1 - 1)), ("(m2, q2 - 1)", (m2, q2 - 1))):
         if math.gcd(u, v) != 1:
@@ -600,7 +616,7 @@ def zeckendorf_residue_experiment(f: PowerGrowth, m: int, a: int, x: int,
     _check_moduli(m)
     if x < 0:
         raise ValueError("needs x >= 0")
-    if x > 1 << 27:
+    if x > _N_MAX:
         raise ValueError("x beyond the experiment resource guard")
     _warn_integer_exponent(f)
     fold = np.arange(_ZECK_SUM_WIDTH) % m

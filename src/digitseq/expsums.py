@@ -5,7 +5,8 @@ phase reduction, the Thue-Morse sine-product integral and its geometric
 decay rate, and discrete digit Fourier coefficient tables with their uniform
 decay bound.
 
-Phases m*theta are never reduced in plain double arithmetic: the base point
+A window holds at most _WINDOW_MAX terms and takes one phi pass.  Its
+phases m*theta are never reduced in plain double arithmetic: the base point
 is reduced exactly through the integer representation of the float (or an
 exact Fraction) in reduced_phase, and in-window offsets use a Dekker split,
 so e(m theta) stays accurate for m far beyond 2**53.
@@ -23,10 +24,9 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -44,31 +44,15 @@ __all__ = [
     "reduced_phase",
     "geometric_sum_modulus",
     "dist_to_int",
-    "max_table_bytes",
 ]
 
-_SUM_EPS = 5e-16  # per-term relative bound fed into the residual estimate
-_WINDOW_CHUNK = 1 << 18  # terms per partial sum of a window sum
+_WINDOW_MAX = 1 << 16  # longest window z of a window sum and of the estimates
+_BLOCK_TERMS = 1 << 18  # terms of one 2-D block of theta rows
 _BOUND_SLACK = 1e-12  # rounding allowance of the uniform coefficient bound
 _TABLE_LOG2_MAX = 22  # digit Fourier tables hold at most 2^22 coefficients
 _LEVEL_MAX = 1713  # I_1713 = 2.26e-308; I_1714 = 1.50e-308 is below the normal doubles
 _TWO_PI = 8 * np.arctan(np.longdouble(1))
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j], dtype=np.clongdouble)
-
-
-def max_table_bytes() -> int:
-    """Allocation cap for coefficient tables (DIGITSEQ_MAX_MEMORY, bytes;
-    1 GiB when unset)."""
-    raw = os.environ.get("DIGITSEQ_MAX_MEMORY", "")
-    if not raw:
-        return 1 << 30
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        raise ValueError(f"DIGITSEQ_MAX_MEMORY must be a positive byte count, got {raw!r}")
-    return cap
 
 
 def dist_to_int(x: float) -> float:
@@ -110,13 +94,9 @@ def _phase_block(m0: int, count: int, thetas) -> np.ndarray:
     """{(m0 + j) * theta} for j < count, one row per theta.  Exact base
     reduction per row plus a Dekker-split product for the offsets keeps the
     error at ulp level."""
-    if count <= 0:
-        return np.zeros((len(thetas), 0))
     base = np.array([[reduced_phase(m0, t)] for t in thetas])
     tf = np.array([[float(t)] for t in thetas])
     j = np.arange(count, dtype=np.float64)
-    if count > 1 << 26:
-        raise ValueError("window too long for the split-phase path")
     c = 134217729.0 * tf  # 2**27 + 1
     t_hi = c - (c - tf)
     t_lo = tf - t_hi
@@ -124,27 +104,12 @@ def _phase_block(m0: int, count: int, thetas) -> np.ndarray:
     return ph % 1.0
 
 
-def _kahan(values: Iterable[complex]) -> complex:
-    """Compensated (Kahan) sum, accumulated in the given order (element-wise
-    when the values are arrays)."""
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 @dataclass(frozen=True)
 class WindowSumResult:
-    """Value of a windowed exponential sum with its term count and a
-    compensated-summation residual estimate."""
+    """Value of a windowed exponential sum with its term count."""
 
     value: complex
     term_count: int
-    summation_error_bound: float
 
 
 def window_exp_sums(phi: Callable[[np.ndarray], np.ndarray], x: float, z: float,
@@ -153,30 +118,23 @@ def window_exp_sums(phi: Callable[[np.ndarray], np.ndarray], x: float, z: float,
     as a complex128 array.  phi maps an int64 array to values bounded by 1
     in modulus (anything array-like is accepted).
 
-    phi is evaluated once per chunk of at most _WINDOW_CHUNK terms; the
-    thetas are rows of 2-D blocks of at most _WINDOW_CHUNK terms (one row
-    when a chunk is that long), each row summed by np.sum like a single
-    window.  Chunk partials are combined by _kahan in chunk order, so every
-    entry is the one-theta sum bit for bit."""
-    if z < 0:
-        raise ValueError("window length must be nonnegative")
-    m_lo = math.floor(x) + 1
-    m_hi = math.floor(x + z)
-    partials = []
-    for lo in range(m_lo, m_hi + 1, _WINDOW_CHUNK):
-        n = min(_WINDOW_CHUNK, m_hi - lo + 1)
-        # phi values as a (1, n) row and the left operand, as in the 1-D
-        # product: numpy's SIMD complex product fuses a_re * b into a
-        # multiply-add, so it is not symmetric in its operands, and a bare
-        # (n,) row against a (1, 1) block takes its unfused scalar loop.
-        vals = np.asarray(phi(np.arange(lo, lo + n, dtype=np.int64))).reshape(1, n)
-        rows = max(1, _WINDOW_CHUNK // n)
-        partials.append(np.concatenate([
-            np.sum(vals * np.exp(2j * np.pi * _phase_block(lo, n, thetas[r:r + rows])), axis=-1)
-            for r in range(0, len(thetas), rows)]))
-    if not partials:
-        return np.zeros(len(thetas), dtype=np.complex128)
-    return _kahan(partials)
+    The window length z lies in [0, _WINDOW_MAX], checked before phi runs.
+    phi is evaluated once for the whole window; the thetas are rows of 2-D
+    blocks of at most _BLOCK_TERMS terms, each row summed by np.sum like a
+    single window, so every entry is the one-theta sum bit for bit."""
+    if not 0 <= z <= _WINDOW_MAX:
+        raise ValueError(f"window length must lie in [0, {_WINDOW_MAX}], got {z}")
+    lo = math.floor(x) + 1
+    n = math.floor(x + z) - lo + 1
+    # phi values as a (1, n) row and the left operand, as in the 1-D
+    # product: numpy's SIMD complex product fuses a_re * b into a
+    # multiply-add, so it is not symmetric in its operands, and a bare
+    # (n,) row against a (1, 1) block takes its unfused scalar loop.
+    vals = np.asarray(phi(np.arange(lo, lo + n, dtype=np.int64))).reshape(1, n)
+    rows = max(1, _BLOCK_TERMS // max(n, 1))
+    return np.concatenate([
+        np.sum(vals * np.exp(2j * np.pi * _phase_block(lo, n, thetas[r:r + rows])), axis=-1)
+        for r in range(0, len(thetas), rows)])
 
 
 def window_exp_sum(phi: Callable[[np.ndarray], np.ndarray], x: float, z: float,
@@ -185,8 +143,7 @@ def window_exp_sum(phi: Callable[[np.ndarray], np.ndarray], x: float, z: float,
     window_exp_sums.  No subcommand calls it; it stays as the span perfbench
     traces for window sums, and as the one-theta reference of the tests."""
     count = max(0, math.floor(x + z) - math.floor(x))
-    value = complex(window_exp_sums(phi, x, z, [theta])[0])
-    return WindowSumResult(value, count, _SUM_EPS * count)
+    return WindowSumResult(complex(window_exp_sums(phi, x, z, [theta])[0]), count)
 
 
 @dataclass(frozen=True)
@@ -237,15 +194,18 @@ def _operator_integrals(level_max: int, n: int) -> list[np.longdouble]:
     return integrals
 
 
-def _sine_product_results(level_max: int) -> list[SineProductResult]:
+@functools.lru_cache(maxsize=1)
+def _sine_product_results(level_max: int) -> tuple[SineProductResult, ...]:
     """SineProductResult for level = 0 ... level_max from one operator chain
-    per node count (the levels are checked against the double range first)."""
+    per node count (the levels are checked against the double range first).
+    The last chain is kept, so sine_product_decay reads its rows off the
+    chain that its sine_product_integral call built."""
     if level_max > _LEVEL_MAX:
         raise ValueError(f"level above the double range guard ({_LEVEL_MAX})")
     i64, i128 = (_operator_integrals(level_max, n) for n in (64, 128))
-    return [SineProductResult(0, 1.0, 0.0)] + [
+    return (SineProductResult(0, 1.0, 0.0),) + tuple(
         SineProductResult(level, float(i128[level]), float(abs(i128[level] - i64[level])))
-        for level in range(1, level_max + 1)]
+        for level in range(1, level_max + 1))
 
 
 def sine_product_integral(level: int) -> SineProductResult:
@@ -282,13 +242,12 @@ def sine_product_decay(level_max: int) -> list[SineProductDecayRow]:
         raise ValueError("needs level_max >= 2")
     if level_max > _LEVEL_MAX:
         raise ValueError(f"level above the double range guard ({_LEVEL_MAX})")
-    # The levels below level_max are read off one chain.  The last row goes
-    # through sine_product_integral, the span perfbench traces for these
-    # integrals; it runs the same chain once more, to level_max.
-    results = _sine_product_results(level_max - 1) + [sine_product_integral(level_max)]
+    # sine_product_integral, the span perfbench traces for these integrals,
+    # builds the chain to level_max; every row is read off that one chain.
+    sine_product_integral(level_max)
     rows = []
     prev = None
-    for lam, res in enumerate(results):
+    for lam, res in enumerate(_sine_product_results(level_max)):
         ratio = float("nan") if prev is None else res.integral_value / prev
         geo = float("nan") if lam == 0 else res.integral_value ** (1.0 / lam)
         rows.append(SineProductDecayRow(lam, res.integral_value, ratio, geo,
@@ -374,15 +333,12 @@ def _root_table(q: int, level: int) -> np.ndarray:
 
 def _check_fourier_table(q: int, level: int) -> None:
     """The guards of digit_fourier_table, without any allocation: q >= 2,
-    level >= 0, at most 2^22 coefficients (q ** level is never formed for a
-    level past 22), and the table and its root table within
-    DIGITSEQ_MAX_MEMORY."""
+    level >= 0 and at most 2^22 coefficients (q ** level is never formed for
+    a level past 22)."""
     if q < 2 or level < 0:
         raise ValueError("needs q >= 2 and level >= 0")
     if level > _TABLE_LOG2_MAX or q ** level > 1 << _TABLE_LOG2_MAX:
         raise ValueError(f"table of {q}^{level} coefficients exceeds the 2^{_TABLE_LOG2_MAX} guard")
-    if 2 * q ** level * np.dtype(np.clongdouble).itemsize > max_table_bytes():
-        raise ValueError("table exceeds DIGITSEQ_MAX_MEMORY")
 
 
 def digit_fourier_table(q: int, level: int, alpha: float) -> FourierTable:

@@ -5,11 +5,12 @@ floor(f(n)).
 PowerGrowth(c) is the one exponent type.  An integer c streams exact int64
 powers; every other floor is certified by one helper in two tiers: the
 double value is trusted wherever it lies farther from an integer than its
-error guard, and only the remaining near-ties go to an exact fallback
-(integer roots for floor(n^c), Fractions for Beatty lines).  The exact ties
-of floor(n^c) for c = p/q in lowest terms, n = k^q with n^c = k^p, are
-written in closed form in each streamed chunk; they reach the fallback only
-where the chunk's guard is 1/2 or more and every value does.
+error guard, and only the remaining near-ties go to an exact fallback.  For
+floor(n^c) that is the integer root, stepped from the double; for a Beatty
+line it is beatty_floor, one Fraction floor per near-tie.  The exact ties of
+floor(n^c) for c = p/q in lowest terms, n = k^q with n^c = k^p, are written
+in closed form in each streamed chunk; they reach the fallback only where
+the chunk's guard is 1/2 or more and every value does.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "MismatchReport",
     "int_nth_root",
     "ps_floor",
-    "ps_block",
     "ps_block_chunks",
     "beatty_floor",
     "beatty_floor_range",
@@ -51,6 +51,9 @@ _C_MAX = 62
 # tens of ms for c_den = 1000, c < 2 and n = 2^27 (CPython 3.11, x86-64), but
 # hours for c_den = 10^20.
 _C_DEN_MAX = 1000
+# Most terms r of the mismatch lemma's exponential sums; the default R is at
+# most 1001 (sqrt of the longest window, plus one).
+_R_TERMS_MAX = 1 << 16
 
 
 def int_nth_root(n: int, k: int, seed: int | None = None) -> int:
@@ -77,19 +80,15 @@ def int_nth_root(n: int, k: int, seed: int | None = None) -> int:
     return x
 
 
-def _pow_guard(x):
-    """Distance to an integer below which a double x**c (float or array) is not trusted."""
-    if isinstance(x, float):
-        return max(_NEAR_MARGIN, _FLOAT_GUARD_REL * x)
-    return np.maximum(_NEAR_MARGIN, _FLOAT_GUARD_REL * x)
+def _pow_guard(x: float) -> float:
+    """Distance to an integer below which a double x**c is not trusted."""
+    return max(_NEAR_MARGIN, _FLOAT_GUARD_REL * x)
 
 
-def _affine_guard(v):
-    """Distance to an integer below which a double n*alpha + beta (float or
-    array) is not trusted: 2^-40, widened by the float error scale so large
-    magnitudes still escalate before the double can lie."""
-    if isinstance(v, float):
-        return max(2.0 ** -40, 4e-15 * (abs(v) + 1.0))
+def _affine_guard(v: np.ndarray) -> np.ndarray:
+    """Distance to an integer below which a double n*alpha + beta is not
+    trusted: 2^-40, widened by the float error scale so large magnitudes
+    still escalate before the double can lie."""
     return np.maximum(2.0 ** -40, 4e-15 * (np.abs(v) + 1.0))
 
 
@@ -171,13 +170,6 @@ def ps_block_chunks(n_lo: int, n_hi: int, f: PowerGrowth) -> Iterator[np.ndarray
         yield out
 
 
-def ps_block(n_lo: int, n_hi: int, f: PowerGrowth) -> np.ndarray:
-    """Materialised ps_block_chunks (guarded to 2**26 values)."""
-    if n_hi - n_lo + 1 > 1 << 26:
-        raise ValueError("block too large to materialise; use ps_block_chunks")
-    return np.concatenate(list(ps_block_chunks(n_lo, n_hi, f)))
-
-
 @dataclass(frozen=True)
 class BeattyLine:
     """Tangent pair: slope alpha > 0 and intercept beta."""
@@ -191,10 +183,10 @@ class BeattyLine:
 
 
 def beatty_floor(n: int, line: BeattyLine) -> int:
-    """floor(n*alpha + beta) with exact-rational escalation near ties."""
-    v = n * line.alpha + line.beta
-    return _certified_floor(v, _affine_guard(v), lambda _: math.floor(
-        Fraction(n) * Fraction(line.alpha) + Fraction(line.beta)))
+    """floor(n*alpha + beta) in exact rationals: the near-tie fallback of
+    beatty_floor_rows, which has already found the double too close to an
+    integer to trust."""
+    return math.floor(Fraction(n) * Fraction(line.alpha) + Fraction(line.beta))
 
 
 def beatty_floor_rows(lines: Sequence[BeattyLine], n_lo: int,
@@ -304,8 +296,8 @@ def count_floor_mismatches(f: GrowthFunction, a: int, b: int, alpha: float,
     >= 1.  Each inner sum is |sin(pi (b-a) r alpha) / sin(pi r alpha)|."""
     if b < a:
         raise ValueError("need a <= b")
-    if r_terms is not None and r_terms < 1:
-        raise ValueError("needs r_terms >= 1")
+    if r_terms is not None and not 1 <= r_terms <= _R_TERMS_MAX:
+        raise ValueError(f"needs r_terms >= 1 and r_terms <= {_R_TERMS_MAX}, got {r_terms}")
     if b - a > 1_000_000:
         raise ValueError("window too long for exact evaluation")
     span = b - a

@@ -1,5 +1,7 @@
 """mpmath oracles with exact phases for the Erdos-Turan and digit Fourier
-kernels, and the greedy Zeckendorf kernel that the table-driven one replaced.
+kernels, the greedy Zeckendorf kernel that the table-driven one replaced,
+the Kahan sum that the window sums used to combine their chunks with, and
+ps_block, the floor stream materialised as one array.
 
 Every phase is an exact rational (the exact value of a double, or a
 Fraction) reduced mod 1 before mpmath takes its exponential, so the oracles
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from digitseq.digits import fibonacci, fibonacci_index_below
+from digitseq.sequences import PowerGrowth, ps_block_chunks
 
 needs_long_double = pytest.mark.skipif(
     np.finfo(np.longdouble).eps > 2.0 ** -63,
@@ -75,3 +78,20 @@ def zeckendorf_greedy(values) -> np.ndarray:
             count += m
     assert not v.any()
     return count
+
+
+def kahan(values) -> complex:
+    """Compensated (Kahan) sum, accumulated in the given order."""
+    total = 0.0 + 0.0j
+    comp = 0.0 + 0.0j
+    for v in values:
+        y = v - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+def ps_block(n_lo: int, n_hi: int, f: PowerGrowth) -> np.ndarray:
+    """floor(n**c) for n in [n_lo, n_hi] as one int64 array."""
+    return np.concatenate(list(ps_block_chunks(n_lo, n_hi, f)))

@@ -3,13 +3,15 @@
 window_exp_sums evaluates a window for a whole theta grid, and
 beatty_floor_rows gives the floors of many Beatty lines at once.  The
 oracles here are the scalar forms the estimates used before: one
-window_exp_sum per (x, theta) with its phases rebuilt term by term, and one
-Fraction floor per position.  The chunk sizes are patched small in some
-cases, so windows span several chunks and grids several blocks.
+window_exp_sum per (x, theta) with its phases rebuilt term by term and its
+chunk partials Kahan-summed, and one Fraction floor per position.  The block
+and chunk sizes are patched small in some cases, so grids span several
+blocks and Beatty rows several floor chunks.
 """
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,20 +30,23 @@ from digitseq import (
 )
 from digitseq import expsums, sequences
 from digitseq.experiments import _sup_points, resolve_phi
-from digitseq.expsums import _kahan, reduced_phase
+from digitseq.expsums import reduced_phase
+from oracles import kahan
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 PHIS = ("thue-morse", "digit-exp:3:1/3")
+_CHUNK = 1 << 18  # terms per partial sum of the chunked window sums
 
 
 def _scalar_window_sum(phi, x: float, z: float, theta) -> complex:
     """sum_{x<m<=x+z} phi(m) e(m theta), one theta, chunk by chunk: the exact
     base phase, a Dekker split of theta for the offsets, np.exp and np.sum
-    per chunk, and the chunk partials in Kahan order."""
+    per chunk, and the chunk partials in Kahan order.  A chunk holds more
+    terms than the longest window, so every accepted window is one chunk."""
     m_lo, m_hi = math.floor(x) + 1, math.floor(x + z)
     partials = []
-    for lo in range(m_lo, m_hi + 1, expsums._WINDOW_CHUNK):
-        n = min(expsums._WINDOW_CHUNK, m_hi - lo + 1)
+    for lo in range(m_lo, m_hi + 1, _CHUNK):
+        n = min(_CHUNK, m_hi - lo + 1)
         tf = float(theta)
         c = 134217729.0 * tf
         t_hi = c - (c - tf)
@@ -50,7 +55,7 @@ def _scalar_window_sum(phi, x: float, z: float, theta) -> complex:
         ph = ((j * t_hi) % 1.0 + (j * t_lo) % 1.0 + reduced_phase(lo, theta)) % 1.0
         vals = np.asarray(phi(np.arange(lo, lo + n, dtype=np.int64)))
         partials.append(complex(np.sum(vals * np.exp(2j * np.pi * ph))))
-    return _kahan(partials)
+    return kahan(partials)
 
 
 def _assert_grid_matches(phi, x, z, grid):
@@ -77,15 +82,22 @@ def test_window_grid_equals_one_theta_sums(phi, x, z, grid):
        x=st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
        z=st.floats(1.0, 100.0), grid=st.integers(2, 24), chunk=st.integers(3, 40))
 def test_window_grid_across_chunks_and_blocks(phi, x, z, grid, chunk):
+    # The kernel's theta blocks are patched small; the reference stays one chunk.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(expsums, "_WINDOW_CHUNK", chunk)
+        mp.setattr(expsums, "_BLOCK_TERMS", chunk)
         _assert_grid_matches(resolve_phi(phi), x, z, grid)
 
 
-@pytest.mark.parametrize("phi", PHIS)
-def test_window_longer_than_a_chunk(phi):
-    # Two chunks, the second one short, and one row per block.
-    _assert_grid_matches(resolve_phi(phi), 12345.25, expsums._WINDOW_CHUNK + 100.5, 3)
+def test_window_one_term_past_the_limit_raises_before_phi():
+    phi = mock.Mock(side_effect=AssertionError("phi ran before the window limit"))
+    limit = expsums._WINDOW_MAX
+    with pytest.raises(ValueError, match=str(limit)):
+        window_exp_sums(phi, 12345.0, limit + 1, [0.0, 0.5])
+    phi.assert_not_called()
+    # At the limit: one phi pass, one row per block of a grid of 5.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expsums, "_BLOCK_TERMS", limit)
+        _assert_grid_matches(resolve_phi("thue-morse"), 12345.25, limit, 5)
 
 
 def test_window_grid_takes_exact_thetas():
@@ -213,7 +225,7 @@ def test_window_l1_integral_equals_the_one_theta_form(phi, c, A, z, chunk):
     f, phi = PowerGrowth(c), resolve_phi(phi)
     with pytest.MonkeyPatch.context() as mp:
         if chunk:
-            mp.setattr(expsums, "_WINDOW_CHUNK", chunk)
+            mp.setattr(expsums, "_BLOCK_TERMS", chunk)
         est = window_l1_integral(phi, f, A, z, theta_grid=6, x_samples=3)
         want = _scalar_window_l1(phi, f, A, z, 6, 3)
     assert (est.value, est.refinement_delta) == want

@@ -28,7 +28,6 @@ from digitseq import (
     digit_sum_array,
     fibonacci,
     int_nth_root,
-    ps_block,
     ps_floor,
     thue_morse_sign,
     thue_morse_sign_array,
@@ -36,6 +35,7 @@ from digitseq import (
     zeckendorf_digit_sum_array,
 )
 from digitseq import sequences
+from oracles import ps_block
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 

@@ -19,7 +19,6 @@ from digitseq import (
     digit_sum_array,
     experiments,
     joint_residue_experiment,
-    ps_block,
     substitution_deviation,
     thue_morse_sign_array,
     tm_density_experiment,
@@ -36,6 +35,7 @@ from digitseq.experiments import (
     resolve_phi,
 )
 from digitseq.cli import dispatch
+from oracles import ps_block
 
 F32 = PowerGrowth(Fraction(3, 2))
 F1310 = PowerGrowth(Fraction(13, 10))
@@ -225,7 +225,6 @@ def test_tm_density_small_and_flags():
 def test_tm_density_checkpoint_consistency():
     n = 5000
     rep = tm_density_experiment(PowerGrowth("1.3"), n, checkpoints=5)
-    from digitseq import ps_block
     floors = ps_block(1, n, PowerGrowth("1.3"))
     signs = thue_morse_sign_array(floors)
     cums = np.cumsum(signs)

@@ -53,7 +53,6 @@ UNREACHED = {
     "digits.digit_sum": "scalar oracle of digit_sum_array",
     "digits.zeckendorf_digit_sum": "scalar oracle of zeckendorf_digit_sum_array",
     "digits.fibonacci": "scalar oracle of the Fibonacci table",
-    "sequences.ps_block": "test helper that materialises ps_block_chunks",
     "sequences.beatty_floor": "runs only when a Beatty floor is a near-tie",
 }
 

@@ -76,12 +76,8 @@ def test_window_sum_trivial_cases():
     # full-period geometric cancellation
     r = window_exp_sum(_ones, 0, 12, Fraction(1, 12))
     assert abs(r.value) < 1e-12
-
-
-def test_window_sum_error_bound_field():
     r = window_exp_sum(_ones, 0, 1000, 0.37)
-    assert r.summation_error_bound >= 0
-    assert abs(r.value) <= r.term_count + 1e-9
+    assert r.term_count == 1000 and abs(r.value) <= r.term_count + 1e-9
 
 
 def test_reduced_phase_is_exact_for_large_m():
@@ -268,6 +264,16 @@ def test_decay_rows_are_the_per_level_integrals():
             (res.integral_value, res.quadrature_error_estimate)
 
 
+def test_decay_builds_one_operator_chain_per_node_count(monkeypatch):
+    built = []
+    chain = expsums._operator_integrals
+    monkeypatch.setattr(expsums, "_operator_integrals",
+                        lambda level_max, n: built.append((level_max, n)) or chain(level_max, n))
+    expsums._sine_product_results.cache_clear()
+    sine_product_decay(14)
+    assert built == [(14, 64), (14, 128)]
+
+
 def test_sine_product_decay_sequences():
     rows = sine_product_decay(12)
     assert rows[1].ratio == pytest.approx(2 / math.pi, abs=1e-12)
@@ -333,24 +339,9 @@ def test_fourier_decay_constant_value():
     assert fourier_coefficient_bound(2, 0, 0.3) == pytest.approx(math.exp(math.pi ** 2 / 48))
 
 
-def test_fourier_table_resource_guards(monkeypatch):
+def test_fourier_table_resource_guards():
     with pytest.raises(ValueError):
         digit_fourier_table(2, 23, 0.1)
-    monkeypatch.setenv("DIGITSEQ_MAX_MEMORY", "1024")
-    with pytest.raises(ValueError):
-        digit_fourier_table(2, 10, 0.1)
-
-
-def test_fourier_table_memory_guard_counts_the_long_double_bytes(monkeypatch):
-    need = 2 * 2 ** 6 * np.dtype(np.clongdouble).itemsize  # the table and its root table
-    with monkeypatch.context() as patch:
-        patch.setattr(expsums, "_root_table",
-                      lambda q, level: pytest.fail("allocated before the guard"))
-        patch.setenv("DIGITSEQ_MAX_MEMORY", str(need - 1))
-        with pytest.raises(ValueError, match="DIGITSEQ_MAX_MEMORY"):
-            digit_fourier_table(2, 6, 0.1)
-    monkeypatch.setenv("DIGITSEQ_MAX_MEMORY", str(need))
-    assert digit_fourier_table(2, 6, 0.1).coefficients.size == 64
 
 
 @oracles.needs_long_double

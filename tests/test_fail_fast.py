@@ -119,6 +119,49 @@ def test_oversized_input_exits_2_before_any_kernel(argv, kernels, monkeypatch, t
     assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
 
 
+_TINY_WINDOW = [*_SMALL_SCALE, "--z", "8"]
+
+# Each bounded input: the arguments before its value, its limit, and the
+# kernels that must not run past the limit.
+_LIMITS = {
+    "estimate-j-theta-grid": (["estimate-j", *_TINY_WINDOW, "--x-samples", "2", "--theta-grid"],
+                              experiments._GRID_MAX, _WINDOW_SUMS),
+    "estimate-j-x-samples": (["estimate-j", *_TINY_WINDOW, "--theta-grid", "2", "--x-samples"],
+                             experiments._SAMPLES_MAX, _WINDOW_SUMS),
+    "audit-thm1-theta-grid": (["audit-thm1", *_TINY_WINDOW, "--x-samples", "2", "--theta-grid"],
+                              experiments._GRID_MAX,
+                              [(experiments, "substitution_deviation"), *_WINDOW_SUMS]),
+    "estimate-i-alpha-grid": (["estimate-i", *_SMALL_SCALE, "--window", "8", "--beta-samples",
+                               "2", "--alpha-grid"], experiments._GRID_MAX, _BEATTY_ROWS),
+    "estimate-i-beta-samples": (["estimate-i", *_SMALL_SCALE, "--window", "8", "--alpha-grid",
+                                 "2", "--beta-samples"], experiments._SAMPLES_MAX, _BEATTY_ROWS),
+    "beatty-mismatch-r-terms": (["beatty-mismatch", "--f-power", "3/2", "--a", "999990",
+                                 "--b", "1000010", "--r-terms"], sequences._R_TERMS_MAX,
+                                [(sequences.PowerGrowth, "floor_block")]),
+    # The grid limit falls as the largest degree grows: 4096 at H = 1023.
+    "vaaler-audit-grid": (["vaaler-audit", "--h-list", "1,1023", "--grid"],
+                          audits._VAALER_CELLS_MAX // 1024, [(audits, "build_vaaler_approx")]),
+}
+
+
+@pytest.mark.parametrize("argv, limit, kernels", _LIMITS.values(), ids=_LIMITS.keys())
+def test_input_past_its_limit_exits_2_within_a_second(argv, limit, kernels, monkeypatch,
+                                                      capsys, tmp_path):
+    for module, name in kernels:
+        monkeypatch.setattr(module, name, lambda *a, _name=name, **k: pytest.fail(
+            f"{_name} ran before the size guard"))
+    for value in (limit + 1, 10 ** 12):
+        start = time.perf_counter()
+        assert dispatch([*argv, str(value), "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert str(limit) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, limit", [v[:2] for v in _LIMITS.values()], ids=_LIMITS.keys())
+def test_input_at_its_limit_is_accepted(argv, limit, tmp_path):
+    assert dispatch([*argv, str(limit), "--out", str(tmp_path / "out")]) == 0
+
+
 _HUGE_DENOMINATOR = "1.50000000000000000001"  # c_den = 10^20
 
 _QUICK_EXITS = {
@@ -201,16 +244,6 @@ def test_thue_morse_array_rejects_negative_values_like_the_scalar():
 @pytest.mark.parametrize("threads", ["0", "-1", "two"])
 def test_threads_must_be_positive(threads, tmp_path):
     argv = ["tm-density", "--c", "3/2", "--n", "100", "--threads", threads,
-            "--out", str(tmp_path / "out")]
-    assert dispatch(argv) == 2
-
-
-@pytest.mark.parametrize("raw", ["1GiB", "0", "-5"])
-def test_max_memory_must_be_a_positive_byte_count(raw, monkeypatch, tmp_path):
-    monkeypatch.setenv("DIGITSEQ_MAX_MEMORY", raw)
-    with pytest.raises(ValueError, match="DIGITSEQ_MAX_MEMORY"):
-        expsums.max_table_bytes()
-    argv = ["fourier-audit", "--lambda-max", "2", "--alpha-grid", "2",
             "--out", str(tmp_path / "out")]
     assert dispatch(argv) == 2
 

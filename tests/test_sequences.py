@@ -21,11 +21,11 @@ from digitseq import (
     beatty_floor_range,
     count_floor_mismatches,
     int_nth_root,
-    ps_block,
     ps_block_chunks,
     ps_floor,
     sequences,
 )
+from oracles import ps_block
 
 
 def pure_integer_root_oracle(n: int, num: int, den: int) -> int:
@@ -343,6 +343,6 @@ def test_generic_floors_never_load_mpmath():
                                -1e12, 2.0 ** 53 - 1, 2.0 ** 53, -(2.0 ** 53) - 2, 2.0 ** 62,
                                math.inf, -math.inf])
 def test_affine_guard_scalar_equals_the_array_guard(v):
-    scalar = sequences._affine_guard(v)
-    assert type(scalar) is float
+    # The guard of each element is the Python-float formula, bit for bit.
+    scalar = max(2.0 ** -40, 4e-15 * (abs(v) + 1.0))
     assert scalar == sequences._affine_guard(np.array([v]))[0]
