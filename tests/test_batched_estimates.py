@@ -94,10 +94,15 @@ def test_window_one_term_past_the_limit_raises_before_phi():
     with pytest.raises(ValueError, match=str(limit)):
         window_exp_sums(phi, 12345.0, limit + 1, [0.0, 0.5])
     phi.assert_not_called()
-    # At the limit: one phi pass, one row per block of a grid of 5.
+
+
+@pytest.mark.parametrize("phi", PHIS)
+def test_window_longer_than_a_chunk(phi):
+    # The longest accepted window, longer than a patched block of terms:
+    # one phi pass, and still one row per block of a grid of 3.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(expsums, "_BLOCK_TERMS", limit)
-        _assert_grid_matches(resolve_phi("thue-morse"), 12345.25, limit, 5)
+        mp.setattr(expsums, "_BLOCK_TERMS", expsums._WINDOW_MAX // 2)
+        _assert_grid_matches(resolve_phi(phi), 12345.25, expsums._WINDOW_MAX, 3)
 
 
 def test_window_grid_takes_exact_thetas():
