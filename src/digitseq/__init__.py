@@ -13,7 +13,7 @@ from .digits import (
     digit_sum,
     digit_sum_array,
     fibonacci,
-    thue_morse_prefix_sum,
+    thue_morse_prefix_sum_array,
     thue_morse_sign,
     thue_morse_sign_array,
     zeckendorf_digit_sum,

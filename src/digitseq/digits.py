@@ -29,7 +29,7 @@ __all__ = [
     "digit_sum_array",
     "thue_morse_sign",
     "thue_morse_sign_array",
-    "thue_morse_prefix_sum",
+    "thue_morse_prefix_sum_array",
     "fibonacci",
     "fibonacci_index_below",
     "zeckendorf_digit_sum",
@@ -114,14 +114,6 @@ def thue_morse_sign(n: int) -> int:
     return 1 - 2 * (int(n).bit_count() & 1)
 
 
-def thue_morse_prefix_sum(n: int) -> int:
-    """T(n) = sum_{m<n} thue_morse_sign(m).  The pairs cancel, t(2i + 1) =
-    -t(2i), so T(2k) = 0 and T(2k + 1) = t(2k) = t(k)."""
-    if n < 0:
-        raise ValueError(f"thue_morse_prefix_sum needs n >= 0, got {n}")
-    return thue_morse_sign(n >> 1) if n & 1 else 0
-
-
 def thue_morse_sign_array(values: np.ndarray) -> np.ndarray:
     """Vectorised thue_morse_sign over a nonnegative int64 array."""
     v = np.asarray(values, dtype=np.int64)
@@ -129,6 +121,13 @@ def thue_morse_sign_array(values: np.ndarray) -> np.ndarray:
         raise ValueError("thue_morse_sign_array needs nonnegative values")
     # Parity and doubling stay uint8; only the final subtraction widens.
     return np.subtract(1, (np.bitwise_count(v) & 1) << 1, dtype=np.int64)
+
+
+def thue_morse_prefix_sum_array(values: np.ndarray) -> np.ndarray:
+    """T(n) = sum_{m<n} thue_morse_sign(m) over a nonnegative int64 array.
+    The pairs cancel, t(2i + 1) = -t(2i), so T(2k) = 0 and T(2k + 1) = t(k)."""
+    v = np.asarray(values, dtype=np.int64)
+    return thue_morse_sign_array(v >> 1) * (v & 1)
 
 
 # Fibonacci list: F_0 = 0, F_1 = 1, ..., built at import past 2^63 (so the

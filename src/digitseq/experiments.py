@@ -28,13 +28,12 @@ import numpy as np
 
 from .digits import (
     digit_sum_array,
-    thue_morse_prefix_sum,
+    thue_morse_prefix_sum_array,
     thue_morse_sign_array,
     zeckendorf_digit_sum_array,
 )
 from .expsums import _WINDOW_MAX, window_exp_sums
 from .sequences import (
-    BeattyLine,
     PowerGrowth,
     beatty_floor_rows,
     ps_block_chunks,
@@ -67,7 +66,8 @@ _CHUNK = 1 << 17  # fixed partition size; independent of the worker count
 _F_MAX = 1 << 40  # largest floor(f(2A)) an experiment accepts
 _N_MAX = 1 << 27  # largest n or x of the three applications
 # Largest grid and sup sample count of an estimate.  Each estimate also runs
-# at twice both, and estimate-i holds one Beatty line per (alpha, beta) pair.
+# at twice both, and estimate-i holds a slope and an intercept per (alpha,
+# beta) pair.
 _GRID_MAX = 1 << 10
 _SAMPLES_MAX = 1 << 6
 _MODULUS_MAX = 1 << 16  # largest residue modulus, and product of the joint moduli
@@ -355,11 +355,13 @@ def beatty_substitution_integral(phi, f: PowerGrowth, A: int, K: int,
     intercepts beta in (f(A), f(2A)] of
     |sum_{0<n<=K} phi(floor(n alpha + beta)) - (1/alpha) sum_{beta<m<=beta+K alpha} phi(m)| / K.
 
-    The floors of all (alpha, beta) pairs of an estimate come as rows of
-    sequences.beatty_floor_rows, in blocks of at most _FLOOR_CHUNK floors
-    (one row where K is larger), and the first sums are one phi pass and a
-    row sum per block.  The second sum is the Thue-Morse prefix-sum closed
-    form, or a sum over its own range for any other phi."""
+    The (alpha, beta) pairs of an estimate are two float arrays, and their
+    floors come as rows of sequences.beatty_floor_rows, in blocks of at most
+    _FLOOR_CHUNK floors (one row where K is larger); the first sums are one
+    phi pass and a row sum per block.  For the Thue-Morse sign the second
+    sums are differences of the prefix-sum closed form, and the integrand is
+    array arithmetic; any other phi sums each range of its own, and each
+    integrand is one complex scalar expression."""
     phi = resolve_phi(phi)
     _check_window(K)
     _check_grids(alpha_grid, beta_samples)
@@ -367,25 +369,27 @@ def beatty_substitution_integral(phi, f: PowerGrowth, A: int, K: int,
     a_lo, a_hi = float(f.df(A)), float(f.df(2 * A))
     f_lo, f_hi = float(f.f(A)), float(f.f(2 * A))
 
-    def interval_sum(line: BeattyLine):
-        m_lo = math.floor(line.beta) + 1
-        m_hi = math.floor(line.beta + K * line.alpha)
-        if m_hi < m_lo:
-            return 0
-        if phi is _TM:
-            return thue_morse_prefix_sum(m_hi + 1) - thue_morse_prefix_sum(m_lo)
-        return _phi_sum(phi, np.arange(m_lo, m_hi + 1, dtype=np.int64)).item()
-
     def estimate(grid: int, samples: int) -> float:
         betas = _sup_points(f_lo, f_hi, samples, K * a_hi)
-        lines = [BeattyLine(alpha=float(al), beta=b)
-                 for al in np.linspace(a_lo, a_hi, grid) for b in betas]
-        s1 = itertools.chain.from_iterable(
-            _phi_sum(phi, block).tolist() for block in beatty_floor_rows(lines, 1, K))
-        vals = [abs(s - interval_sum(line) / line.alpha) / K for s, line in zip(s1, lines)]
+        alphas = np.repeat(np.linspace(a_lo, a_hi, grid), len(betas))
+        betas = np.tile(betas, grid)
+        s1 = np.concatenate([_phi_sum(phi, block)
+                             for block in beatty_floor_rows(alphas, betas, 1, K)])
+        m_lo = np.floor(betas).astype(np.int64) + 1
+        m_hi = np.floor(betas + K * alphas).astype(np.int64)
+        if phi is _TM:
+            # T(m_hi + 1) - T(m_lo), which is 0 on an empty range m_hi = m_lo - 1
+            s2 = thue_morse_prefix_sum_array(m_hi + 1) - thue_morse_prefix_sum_array(m_lo)
+            vals = np.abs(s1 - s2 / alphas) / K
+        else:
+            def integrand(s, alpha, lo, hi):
+                s2 = 0 if hi < lo else _phi_sum(phi, np.arange(lo, hi + 1, dtype=np.int64)).item()
+                return abs(s - s2 / alpha) / K
+            vals = np.array(list(map(integrand, s1.tolist(), alphas.tolist(), m_lo.tolist(),
+                                     m_hi.tolist())))
         weights = np.ones(grid)
         weights[0] = weights[-1] = 0.5  # trapezoid average in alpha
-        best = np.max(np.reshape(vals, (grid, len(betas))), axis=1)
+        best = np.max(vals.reshape(grid, -1), axis=1)
         return float(np.dot(weights, best) / weights.sum())
 
     value = estimate(alpha_grid, beta_samples)

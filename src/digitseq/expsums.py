@@ -42,7 +42,6 @@ __all__ = [
     "digit_fourier_decay_constant",
     "fourier_coefficient_bound",
     "reduced_phase",
-    "geometric_sum_modulus",
     "dist_to_int",
 ]
 
@@ -75,19 +74,6 @@ def reduced_phase(m: int, theta) -> float:
     """{m * theta}, the exact phase rounded once to a double."""
     p, den = _phase_fraction(m, theta)
     return p / den
-
-
-def geometric_sum_modulus(count: int, theta) -> float:
-    """|sum_{j<count} e(j theta)| = |sin(pi count theta) / sin(pi theta)|,
-    and count where theta is an integer.  Each sine takes the exact distance
-    of its phase to the nearest integer, so the quotient keeps full relative
-    accuracy next to an integer, where a double phase would not."""
-    def sin_pi(m: int) -> float:
-        p, den = _phase_fraction(m, theta)
-        return math.sin(math.pi * (min(p, den - p) / den))
-
-    s = sin_pi(1)
-    return float(count) if s == 0.0 else sin_pi(count) / s
 
 
 def _phase_block(m0: int, count: int, thetas) -> np.ndarray:

@@ -11,6 +11,12 @@ line it is beatty_floor, one Fraction floor per near-tie.  The exact ties of
 floor(n^c) for c = p/q in lowest terms, n = k^q with n^c = k^p, are written
 in closed form in each streamed chunk; they reach the fallback only where
 the chunk's guard is 1/2 or more and every value does.
+
+Beatty lines travel as two float arrays, slopes and intercepts: the slope
+check and the integer-line test run once per call, and only a near-tie
+builds a BeattyLine for beatty_floor.  The mismatch lemma takes alpha as
+its exact ratio num/den once, so every phase r*alpha and span*r*alpha is an
+integer residue mod den.
 """
 
 from __future__ import annotations
@@ -18,11 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
-
-from .expsums import geometric_sum_modulus
 
 __all__ = [
     "BeattyLine",
@@ -189,33 +193,40 @@ def beatty_floor(n: int, line: BeattyLine) -> int:
     return math.floor(Fraction(n) * Fraction(line.alpha) + Fraction(line.beta))
 
 
-def beatty_floor_rows(lines: Sequence[BeattyLine], n_lo: int,
-                      n_hi: int) -> Iterator[np.ndarray]:
+def beatty_floor_rows(alphas, betas, n_lo: int, n_hi: int) -> Iterator[np.ndarray]:
     """Stream floor(n*alpha + beta) for n in [n_lo, n_hi], one int64 row per
-    line, in blocks of whole rows and line order.  A block holds at most
-    _FLOOR_CHUNK floors, or one row where a row is longer.  Element-wise
-    identical to beatty_floor, which settles the near-ties; rows of integer
-    lines whose values stay below 2**53 are exact doubles, so take guard -inf."""
+    line (alphas[i], betas[i]), in blocks of whole rows and line order.  A
+    block holds at most _FLOOR_CHUNK floors, or one row where a row is
+    longer.  Element-wise identical to beatty_floor, which settles the
+    near-ties; rows of integer lines whose values stay below 2**53 are exact
+    doubles, so take guard -inf.  Every slope must be positive and finite,
+    checked before any floor."""
+    alphas = np.asarray(alphas, dtype=np.float64)
+    betas = np.asarray(betas, dtype=np.float64)
+    bad = alphas[~((alphas > 0) & (alphas < np.inf))]
+    if bad.size:
+        raise ValueError(f"Beatty slopes must be positive and finite, got {bad[0]}")
     n = np.arange(n_lo, n_hi + 1, dtype=np.float64)
     rows = max(1, _FLOOR_CHUNK // max(n.size, 1))
     reach = max(abs(n_lo), abs(n_hi))
-    for r in range(0, len(lines), rows):
-        block = lines[r:r + rows]
-        v = (n * np.array([[line.alpha] for line in block])
-             + np.array([[line.beta] for line in block]))
+    # A NaN intercept fails floor(b) == b, an infinite one the 2**53 test.
+    exact = ((np.floor(alphas) == alphas) & (np.floor(betas) == betas)
+             & (reach * alphas + np.abs(betas) < 2**53))
+    for r in range(0, alphas.size, rows):
+        a, b = alphas[r:r + rows], betas[r:r + rows]
+        v = n * a[:, None] + b[:, None]
         if v.size and np.max(np.abs(v[:, [0, -1]])) >= 2**62:
             raise ValueError("Beatty values exceed the int64 range")
         guard = _affine_guard(v)
-        guard[[float(line.alpha).is_integer() and float(line.beta).is_integer()
-               and reach * abs(line.alpha) + abs(line.beta) < 2**53 for line in block]] = -np.inf
+        guard[exact[r:r + rows]] = -np.inf
         yield _certified_floor(v, guard, lambda i: beatty_floor(
-            n_lo + i % n.size, block[i // n.size]))
+            n_lo + i % n.size, BeattyLine(float(a[i // n.size]), float(b[i // n.size]))))
 
 
 def beatty_floor_range(line: BeattyLine, n_lo: int, n_hi: int) -> np.ndarray:
     """Vectorised beatty_floor for n in [n_lo, n_hi]: the one-line case of
     beatty_floor_rows."""
-    (block,) = beatty_floor_rows([line], n_lo, n_hi)
+    (block,) = beatty_floor_rows([line.alpha], [line.beta], n_lo, n_hi)
     return block[0]
 
 
@@ -318,11 +329,21 @@ def count_floor_mismatches(f: GrowthFunction, a: int, b: int, alpha: float,
     mismatches = int(np.count_nonzero(floors != beatty))
     if r_terms is None:
         r_terms = max(1, math.isqrt(span) + 1)
-    # |sum_{a<n<=b} e(n r alpha)| is a geometric series in the exact phase r*alpha.
-    alpha_q = Fraction(alpha)
+    # |sum_{a<n<=b} e(n r alpha)| = |sin(pi span r alpha) / sin(pi r alpha)|,
+    # or span where r alpha is an integer.  With alpha = num/den exactly,
+    # each sine takes the distance of its phase p/den, p an integer mod den,
+    # to the nearest integer, rounded once: full relative accuracy next to an
+    # integer, where a double phase would not keep it.
+    num, den = Fraction(alpha).as_integer_ratio()
     exp_part = 0.0
     for r in range(1, r_terms + 1):
-        exp_part += geometric_sum_modulus(span, r * alpha_q) / r
+        p = r * num % den
+        s = math.sin(math.pi * (min(p, den - p) / den))
+        if s == 0.0:
+            exp_part += span / r
+            continue
+        p = span * r % den * num % den
+        exp_part += math.sin(math.pi * (min(p, den - p) / den)) / s / r
     d = m_bound * span ** 2
     bound = 2.0 * m_bound * span ** 3 + span / r_terms + exp_part
     return MismatchReport(a=a, b=b, alpha=alpha, beta=beta, mismatch_count=mismatches,

@@ -28,10 +28,10 @@ from digitseq import (
     window_exp_sums,
     window_l1_integral,
 )
-from digitseq import expsums, sequences
+from digitseq import experiments, expsums, sequences
 from digitseq.experiments import _sup_points, resolve_phi
 from digitseq.expsums import reduced_phase
-from oracles import kahan
+from oracles import beatty_integral_per_line, kahan
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 PHIS = ("thue-morse", "digit-exp:3:1/3")
@@ -122,6 +122,12 @@ def _fraction_floors(line: BeattyLine, n_lo: int, n_hi: int) -> list[int]:
 _DYADIC = st.builds(lambda a, k: a / 2 ** k, st.integers(-64, 64), st.integers(0, 4))
 
 
+def _rows(lines: list[BeattyLine], n_lo: int, n_hi: int):
+    """beatty_floor_rows of the lines as slope and intercept arrays."""
+    return beatty_floor_rows(np.array([line.alpha for line in lines]),
+                             np.array([line.beta for line in lines]), n_lo, n_hi)
+
+
 @PROPERTY
 @given(slopes=st.lists(st.builds(lambda a, k: a / 2 ** k, st.integers(1, 64),
                                  st.integers(0, 4)), min_size=1, max_size=12),
@@ -134,7 +140,7 @@ def test_beatty_rows_equal_fraction_floors_at_dyadic_lines(slopes, beta, n_lo, l
     n_hi = n_lo + length - 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequences, "_FLOOR_CHUNK", chunk)
-        blocks = list(beatty_floor_rows(lines, n_lo, n_hi))
+        blocks = list(_rows(lines, n_lo, n_hi))
     assert all(b.size <= max(chunk, length) for b in blocks)
     rows = [row.tolist() for block in blocks for row in block]
     assert rows == [_fraction_floors(line, n_lo, n_hi) for line in lines]
@@ -156,7 +162,7 @@ def test_beatty_rows_where_every_position_is_a_tie(monkeypatch):
     # integer alpha and beta: exact doubles, so no position escalates
     calls = _count_escalations(monkeypatch)
     lines = [BeattyLine(alpha=float(a), beta=float(b)) for a in (1, 2, 7) for b in (-3, 0, 5)]
-    (block,) = beatty_floor_rows(lines, -20, 20)
+    (block,) = _rows(lines, -20, 20)
     assert block.tolist() == [_fraction_floors(line, -20, 20) for line in lines]
     assert beatty_floor_range(lines[4], -20, 20).tolist() == block[4].tolist()
     assert calls == []
@@ -166,20 +172,24 @@ def test_beatty_rows_escalate_ties_a_double_may_not_hold(monkeypatch):
     calls = _count_escalations(monkeypatch)
     lines = [BeattyLine(alpha=0.5, beta=0.25), BeattyLine(alpha=0.5, beta=3.0),
              BeattyLine(alpha=2.0 ** 50, beta=1.0)]  # 8 * 2^50 + 1 > 2^53
-    (block,) = beatty_floor_rows(lines, 1, 8)
+    (block,) = _rows(lines, 1, 8)
     assert block.tolist() == [_fraction_floors(line, 1, 8) for line in lines]
     assert [line for _, line in calls] == [lines[1]] * 4 + [lines[2]] * 8
 
 
 def test_beatty_rows_guard_the_int64_range():
     with pytest.raises(ValueError, match="int64"):
-        list(beatty_floor_rows([BeattyLine(1.0), BeattyLine(2.0 ** 60)], 1, 8))
+        list(beatty_floor_rows([1.0, 2.0 ** 60], [0.0, 0.0], 1, 8))
 
 
-def _phi_sum_1d(phi, m):
-    if phi.name == "thue-morse":
-        return float(np.sum(phi(m)))
-    return complex(np.sum(np.asarray(phi(m), dtype=np.complex128)))
+@pytest.mark.parametrize("bad", [0.0, -1.0, -0.0, math.nan, math.inf])
+def test_beatty_rows_check_every_slope_before_any_floor(bad, monkeypatch):
+    monkeypatch.setattr(sequences, "_certified_floor", lambda *a: pytest.fail(
+        "a floor was computed before the slope check"))
+    alphas = np.full(3 * sequences._FLOOR_CHUNK, 1.5)
+    alphas[-1] = bad
+    with pytest.raises(ValueError, match="positive and finite"):
+        next(beatty_floor_rows(alphas, np.zeros_like(alphas), 1, 8))
 
 
 def _scalar_window_l1(phi, f, A, z, theta_grid, x_samples):
@@ -194,32 +204,6 @@ def _scalar_window_l1(phi, f, A, z, theta_grid, x_samples):
 
     value = estimate(theta_grid, x_samples)
     return value, abs(estimate(2 * theta_grid, 2 * x_samples) - value)
-
-
-def _scalar_beatty_integral(phi, f, A, K, alpha_grid, beta_samples):
-    """beatty_substitution_integral as one Fraction-floor line per (alpha, beta)."""
-    a_lo, a_hi = float(f.df(A)), float(f.df(2 * A))
-    f_lo, f_hi = float(f.f(A)), float(f.f(2 * A))
-
-    def integrand(alpha, beta):
-        line = BeattyLine(alpha=alpha, beta=beta)
-        s1 = _phi_sum_1d(phi, np.array(_fraction_floors(line, 1, K), dtype=np.int64))
-        m = np.arange(math.floor(beta) + 1, math.floor(beta + K * alpha) + 1, dtype=np.int64)
-        s2 = _phi_sum_1d(phi, m) if m.size else 0
-        if phi.name == "thue-morse":
-            s2 = int(s2)
-        return abs(s1 - s2 / alpha) / K
-
-    def estimate(grid, samples):
-        betas = _sup_points(f_lo, f_hi, samples, K * a_hi)
-        weights = np.ones(grid)
-        weights[0] = weights[-1] = 0.5
-        vals = [max(integrand(float(al), b) for b in betas)
-                for al in np.linspace(a_lo, a_hi, grid)]
-        return float(np.dot(weights, vals) / weights.sum())
-
-    value = estimate(alpha_grid, beta_samples)
-    return value, abs(estimate(2 * alpha_grid, 2 * beta_samples) - value)
 
 
 @pytest.mark.parametrize("phi", PHIS)
@@ -245,4 +229,44 @@ def test_beatty_integral_equals_the_one_line_form(phi, c, A, K, chunk):
         if chunk:
             mp.setattr(sequences, "_FLOOR_CHUNK", chunk)
         est = beatty_substitution_integral(phi, f, A, K, alpha_grid=4, beta_samples=3)
-    assert (est.value, est.refinement_delta) == _scalar_beatty_integral(phi, f, A, K, 4, 3)
+    assert (est.value, est.refinement_delta) == beatty_integral_per_line(phi, f, A, K, 4, 3)
+
+
+class _Slopes(PowerGrowth):
+    """x^(3/2) with f' scaled by `scale`, so the estimate's slopes can lie
+    below 1/K (empty second ranges) or on integers."""
+
+    def __init__(self, scale: float):
+        super().__init__(Fraction(3, 2))
+        self.scale = scale
+
+    def df(self, x):
+        return self.scale * super().df(x)
+
+
+ALL_PHIS = ("thue-morse", "one", "zero", "digit-exp:3:1/3")
+
+
+@pytest.mark.parametrize("phi", ALL_PHIS)
+@pytest.mark.parametrize("scale, A, K", [(2.0 ** -12, 1024, 1), (2.0 ** -9, 1024, 3),
+                                         (2.0 ** -5, 2048, 5)])
+def test_beatty_integral_equals_the_per_line_loop(phi, scale, A, K):
+    f, phi = _Slopes(scale), resolve_phi(phi)
+    if scale == 2.0 ** -12:
+        # K alpha < 1/32: most ranges (beta, beta + K alpha] hold no integer
+        assert K * f.df(2 * A) < 1 / 32
+    if A == 2048:
+        # f(2A) = 64^3 and f'(2A) = 3: the top slope with the intercepts
+        # f(2A) and f(2A) - 3K makes integer lines
+        assert (f.f(2 * A), f.df(2 * A)) == (2.0 ** 18, 3.0)
+    est = beatty_substitution_integral(phi, f, A, K, alpha_grid=5, beta_samples=4)
+    assert (est.value, est.refinement_delta) == beatty_integral_per_line(phi, f, A, K, 5, 4)
+
+
+def test_beatty_integral_at_the_grid_limit_equals_the_per_line_loop():
+    # Thue-Morse only: every other phi takes the per-line path at any grid size.
+    f, phi = PowerGrowth(Fraction(3, 2)), resolve_phi("thue-morse")
+    grid, samples = experiments._GRID_MAX, experiments._SAMPLES_MAX
+    est = beatty_substitution_integral(phi, f, 4096, 1, alpha_grid=grid, beta_samples=samples)
+    assert (est.value, est.refinement_delta) == beatty_integral_per_line(phi, f, 4096, 1, grid,
+                                                                         samples)

@@ -11,13 +11,13 @@ from digitseq import (
     digit_sum_array,
     digits,
     fibonacci,
-    thue_morse_prefix_sum,
+    thue_morse_prefix_sum_array,
     thue_morse_sign,
     thue_morse_sign_array,
     zeckendorf_digit_sum,
     zeckendorf_digit_sum_array,
 )
-from oracles import zeckendorf_greedy
+from oracles import thue_morse_prefix_sum, zeckendorf_greedy
 
 
 def test_digit_sum_examples():
@@ -231,3 +231,14 @@ def test_thue_morse_prefix_sum_matches_the_running_sum():
     assert thue_morse_prefix_sum(0) == 0 and thue_morse_prefix_sum(1 << 62) == 0
     with pytest.raises(ValueError):
         thue_morse_prefix_sum(-1)
+
+
+def test_thue_morse_prefix_sum_array_equals_the_scalar():
+    rng = np.random.default_rng(20)
+    for n in (np.arange(1 << 16, dtype=np.int64),
+              rng.integers(0, 1 << 62, size=1 << 12, dtype=np.int64)):
+        assert thue_morse_prefix_sum_array(n).tolist() == [thue_morse_prefix_sum(int(v))
+                                                           for v in n]
+    assert thue_morse_prefix_sum_array(np.zeros(0, dtype=np.int64)).tolist() == []
+    with pytest.raises(ValueError):
+        thue_morse_prefix_sum_array([5, -1])

@@ -52,6 +52,8 @@ UNREACHED = {
     "sequences.GrowthFunction.floor_exact": "perfbench traces it as the floor_exact span",
     "digits.digit_sum": "scalar oracle of digit_sum_array",
     "digits.zeckendorf_digit_sum": "scalar oracle of zeckendorf_digit_sum_array",
+    "digits.thue_morse_sign": "scalar oracle of thue_morse_sign_array; perfbench "
+                              "checks its traced signs against it",
     "digits.fibonacci": "scalar oracle of the Fibonacci table",
     "sequences.beatty_floor": "runs only when a Beatty floor is a near-tie",
 }

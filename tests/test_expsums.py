@@ -23,7 +23,8 @@ from digitseq import (
     window_exp_sum,
 )
 from digitseq.digits import digit_sum_array
-from digitseq.expsums import _phase_block, geometric_sum_modulus, reduced_phase
+from digitseq.expsums import _phase_block, reduced_phase
+from oracles import geometric_sum_modulus
 
 
 def _ones(m):

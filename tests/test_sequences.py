@@ -25,7 +25,7 @@ from digitseq import (
     ps_floor,
     sequences,
 )
-from oracles import ps_block
+from oracles import lemma_exp_part, ps_block
 
 
 def pure_integer_root_oracle(n: int, num: int, den: int) -> int:
@@ -227,6 +227,33 @@ def test_mismatches_alpha_range_checked():
     f = PowerGrowth(Fraction(3, 2))
     with pytest.raises(ValueError):
         count_floor_mismatches(f, 100, 150, float(f.df(99)) * 0.9)
+
+
+def _lemma_cases():
+    """(f, a, b, alpha, r_terms): random slopes in f'([a, b]), dyadic slopes
+    with r alpha an integer for some r (a zero sine), and R up to 2^16."""
+    rng = np.random.default_rng(20)
+    for c in (Fraction(3, 2), Fraction(13, 10), Fraction(7, 4)):
+        f = PowerGrowth(c)
+        for _ in range(12):
+            a = int(rng.integers(2, 10 ** 6))
+            b = a + int(rng.integers(1, 5000))
+            lo, hi = float(f.df(a)), float(f.df(b))
+            yield f, a, b, lo + (hi - lo) * rng.random(), int(rng.integers(1, 700))
+    f = PowerGrowth(Fraction(3, 2))  # f'(3) = 2.6, f'(6) = 3.67
+    for alpha in (2.75, 3.0, 3.125, 3.5):
+        yield f, 3, 6, alpha, 64
+    yield f, 4096, 5120, float(f.df(4600)), sequences._R_TERMS_MAX
+    yield f, 999990, 1000010, 1500.0, sequences._R_TERMS_MAX
+
+
+@pytest.mark.parametrize("f, a, b, alpha, r_terms", _lemma_cases())
+def test_lemma_bound_equals_the_fraction_oracle(f, a, b, alpha, r_terms):
+    rep = count_floor_mismatches(f, a, b, alpha, r_terms=r_terms)
+    span = b - a
+    want = (2.0 * rep.second_derivative_bound * span ** 3 + span / r_terms
+            + lemma_exp_part(span, alpha, r_terms))
+    assert rep.lemma_bound == want
 
 
 def _int_root(n: int, k: int) -> int:
