@@ -27,31 +27,15 @@ _VOLATILE_FIELDS = {"runtime"}
 _LABEL_FIELDS = {"phi_name", "f_label"}  # JSON only
 
 
-_fmt_float = "%.15g".__mod__  # 15 significant digits of a float
-
-
-# The CSV cell of each common exact type, found by one dict lookup: the
-# isinstance chain below goes through Fraction's ABC check for every cell.
-_CELL_FORMATS = {
-    type(None): lambda v: "",
-    bool: lambda v: "true" if v else "false",
-    int: str,
-    str: str,
-    float: _fmt_float,
-    np.float64: _fmt_float,
-    np.int64: str,
-    Fraction: lambda v: _fmt_float(float(v)),
-}
-
-
 def _fmt(v: Any) -> str:
-    fmt = _CELL_FORMATS.get(type(v))
-    if fmt is not None:
-        return fmt(v)
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):  # before Fraction's slower ABC check
+        return "%.15g" % v
     if isinstance(v, Fraction):
-        v = float(v)
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(v)
+        return "%.15g" % float(v)
     return str(v)
 
 

@@ -137,9 +137,9 @@ def lemma_exp_part(span: int, alpha: float, r_terms: int) -> float:
 def beatty_integral_per_line(phi, f: PowerGrowth, A: int, K: int, alpha_grid: int,
                              beta_samples: int) -> tuple[float, float]:
     """(value, refinement_delta) of beatty_substitution_integral with one
-    BeattyLine per (alpha, beta): exact rational floors, the scalar Thue-Morse
-    prefix sums (any other phi: one sum per range), and each integrand in
-    Python scalar arithmetic."""
+    BeattyLine per (alpha, beta): exact rational floors, one direct sum per
+    range (no prefix-sum closed form), and each integrand in Python scalar
+    arithmetic."""
     a_lo, a_hi = float(f.df(A)), float(f.df(2 * A))
     f_lo, f_hi = float(f.f(A)), float(f.f(2 * A))
     tm = phi.name == "thue-morse"
@@ -158,12 +158,7 @@ def beatty_integral_per_line(phi, f: PowerGrowth, A: int, K: int, alpha_grid: in
                       for n in range(1, K + 1)])
         m_lo = math.floor(line.beta) + 1
         m_hi = math.floor(line.beta + K * line.alpha)
-        if m_hi < m_lo:
-            s2 = 0
-        elif tm:
-            s2 = thue_morse_prefix_sum(m_hi + 1) - thue_morse_prefix_sum(m_lo)
-        else:
-            s2 = phi_sum(list(range(m_lo, m_hi + 1)))
+        s2 = phi_sum(list(range(m_lo, m_hi + 1))) if m_hi >= m_lo else 0
         return abs(s1 - s2 / line.alpha) / K
 
     def estimate(grid: int, samples: int) -> float:
