@@ -6,16 +6,21 @@ greedy representation by non-consecutive Fibonacci numbers).  Everything
 here is pure integer arithmetic.
 
 `digit_sum_array` sums masked popcounts for bases 2, 4, 8 and 16, and reads
-the digit sums of 0 .. q^L - 1 (the largest L with q^L <= 2^16) from a uint8
-block table for the other bases 3 <= q <= 16, splitting off one block per
-floor division and multiply-subtract pass.  `zeckendorf_digit_sum_array`
-reads the summands from F_27 up of a value below F_48 from two bucket
-tables (the high part and its summand count at every multiple of F_26),
-and s_Z of the rest, below F_27, from a uint8 low table; only values from
-F_48 up take greedy passes first.  The tables, and the Fibonacci numbers up
-to the first one above 2^63, are built at import, so worker threads only
-ever read them.  The scalar functions extend the Fibonacci list on demand
-for larger integers (an append-only cache).
+the digit sums of 0 .. q^L - 1 from a uint8 block table for the other bases
+3 <= q <= 16, splitting off one block per floor division and
+multiply-subtract pass.  Each table holds q^L entries for the largest L with
+q^L <= 2^18 bytes; for q = 3, 5, 7, 10, 11 and 12 that is q^L >= 2^16, so
+two lookups cover every value below 2^32.  `zeckendorf_digit_sum_array`
+reads the summands from F_27 up of a value below F_48 from one packed
+bucket table (the high part and its summand count at every multiple of
+F_26), and s_Z of the rest, below F_27, from a uint8 low table; only values
+from F_48 up take greedy passes first.  In both kernels an array whose
+maximum is below 2^32 runs its passes in uint32, a larger one in int64, and
+the table reads accumulate in uint8, so the int64 result is the only wide
+pass.  The tables, and the Fibonacci numbers up to the first one above
+2^63, are built at import, so worker threads only ever read them.  The
+scalar functions extend the Fibonacci list on demand for larger integers
+(an append-only cache).
 """
 
 from __future__ import annotations
@@ -50,15 +55,16 @@ def digit_sum(n: int, q: int) -> int:
     return total
 
 
-_TABLE_SIZE = 1 << 16
+# Bytes of a block table: q^L <= 2^18 for the largest L.
+_BLOCK_TABLE_MAX = 1 << 18
 
 
 def _digit_block_table(q: int) -> np.ndarray:
-    """s_q(0), ..., s_q(q^L - 1) for the largest L with q^L <= 2^16, built
-    digit by digit: s_q(d q^j + m) = d + s_q(m) for m < q^j."""
+    """s_q(0), ..., s_q(q^L - 1) for the largest L with q^L <= _BLOCK_TABLE_MAX,
+    built digit by digit: s_q(d q^j + m) = d + s_q(m) for m < q^j."""
     table = np.zeros(1, dtype=np.uint8)
     digits = np.arange(q, dtype=np.uint8)
-    while table.size * q <= _TABLE_SIZE:
+    while table.size * q <= _BLOCK_TABLE_MAX:
         table = (digits[:, None] + table).ravel()
     return table
 
@@ -76,8 +82,11 @@ def digit_sum_array(values: np.ndarray, q: int) -> np.ndarray:
     q = 2, 4, 8 and 16 are sums of masked popcounts.  For the other bases
     3 <= q <= 16 each pass splits off a block of L base-q digits with one
     floor division by q^L and adds its digit sum from the block table, so a
-    value takes ceil(digits / L) passes.  Larger bases split off one digit
-    per pass and add it as it is."""
+    value takes ceil(digits / L) passes: two below 2^32 for q = 3, 5, 7, 10,
+    11 and 12.  The passes run in uint32 when the array maximum is below
+    2^32, else in int64, and the table reads add up in uint8 (a base-q digit
+    sum below 2^63 is at most 225 for q <= 16).  Larger bases split off one
+    digit per pass and add it as it is, in int64."""
     if q < 2:
         raise ValueError(f"digit base must be >= 2, got {q}")
     v = np.asarray(values, dtype=np.int64)
@@ -91,20 +100,18 @@ def digit_sum_array(values: np.ndarray, q: int) -> np.ndarray:
         return out.astype(np.int64)
     table = _DIGIT_BLOCK_TABLES.get(q)
     block = q if table is None else table.size
-    out = np.zeros(v.shape, dtype=np.int64)
     top = int(v.max()) if v.size else 0
-    if top >= block:
-        v, quot, r = v.copy(), np.empty_like(v), np.empty_like(v)  # the passes work in place
+    # astype copies, so the in-place passes never write to the caller's array.
+    v = v.astype(np.uint32 if top < 1 << 32 else np.int64)
+    out = np.zeros(v.shape, dtype=np.int64 if table is None else np.uint8)
     while top >= block:
-        # r = v - (v // block) * block: cheaper than one np.divmod pass
-        np.floor_divide(v, block, out=quot)
-        np.multiply(quot, block, out=r)
-        np.subtract(v, r, out=r)
-        out += r if table is None else table[r]
-        v, quot = quot, v
+        quot = v // block
+        v -= quot * block  # the remainder: cheaper than one np.divmod pass
+        out += v if table is None else table.take(v)
+        v = quot
         top //= block
-    out += v if table is None else table[v]
-    return out
+    out += v if table is None else table.take(v)
+    return out.astype(np.int64)
 
 
 def thue_morse_sign(n: int) -> int:
@@ -200,13 +207,14 @@ _ZECK_LOW_TABLE = _zeckendorf_low_table(_ZECK_LOW_INDEX)
 # its place; after any other, the one with F_27 added), so each bucket
 # [b F_26, (b + 1) F_26) holds at most one start of a new high part.  H(v)
 # is therefore H at the end of bucket b = v // F_26 if that is <= v, else H
-# at the end of bucket b - 1.  The tables hold H and its summand count at
-# every bucket end below F_48 (> 2^32); they take 0.36 MB.
+# at the end of bucket b - 1.  The table holds one int64 record H << 8 | n
+# at every bucket end below F_48 (> 2^32), n the summand count of H (at
+# most 46); it takes 0.32 MB.
 _ZECK_BUCKET = _FIB[_ZECK_LOW_INDEX - 1]
 _ZECK_HIGH_INDEX = 48
 
 
-def _zeckendorf_high_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+def _zeckendorf_high_table(k: int) -> np.ndarray:
     # Built in place: a freed table-sized temporary still adds to the
     # resident memory of every process that imports the module.
     buckets = -(-_FIB[k] // _ZECK_BUCKET)
@@ -216,28 +224,35 @@ def _zeckendorf_high_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     rest, count = high.copy(), np.zeros(buckets, dtype=np.uint8)
     _zeckendorf_greedy(rest, count, fibonacci_index_below(int(high[-1])), _ZECK_LOW_INDEX)
     high -= rest
-    return high, count
+    high <<= 8
+    high |= count
+    return high
 
 
-_ZECK_HIGH, _ZECK_HIGH_COUNT = _zeckendorf_high_tables(_ZECK_HIGH_INDEX)
+_ZECK_HIGH = _zeckendorf_high_table(_ZECK_HIGH_INDEX)
 
 
 def zeckendorf_digit_sum_array(values: np.ndarray) -> np.ndarray:
     """Vectorised s_Z over a nonnegative int64 array (int64 result).
 
     Values from F_48 up first take greedy passes for the indices k >= 48;
-    the remainder, now below F_48, takes the count of its summands from
-    F_27 up and its high part from the bucket tables, and what is left,
-    below F_27, takes its s_Z from the low table."""
-    v = np.array(values, dtype=np.int64, copy=True)
+    the remainder, now below F_48, takes its high part and the count of its
+    summands from F_27 up from one bucket record (two reads: one to choose
+    between bucket b and b - 1, one for the record), and what is left,
+    below F_27, takes its s_Z from the low table.  The passes run in uint32
+    when the array maximum is below 2^32, else in int64, and the counts add
+    up in uint8."""
+    v = np.asarray(values, dtype=np.int64)
     if v.size and int(v.min()) < 0:
         raise ValueError("zeckendorf_digit_sum_array needs nonnegative values")
-    count = np.zeros(v.shape, dtype=np.uint8)  # s_Z <= 46 below 2^63
     top = int(v.max()) if v.size else 0
+    # astype copies, so the greedy passes never write to the caller's array.
+    v = v.astype(np.uint32 if top < 1 << 32 else np.int64)
+    count = np.zeros(v.shape, dtype=np.uint8)  # s_Z <= 46 below 2^63
     _zeckendorf_greedy(v, count, fibonacci_index_below(max(top, 1)), _ZECK_HIGH_INDEX)
     b = v // _ZECK_BUCKET
-    b -= _ZECK_HIGH[b] > v
-    v -= _ZECK_HIGH[b]
-    count += _ZECK_HIGH_COUNT[b]
-    count += _ZECK_LOW_TABLE[v]
+    b -= (_ZECK_HIGH.take(b) >> 8) > v
+    record = _ZECK_HIGH.take(b)
+    count += record.astype(np.uint8)  # the low byte: the summand count
+    count += _ZECK_LOW_TABLE.take(v - (record >> 8))
     return count.astype(np.int64)
