@@ -235,24 +235,38 @@ _ZECK_HIGH = _zeckendorf_high_table(_ZECK_HIGH_INDEX)
 def zeckendorf_digit_sum_array(values: np.ndarray) -> np.ndarray:
     """Vectorised s_Z over a nonnegative int64 array (int64 result).
 
-    Values from F_48 up first take greedy passes for the indices k >= 48;
-    the remainder, now below F_48, takes its high part and the count of its
-    summands from F_27 up from one bucket record (two reads: one to choose
-    between bucket b and b - 1, one for the record), and what is left,
-    below F_27, takes its s_Z from the low table.  The passes run in uint32
-    when the array maximum is below 2^32, else in int64, and the counts add
-    up in uint8."""
+    Values from F_48 up first take greedy passes for the indices k >= 48,
+    on a copy.  The remainder, now below F_48, takes its high part H and the
+    count of its summands from F_27 up from the bucket records, and what is
+    left, below F_27, takes its s_Z from the low table; the counts add up in
+    uint8.  A sorted 1-D array (every floor chunk of n^c is one) takes H by
+    runs: the records of the buckets it spans list every H that starts
+    inside its range, one binary search into the array places each, and
+    np.repeat writes them out, so the low table is the only read per value.
+    Any other array reads two records per value, one to choose between
+    bucket b and b - 1 and one for H and its count.  Both stay in int64:
+    uint32 passes measured no faster here, as every read of the int64
+    records would mix the two types."""
     v = np.asarray(values, dtype=np.int64)
     if v.size and int(v.min()) < 0:
         raise ValueError("zeckendorf_digit_sum_array needs nonnegative values")
     top = int(v.max()) if v.size else 0
-    # astype copies, so the greedy passes never write to the caller's array.
-    v = v.astype(np.uint32 if top < 1 << 32 else np.int64)
     count = np.zeros(v.shape, dtype=np.uint8)  # s_Z <= 46 below 2^63
-    _zeckendorf_greedy(v, count, fibonacci_index_below(max(top, 1)), _ZECK_HIGH_INDEX)
-    b = v // _ZECK_BUCKET
-    b -= (_ZECK_HIGH.take(b) >> 8) > v
-    record = _ZECK_HIGH.take(b)
+    k_top = fibonacci_index_below(max(top, 1))
+    if k_top >= _ZECK_HIGH_INDEX:
+        v = v.copy()  # the greedy passes work in place
+        _zeckendorf_greedy(v, count, k_top, _ZECK_HIGH_INDEX)
+    if v.ndim == 1 and v.size > 1 and (v[1:] >= v[:-1]).all():
+        # H at the start of the first bucket is at most v[0]; each later one
+        # covers the values from its searchsorted place to the next one's.
+        first = max(int(v[0]) // _ZECK_BUCKET - 1, 0)
+        record = _ZECK_HIGH[first:int(v[-1]) // _ZECK_BUCKET + 1]
+        runs = np.diff(np.searchsorted(v, record >> 8), append=v.size)
+        record = np.repeat(record, runs)
+    else:
+        b = v // _ZECK_BUCKET
+        b -= (_ZECK_HIGH.take(b) >> 8) > v
+        record = _ZECK_HIGH.take(b)
     count += record.astype(np.uint8)  # the low byte: the summand count
     count += _ZECK_LOW_TABLE.take(v - (record >> 8))
     return count.astype(np.int64)

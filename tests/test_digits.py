@@ -134,10 +134,17 @@ def test_zeckendorf_digit_sum_array_matches_scalar():
     assert all(int(arr[i]) == zeckendorf_digit_sum(int(v)) for i, v in enumerate(vals))
 
 
+# The kernels' dtype limits: int32, and uint32, below which they run narrow
+# passes; 3^20 and 5^14, the reach of two base-3 and base-5 table lookups
+# before the tables grew to 3^11 and 5^7 entries.
+_DTYPE_POINTS = (2 ** 31, 2 ** 32, 3 ** 20, 5 ** 14)
+
+
 def _boundaries(points) -> list[int]:
-    # p - 1, p, p + 1 for every point p, then 0, 2^62 and 2^63 - 1; all < 2^63
+    # p - 1, p, p + 1 for every point p and every dtype point, then 0, 2^62
+    # and 2^63 - 1; all < 2^63
     out = {0, 2 ** 62, 2 ** 63 - 1}
-    out.update(p + d for p in points for d in (-1, 0, 1))
+    out.update(p + d for p in (*points, *_DTYPE_POINTS) for d in (-1, 0, 1))
     return sorted(v for v in out if 0 <= v < 2 ** 63)
 
 
@@ -152,8 +159,11 @@ def _power_boundaries(q: int) -> list[int]:
 
 def test_zeckendorf_kernel_at_fibonacci_boundaries():
     vals = _fibonacci_boundaries()
-    got = zeckendorf_digit_sum_array(vals)
-    assert got.tolist() == [zeckendorf_digit_sum(v) for v in vals]
+    # sorted below F_48 (high parts by runs), and every value both sorted and
+    # reversed (greedy passes, then two bucket reads per value)
+    for arr in ([v for v in vals if v < fibonacci(48)], vals, vals[::-1]):
+        got = zeckendorf_digit_sum_array(arr)
+        assert got.tolist() == [zeckendorf_digit_sum(v) for v in arr]
     for v in vals:  # alone, so that the array maximum sets the passes
         assert zeckendorf_digit_sum_array([v]).tolist() == [zeckendorf_digit_sum(v)]
 
@@ -163,7 +173,8 @@ def test_zeckendorf_high_tables_match_the_greedy_kernel():
     # where the tables end, the greedy passes take over.
     ends = np.arange(1, digits._ZECK_HIGH.size + 1, dtype=np.int64) * digits._ZECK_BUCKET - 1
     vals = np.unique(np.concatenate([ends - 1, ends, ends + 1]))
-    assert np.array_equal(zeckendorf_digit_sum_array(vals), zeckendorf_greedy(vals))
+    for arr in (vals, vals[::-1]):  # high parts by runs, and by two bucket reads
+        assert np.array_equal(zeckendorf_digit_sum_array(arr), zeckendorf_greedy(arr))
     edge = [fibonacci(k) + d for k in range(digits._ZECK_HIGH_INDEX - 3,
                                             digits._ZECK_HIGH_INDEX + 4) for d in (-1, 0, 1)]
     assert zeckendorf_digit_sum_array(edge).tolist() == zeckendorf_greedy(edge).tolist()
@@ -173,8 +184,43 @@ def test_zeckendorf_high_tables_match_the_greedy_kernel():
 
 @pytest.mark.parametrize("top", [10 ** 6, fibonacci(48), 2 ** 40, 2 ** 62])
 def test_zeckendorf_kernel_matches_the_greedy_kernel_on_random_values(top):
-    vals = np.random.default_rng(top % 1000).integers(0, top, size=20_000)
-    assert np.array_equal(zeckendorf_digit_sum_array(vals), zeckendorf_greedy(vals))
+    vals = np.sort(np.random.default_rng(top % 1000).integers(0, top, size=20_000))
+    want = zeckendorf_greedy(vals)
+    perm = np.random.default_rng(1).permutation(vals.size)
+    assert np.array_equal(zeckendorf_digit_sum_array(vals[perm]), want[perm])
+    # sorted runs that start anywhere in a bucket, before or after its high part
+    for start in range(0, vals.size, 250):
+        assert np.array_equal(zeckendorf_digit_sum_array(vals[start:]), want[start:])
+
+
+def test_digit_kernels_leave_their_input_unchanged():
+    # The kernels work in place on their own copies, never on the caller's
+    # array: int32 and int64 input, below and above 2^32 (and F_48, where
+    # the Zeckendorf kernel takes greedy passes), sorted and unsorted.
+    rng = np.random.default_rng(21)
+    inputs = [np.sort(rng.integers(0, 2 ** 31, size=4096)).astype(np.int32),
+              rng.integers(0, 2 ** 31, size=4096).astype(np.int32),
+              np.sort(rng.integers(0, 2 ** 32, size=4096)),
+              rng.integers(0, 2 ** 32, size=4096),
+              np.sort(rng.integers(2 ** 32, 2 ** 63 - 1, size=4096)),
+              rng.integers(0, 2 ** 63 - 1, size=4096)]
+    kernels = [*(lambda a, q=q: digit_sum_array(a, q) for q in (2, 3, 5, 10, 16, 17, 2 ** 40)),
+               zeckendorf_digit_sum_array, thue_morse_sign_array, thue_morse_prefix_sum_array]
+    for arr in inputs:
+        before = arr.copy()
+        for kernel in kernels:
+            kernel(arr)
+            assert arr.dtype == before.dtype and np.array_equal(arr, before)
+
+
+def test_import_time_tables_fit_their_byte_budget():
+    # Every import builds these tables, so they count in the resident memory
+    # of every process: at most 1.75 MB, under 4 % of a benchmark run's peak
+    # RSS (about 48 MB).
+    tables = [*digits._DIGIT_BLOCK_TABLES.values(), digits._ZECK_HIGH, digits._ZECK_LOW_TABLE]
+    assert sum(t.nbytes for t in tables) <= 1_750_000
+    for q, table in digits._DIGIT_BLOCK_TABLES.items():  # q^L for the largest L that fits
+        assert table.size <= digits._BLOCK_TABLE_MAX < table.size * q
 
 
 @pytest.mark.parametrize("q", range(2, 17))
