@@ -64,7 +64,10 @@ __all__ = [
 
 _CHUNK = 1 << 17  # fixed partition size; independent of the worker count
 _F_MAX = 1 << 40  # largest floor(f(2A)) an experiment accepts
-_N_MAX = 1 << 27  # largest n or x of the three applications
+_N_MAX = 1 << 27  # largest n or x of the three applications, and largest deviation A
+# Most terms f(2A) - f(A) of a deviation second sum that phi takes term by
+# term (every phi but the Thue-Morse sign, whose dyadic blocks cancel).
+_TERMS_MAX = 1 << 27
 # Largest grid and sup sample count of an estimate.  Each estimate also runs
 # at twice both, and estimate-i holds a slope and an intercept per (alpha,
 # beta) pair.
@@ -269,11 +272,17 @@ def substitution_deviation(phi, f: PowerGrowth, A: int, threads: int = 1) -> Dev
     with w = y^e / c, e = 1/c - 1, its modulus is at most
     2^(k(k-1)/2) k! x^(e-k) / c.  Blocks whose bounds total at most
     2^-80 w(floor(f(A)) + 1) are dropped and the remaining terms are summed
-    exactly; every other phi sums term by term."""
+    exactly; every other phi sums term by term.  Before any floor, A is
+    bounded by _N_MAX first-sum terms and, for every phi but t, f(2A) - f(A)
+    by _TERMS_MAX second-sum terms: past them a run takes hours."""
     phi = resolve_phi(phi)
-    if A < 2:
-        raise ValueError("needs A >= 2")
+    if not 2 <= A <= _N_MAX:
+        raise ValueError(f"needs 2 <= A <= {_N_MAX} (the first sum's terms), got {A}")
     m_hi = _check_scale(f, A)
+    m_lo = f.floor_exact(A)
+    if phi is not _TM and m_hi - m_lo > _TERMS_MAX:
+        raise ValueError(f"the second sum's f(2A) - f(A) = {m_hi - m_lo} terms exceed "
+                         f"its limit of {_TERMS_MAX} for phi = {phi.name}")
     start = time.perf_counter()
 
     def part_floors(rng: tuple[int, int]) -> list[complex]:
@@ -286,7 +295,6 @@ def substitution_deviation(phi, f: PowerGrowth, A: int, threads: int = 1) -> Dev
 
     sum1 = _fsum_complex(itertools.chain.from_iterable(
         _map_ordered(part_floors, _chunk_ranges(A + 1, 2 * A), threads)))
-    m_lo = f.floor_exact(A)
     if m_hi <= m_lo:
         sum2 = 0j
     elif phi is _TM:

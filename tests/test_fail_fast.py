@@ -110,6 +110,26 @@ _OVERSIZED = {
         [(audits, "digit_fourier_table")]),
 }
 
+_DEVIATION_SUMS = [(sequences.PowerGrowth, "floor_block"), (sequences.PowerGrowth, "df_inv"),
+                   (experiments, "_tm_weighted_sum")]
+
+# Work limits of the deviation sums, whose values f(2A) <= 2^40 are in range:
+# each input, and the limit its message names.
+_WORK_LIMITS = {
+    # A = 2^27 + 1 first-sum terms; f(2A) is about 2^28.3 at c = 101/100.
+    "deviation-first-sum": (["deviation", "--f-power", "101/100", "--scale",
+                             str(experiments._N_MAX + 1)], experiments._N_MAX),
+    # f(2A) - f(A) is about 1.5e10 terms, summed term by term for phi = one.
+    "deviation-second-sum": (["deviation", "--phi", "one", "--f-power", "3/2", "--scale",
+                              "4000000"], experiments._TERMS_MAX),
+    "deviation-second-sum-digit-exp": (["deviation", "--phi", "digit-exp:3:1/3", "--f-power",
+                                        "3/2", "--scale", "200000"], experiments._TERMS_MAX),
+    "audit-thm1-second-sum": (["audit-thm1", "--phi", "one", "--f-power", "3/2", "--scale",
+                               "4000000", "--z", "8"], experiments._TERMS_MAX),
+}
+_OVERSIZED.update({name: (argv, [*_DEVIATION_SUMS, *_WINDOW_SUMS])
+                   for name, (argv, _) in _WORK_LIMITS.items()})
+
 
 @pytest.mark.parametrize("argv, kernels", _OVERSIZED.values(), ids=_OVERSIZED.keys())
 def test_oversized_input_exits_2_before_any_kernel(argv, kernels, monkeypatch, tmp_path):
@@ -117,6 +137,12 @@ def test_oversized_input_exits_2_before_any_kernel(argv, kernels, monkeypatch, t
         monkeypatch.setattr(module, name, lambda *a, _name=name, **k: pytest.fail(
             f"{_name} ran before the size guard"))
     assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("argv, limit", _WORK_LIMITS.values(), ids=_WORK_LIMITS.keys())
+def test_deviation_work_limit_is_named(argv, limit, capsys, tmp_path):
+    assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert str(limit) in capsys.readouterr().err
 
 
 _TINY_WINDOW = [*_SMALL_SCALE, "--z", "8"]
