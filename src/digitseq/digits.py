@@ -10,17 +10,17 @@ the digit sums of 0 .. q^L - 1 from a uint8 block table for the other bases
 3 <= q <= 16, splitting off one block per floor division and
 multiply-subtract pass.  Each table holds q^L entries for the largest L with
 q^L <= 2^18 bytes; for q = 3, 5, 7, 10, 11 and 12 that is q^L >= 2^16, so
-two lookups cover every value below 2^32.  `zeckendorf_digit_sum_array`
+two lookups cover every value below 2^32.  Their passes run in uint32 when
+the array maximum is below 2^32, else in int64.  `zeckendorf_digit_sum_array`
 reads the summands from F_27 up of a value below F_48 from one packed
 bucket table (the high part and its summand count at every multiple of
-F_26), and s_Z of the rest, below F_27, from a uint8 low table; only values
-from F_48 up take greedy passes first.  In both kernels an array whose
-maximum is below 2^32 runs its passes in uint32, a larger one in int64, and
-the table reads accumulate in uint8, so the int64 result is the only wide
-pass.  The tables, and the Fibonacci numbers up to the first one above
-2^63, are built at import, so worker threads only ever read them.  The
-scalar functions extend the Fibonacci list on demand for larger integers
-(an append-only cache).
+F_26), by runs for a sorted array and by two reads per value otherwise,
+and s_Z of the rest, below F_27, from a uint8 low table; only values from
+F_48 up take greedy passes first.  Both kernels add their table reads up in
+uint8, so the int64 result is the only wide pass.  The tables, and the
+Fibonacci numbers up to the first one above 2^63, are built at import, so
+worker threads only ever read them.  The scalar functions extend the
+Fibonacci list on demand for larger integers (an append-only cache).
 """
 
 from __future__ import annotations

@@ -44,8 +44,10 @@ __all__ = [
 
 _NEAR_MARGIN = 1e-8  # smallest distance to an integer trusted for x**c
 _FLOAT_GUARD_REL = 1e-14  # conservative bound on the relative error of x**c
-# Values per streamed floor chunk: the floor, digit kernels and bincount keep
-# about six live 8-byte arrays of 2^14 entries (768 KB) in a 2 MB L2 cache.
+# Values per streamed floor chunk.  The floor, the Zeckendorf kernel and
+# bincount keep a few live 8-byte arrays of 2^14 entries, the block digit sums
+# 4- and 1-byte ones: under 1 MB in all, which leaves a 2 MB L2 cache room for
+# the tables one digit kernel reads (0.51 MB at most, for s_Z).
 _FLOOR_CHUNK = 1 << 14
 # Largest exponent: floors are int64 values below 2^62, which 2^c leaves
 # beyond it (and n**c_num alone would not finish for c near 10^20).

@@ -134,9 +134,9 @@ def test_zeckendorf_digit_sum_array_matches_scalar():
     assert all(int(arr[i]) == zeckendorf_digit_sum(int(v)) for i, v in enumerate(vals))
 
 
-# The kernels' dtype limits: int32, and uint32, below which they run narrow
-# passes; 3^20 and 5^14, the reach of two base-3 and base-5 table lookups
-# before the tables grew to 3^11 and 5^7 entries.
+# The kernels' dtype limits: int32, and uint32, below which the block digit
+# sums run narrow passes; 3^20 and 5^14, the reach of two lookups in tables of
+# 3^10 and 5^7 entries.
 _DTYPE_POINTS = (2 ** 31, 2 ** 32, 3 ** 20, 5 ** 14)
 
 
