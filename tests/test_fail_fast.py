@@ -131,17 +131,25 @@ _OVERSIZED.update({name: (argv, [*_DEVIATION_SUMS, *_WINDOW_SUMS])
                    for name, (argv, _) in _WORK_LIMITS.items()})
 
 
-@pytest.mark.parametrize("argv, kernels", _OVERSIZED.values(), ids=_OVERSIZED.keys())
-def test_oversized_input_exits_2_before_any_kernel(argv, kernels, monkeypatch, tmp_path):
+def _fail_kernels(monkeypatch, kernels) -> None:
     for module, name in kernels:
         monkeypatch.setattr(module, name, lambda *a, _name=name, **k: pytest.fail(
             f"{_name} ran before the size guard"))
+
+
+@pytest.mark.parametrize("argv, kernels", _OVERSIZED.values(), ids=_OVERSIZED.keys())
+def test_oversized_input_exits_2_before_any_kernel(argv, kernels, monkeypatch, tmp_path):
+    _fail_kernels(monkeypatch, kernels)
     assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
 
 
 @pytest.mark.parametrize("argv, limit", _WORK_LIMITS.values(), ids=_WORK_LIMITS.keys())
-def test_deviation_work_limit_is_named(argv, limit, capsys, tmp_path):
+def test_deviation_work_limit_is_named_within_a_second(argv, limit, monkeypatch, capsys,
+                                                       tmp_path):
+    _fail_kernels(monkeypatch, [*_DEVIATION_SUMS, *_WINDOW_SUMS])
+    start = time.perf_counter()
     assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
     assert str(limit) in capsys.readouterr().err
 
 
@@ -173,9 +181,7 @@ _LIMITS = {
 @pytest.mark.parametrize("argv, limit, kernels", _LIMITS.values(), ids=_LIMITS.keys())
 def test_input_past_its_limit_exits_2_within_a_second(argv, limit, kernels, monkeypatch,
                                                       capsys, tmp_path):
-    for module, name in kernels:
-        monkeypatch.setattr(module, name, lambda *a, _name=name, **k: pytest.fail(
-            f"{_name} ran before the size guard"))
+    _fail_kernels(monkeypatch, kernels)
     for value in (limit + 1, 10 ** 12):
         start = time.perf_counter()
         assert dispatch([*argv, str(value), "--out", str(tmp_path / "out")]) == 2
