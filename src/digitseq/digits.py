@@ -86,7 +86,7 @@ def digit_sum_array(values: np.ndarray, q: int) -> np.ndarray:
     11 and 12.  The passes run in uint32 when the array maximum is below
     2^32, else in int64, and the table reads add up in uint8 (a base-q digit
     sum below 2^63 is at most 225 for q <= 16).  Larger bases split off one
-    digit per pass and add it as it is, in int64."""
+    digit per pass, in the same dtypes, and add it as it is to an int64 sum."""
     if q < 2:
         raise ValueError(f"digit base must be >= 2, got {q}")
     v = np.asarray(values, dtype=np.int64)
