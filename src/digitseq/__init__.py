@@ -12,8 +12,8 @@ audited numerically, and the paper's three applications as exact counts.
 from .digits import (
     digit_sum,
     digit_sum_array,
+    digit_table_range_sums,
     fibonacci,
-    thue_morse_prefix_sum_array,
     thue_morse_sign,
     thue_morse_sign_array,
     zeckendorf_digit_sum,

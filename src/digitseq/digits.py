@@ -1,9 +1,9 @@
 """Exact integer digit arithmetic.
 
-Base-q digit sums, the Thue-Morse sign and its prefix sums, Fibonacci
-numbers, and the Zeckendorf digit sum s_Z (the number of summands in the
-greedy representation by non-consecutive Fibonacci numbers).  Everything
-here is pure integer arithmetic.
+Base-q digit sums, the Thue-Morse sign, range sums of a table of the digit
+sum by aligned digit blocks, Fibonacci numbers, and the Zeckendorf digit sum
+s_Z (the number of summands in the greedy representation by non-consecutive
+Fibonacci numbers).  All but the range sums is pure integer arithmetic.
 
 `digit_sum_array` sums masked popcounts for bases 2, 4, 8 and 16, and reads
 the digit sums of 0 .. q^L - 1 from a uint8 block table for the other bases
@@ -32,9 +32,9 @@ import numpy as np
 __all__ = [
     "digit_sum",
     "digit_sum_array",
+    "digit_table_range_sums",
     "thue_morse_sign",
     "thue_morse_sign_array",
-    "thue_morse_prefix_sum_array",
     "fibonacci",
     "fibonacci_index_below",
     "zeckendorf_digit_sum",
@@ -130,11 +130,27 @@ def thue_morse_sign_array(values: np.ndarray) -> np.ndarray:
     return np.subtract(1, (np.bitwise_count(v) & 1) << 1, dtype=np.int64)
 
 
-def thue_morse_prefix_sum_array(values: np.ndarray) -> np.ndarray:
-    """T(n) = sum_{m<n} thue_morse_sign(m) over a nonnegative int64 array.
-    The pairs cancel, t(2i + 1) = -t(2i), so T(2k) = 0 and T(2k + 1) = t(k)."""
-    v = np.asarray(values, dtype=np.int64)
-    return thue_morse_sign_array(v >> 1) * (v & 1)
+def digit_table_range_sums(lo: np.ndarray, hi: np.ndarray, q: int,
+                           table: np.ndarray) -> np.ndarray:
+    """sum_{lo <= m <= hi} table[s_q(m)] over arrays of ranges (0 where hi < lo)
+    for an exponential table, table[s + d] = table[s] table[d]: k digits run in
+    place j under fixed higher digits sum to table[s_q(m)] spans[k] g^j, m the
+    first value, spans[k] = sum_{d<k} table[d], g = spans[q].  Each level takes
+    the runs from the left end to its block's end (or the right end) and from a
+    later block's start to the right end, and passes the rest up: no term
+    exceeds q |g|^j, one-value runs are exact, g = 0 (Thue-Morse) stops at once."""
+    b = np.asarray(hi, dtype=np.int64) + 1
+    a = np.minimum(np.asarray(lo, dtype=np.int64), b)
+    spans = np.concatenate(([0], np.cumsum(table[:q])))
+    total, weight = 0, 1  # weight = g^j
+    while True:
+        pa, pb = a // q, b // q
+        da, db = a - pa * q, b - pb * q
+        total = total + weight * (table[digit_sum_array(a, q)] * spans[np.minimum(q - da, b - a)]
+                                  + table[digit_sum_array(pb, q)] * spans[db * (pb > pa)])
+        a, b, weight = np.minimum(pa + 1, pb), pb, weight * spans[q]
+        if weight == 0 or not (a < b).any():
+            return total
 
 
 # Fibonacci list: F_0 = 0, F_1 = 1, ..., built at import past 2^63 (so the

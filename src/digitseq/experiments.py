@@ -5,7 +5,9 @@ main inequality, the inequality audit itself, and the three application
 experiments (Thue-Morse density, joint two-base digit residues, Zeckendorf
 residues), plus the pure exponent arithmetic of the corollary.  Each takes
 its exponent c as a PowerGrowth; for an integer c the residue experiments
-warn once (IntegerExponentWarning), before any worker starts.
+warn once (IntegerExponentWarning), before any worker starts.  Each phi is
+a table of one base-q digit sum (ArithmeticFunction), whose range sums take
+aligned digit blocks; only the deviation keeps a Thue-Morse path of its own.
 
 All experiments are deterministic: sampling grids are fixed (no RNG), index
 ranges are partitioned into fixed-size chunks whatever the worker count,
@@ -28,7 +30,7 @@ import numpy as np
 
 from .digits import (
     digit_sum_array,
-    thue_morse_prefix_sum_array,
+    digit_table_range_sums,
     thue_morse_sign_array,
     zeckendorf_digit_sum_array,
 )
@@ -74,6 +76,7 @@ _TERMS_MAX = 1 << 27
 _GRID_MAX = 1 << 10
 _SAMPLES_MAX = 1 << 6
 _MODULUS_MAX = 1 << 16  # largest residue modulus, and product of the joint moduli
+_PHI_BASE_MAX = 1 << 16  # largest digit-exp base: (q - 1) ceil(63 / log2 q) + 1 table entries
 _HIST_MAX = 1 << 14  # raw digit-sum histogram cells counted per chunk
 _ZECK_SUM_WIDTH = 47  # s_Z <= 46 below 2^63
 
@@ -83,44 +86,54 @@ class IntegerExponentWarning(UserWarning):
     analytic statements behind the experiments need noninteger c."""
 
 
-@dataclass(frozen=True)
+def _digit_sum_width(q: int, top: int) -> int:
+    """1 + the largest base-q digit sum of 0 .. top: at most q - 1 per digit,
+    and at most the value itself."""
+    digits, rest = 0, top
+    while rest:
+        rest //= q
+        digits += 1
+    return min(top, (q - 1) * digits) + 1
+
+
+@dataclass(frozen=True, eq=False)
 class ArithmeticFunction:
-    """Named arithmetic function bounded by 1, vectorised over int64 arrays."""
+    """phi(m) = table[s_q(m)] <= 1 over every digit sum below 2^63, with table[s + d]
+    = table[s] table[d] (exactly for the real tables), as the range sums need."""
 
     name: str
-    func: Callable[[np.ndarray], np.ndarray]
+    q: int
+    table: np.ndarray
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
-        return self.func(m)
+        return self.table.take(digit_sum_array(m, self.q))
 
 
-def _phi_digit_exp(q: int, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
-    def func(m: np.ndarray) -> np.ndarray:
-        return np.exp(2j * np.pi * ((alpha * digit_sum_array(m, q)) % 1.0))
-    return func
-
+_S2 = np.arange(_digit_sum_width(2, (1 << 63) - 1))  # every binary digit sum below 2^63
 
 PHI_FUNCTIONS: dict[str, ArithmeticFunction] = {
-    "one": ArithmeticFunction("one", lambda m: np.ones(np.shape(m))),
-    "zero": ArithmeticFunction("zero", lambda m: np.zeros(np.shape(m))),
-    "thue-morse": ArithmeticFunction(
-        "thue-morse", lambda m: thue_morse_sign_array(m).astype(np.float64)),
+    "one": ArithmeticFunction("one", 2, np.ones(_S2.size)),
+    "zero": ArithmeticFunction("zero", 2, np.zeros(_S2.size)),
+    "thue-morse": ArithmeticFunction("thue-morse", 2, 1.0 - 2.0 * (_S2 & 1)),
 }
 
 
-_TM = PHI_FUNCTIONS["thue-morse"]  # the closed forms below are selected by identity
+_TM = PHI_FUNCTIONS["thue-morse"]  # the deviation's block cancellation is selected by identity
 _DROP_REL = 2.0 ** -80  # dropped Thue-Morse blocks, relative to the first weight
 
 
 def resolve_phi(phi: ArithmeticFunction | str) -> ArithmeticFunction:
-    """Accept an ArithmeticFunction or a registry name."""
-    if isinstance(phi, ArithmeticFunction):
-        return phi
-    if phi in PHI_FUNCTIONS:
-        return PHI_FUNCTIONS[phi]
+    """Accept an ArithmeticFunction, a registry name, or digit-exp:q:a/b for
+    e(a s_q(m) / b), checked before any work: 2 <= q <= _PHI_BASE_MAX."""
+    if isinstance(phi, ArithmeticFunction) or phi in PHI_FUNCTIONS:
+        return PHI_FUNCTIONS.get(phi, phi)
     if phi.startswith("digit-exp:"):
-        _, q, alpha = phi.split(":")
-        return ArithmeticFunction(phi, _phi_digit_exp(int(q), float(Fraction(alpha))))
+        spec = phi.split(":")
+        if len(spec) != 3 or not spec[1].isdecimal() or not 2 <= int(spec[1]) <= _PHI_BASE_MAX:
+            raise ValueError(f"'{phi}' is not digit-exp:q:a/b with 2 <= q <= {_PHI_BASE_MAX}")
+        q, alpha = int(spec[1]), float(Fraction(spec[2]))
+        s = np.arange(_digit_sum_width(q, (1 << 63) - 1))
+        return ArithmeticFunction(phi, q, np.exp(2j * np.pi * ((alpha * s) % 1.0)))
     raise ValueError(f"unknown arithmetic function '{phi}'")
 
 
@@ -160,16 +173,6 @@ def _map_ordered(func, items: Sequence, threads: int) -> list:
         return [func(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(func, items))
-
-
-def _phi_sum(phi: ArithmeticFunction, m: np.ndarray) -> np.ndarray:
-    """Sums of phi over the last axis of m (one phi pass over all of m).
-    The Thue-Morse sign sums in float64, where sums of +-1 are exact
-    integers; any other phi sums in complex128."""
-    values = np.reshape(phi(m.ravel()), m.shape)
-    if phi is _TM:
-        return np.sum(values, axis=-1)
-    return np.sum(np.asarray(values, dtype=np.complex128), axis=-1)
 
 
 # Thue-Morse weighted sums sum_{m_lo < m <= m_hi} t(m) w(m) for f(x) = x^c,
@@ -286,12 +289,12 @@ def substitution_deviation(phi, f: PowerGrowth, A: int, threads: int = 1) -> Dev
     start = time.perf_counter()
 
     def part_floors(rng: tuple[int, int]) -> list[complex]:
-        return [_phi_sum(phi, arr).item() for arr in f.floor_block(rng[0], rng[1])]
+        return [np.sum(phi(arr)).item() for arr in f.floor_block(rng[0], rng[1])]
 
     def part_weighted(rng: tuple[int, int]) -> complex:
         m = np.arange(rng[0], rng[1] + 1, dtype=np.int64)
         w = np.asarray(f.df_inv(m.astype(np.float64)), dtype=np.float64)
-        return complex(np.sum(np.asarray(phi(m), dtype=np.complex128) * w))
+        return complex(np.sum(phi(m) * w))
 
     sum1 = _fsum_complex(itertools.chain.from_iterable(
         _map_ordered(part_floors, _chunk_ranges(A + 1, 2 * A), threads)))
@@ -366,10 +369,9 @@ def beatty_substitution_integral(phi, f: PowerGrowth, A: int, K: int,
     The (alpha, beta) pairs of an estimate are two float arrays, and their
     floors come as rows of sequences.beatty_floor_rows, in blocks of at most
     _FLOOR_CHUNK floors (one row where K is larger); the first sums are one
-    phi pass and a row sum per block.  For the Thue-Morse sign the second
-    sums are differences of the prefix-sum closed form, and the integrand is
-    array arithmetic; any other phi sums each range of its own, and each
-    integrand is one complex scalar expression."""
+    phi pass and a row sum per block.  The second sums take aligned digit
+    blocks (digits.digit_table_range_sums) for every phi, and the integrand
+    is one array expression."""
     phi = resolve_phi(phi)
     _check_window(K)
     _check_grids(alpha_grid, beta_samples)
@@ -381,20 +383,11 @@ def beatty_substitution_integral(phi, f: PowerGrowth, A: int, K: int,
         betas = _sup_points(f_lo, f_hi, samples, K * a_hi)
         alphas = np.repeat(np.linspace(a_lo, a_hi, grid), len(betas))
         betas = np.tile(betas, grid)
-        s1 = np.concatenate([_phi_sum(phi, block)
+        s1 = np.concatenate([np.sum(phi(block), axis=-1)
                              for block in beatty_floor_rows(alphas, betas, 1, K)])
-        m_lo = np.floor(betas).astype(np.int64) + 1
-        m_hi = np.floor(betas + K * alphas).astype(np.int64)
-        if phi is _TM:
-            # T(m_hi + 1) - T(m_lo), which is 0 on an empty range m_hi = m_lo - 1
-            s2 = thue_morse_prefix_sum_array(m_hi + 1) - thue_morse_prefix_sum_array(m_lo)
-            vals = np.abs(s1 - s2 / alphas) / K
-        else:
-            def integrand(s, alpha, lo, hi):
-                s2 = 0 if hi < lo else _phi_sum(phi, np.arange(lo, hi + 1, dtype=np.int64)).item()
-                return abs(s - s2 / alpha) / K
-            vals = np.array(list(map(integrand, s1.tolist(), alphas.tolist(), m_lo.tolist(),
-                                     m_hi.tolist())))
+        s2 = digit_table_range_sums(np.floor(betas) + 1, np.floor(betas + K * alphas),
+                                    phi.q, phi.table)
+        vals = np.abs(s1 - s2 / alphas) / K
         weights = np.ones(grid)
         weights[0] = weights[-1] = 0.5  # trapezoid average in alpha
         best = np.max(vals.reshape(grid, -1), axis=1)
@@ -552,16 +545,6 @@ def _check_moduli(*moduli: int) -> None:
     if not all(1 <= m <= _MODULUS_MAX for m in moduli) or math.prod(moduli) > _MODULUS_MAX:
         raise ValueError(f"moduli and their product must lie in [1, {_MODULUS_MAX}], "
                          f"got {moduli}")
-
-
-def _digit_sum_width(q: int, top: int) -> int:
-    """1 + the largest base-q digit sum of 0 .. top: at most q - 1 per digit,
-    and at most the value itself."""
-    digits, rest = 0, top
-    while rest:
-        rest //= q
-        digits += 1
-    return min(top, (q - 1) * digits) + 1
 
 
 def _residue_report(x: int, moduli: tuple[int, ...], target: tuple[int, ...],

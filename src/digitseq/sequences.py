@@ -60,6 +60,7 @@ _C_DEN_MAX = 1000
 # Most terms r of the mismatch lemma's exponential sums; the default R is at
 # most 1001 (sqrt of the longest window, plus one).
 _R_TERMS_MAX = 1 << 16
+_MISMATCH_SPAN_MAX = 1_000_000  # longest window b - a: its floor rows are arrays that long
 
 
 def int_nth_root(n: int, k: int, seed: int | None = None) -> int:
@@ -311,8 +312,8 @@ def count_floor_mismatches(f: GrowthFunction, a: int, b: int, alpha: float,
         raise ValueError("need a <= b")
     if r_terms is not None and not 1 <= r_terms <= _R_TERMS_MAX:
         raise ValueError(f"needs r_terms >= 1 and r_terms <= {_R_TERMS_MAX}, got {r_terms}")
-    if b - a > 1_000_000:
-        raise ValueError("window too long for exact evaluation")
+    if b - a > _MISMATCH_SPAN_MAX:
+        raise ValueError(f"window b - a = {b - a} exceeds its limit of {_MISMATCH_SPAN_MAX}")
     span = b - a
     if span == 0:
         return MismatchReport(a, b, alpha, float(f.f(a)) - a * alpha, 0, 0.0,

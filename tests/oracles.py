@@ -1,10 +1,11 @@
 """mpmath oracles with exact phases for the Erdos-Turan and digit Fourier
 kernels, the greedy Zeckendorf kernel that the table-driven one replaced,
 the Kahan sum that the window sums used to combine their chunks with,
-ps_block, the floor stream materialised as one array, and the scalar forms
-of the Beatty estimate and the mismatch lemma: the Thue-Morse prefix sum,
-the geometric-sum modulus at a Fraction phase, and one BeattyLine per
-(alpha, beta) pair.
+ps_block, the floor stream materialised as one array, the exact sum of a
+digit phi over any values (residue counts and 40-digit roots of unity for
+digit-exp), and the scalar forms of the Beatty estimate and the mismatch
+lemma: the Thue-Morse prefix sum, the geometric-sum modulus at a Fraction
+phase, and one BeattyLine per (alpha, beta) pair.
 
 Every phase is an exact rational (the exact value of a double, or a
 Fraction) reduced mod 1 before mpmath takes its exponential, so the oracles
@@ -13,12 +14,14 @@ do not inherit the phase error of the float kernels they check.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 import pytest
 
-from digitseq.digits import fibonacci, fibonacci_index_below, thue_morse_sign
+from digitseq.digits import (digit_sum_array, fibonacci, fibonacci_index_below,
+                             thue_morse_sign, thue_morse_sign_array)
 from digitseq.experiments import _sup_points
 from digitseq.expsums import _phase_fraction
 from digitseq.sequences import BeattyLine, PowerGrowth, ps_block_chunks
@@ -134,42 +137,95 @@ def lemma_exp_part(span: int, alpha: float, r_terms: int) -> float:
     return total
 
 
-def beatty_integral_per_line(phi, f: PowerGrowth, A: int, K: int, alpha_grid: int,
-                             beta_samples: int) -> tuple[float, float]:
-    """(value, refinement_delta) of beatty_substitution_integral with one
-    BeattyLine per (alpha, beta): exact rational floors, one direct sum per
-    range (no prefix-sum closed form), and each integrand in Python scalar
-    arithmetic."""
+def exact_phi_sum(phi, m: np.ndarray) -> mpmath.mpc:
+    """sum of phi over the int64 array m, exact at the working precision.  The
+    real tables hold exact integers, so their float sum is exact; digit-exp:q:a/b
+    counts the residues a s_q(m) mod b and weights each with its root of unity
+    e(r / b) (the table rounds e(a s / b) in its phase)."""
+    if np.isrealobj(phi.table):
+        return mpmath.mpf(math.fsum(phi(m)))
+    alpha = Fraction(phi.name.split(":")[2])
+    counts = np.bincount(digit_sum_array(m, phi.q) * alpha.numerator % alpha.denominator,
+                         minlength=alpha.denominator)
+    roots = _roots_of_unity(alpha.denominator, mpmath.mp.dps)
+    return mpmath.fsum(int(c) * roots[r] for r, c in enumerate(counts) if c)
+
+
+@lru_cache
+def _roots_of_unity(den: int, dps: int) -> tuple:
+    with mpmath.workdps(dps):
+        return tuple(_e(Fraction(r, den)) for r in range(den))
+
+
+@lru_cache(maxsize=2)
+def _per_line_terms(phi, f: PowerGrowth, A: int, K: int, grid: int, samples: int) -> tuple:
+    """The lines of one estimate, one BeattyLine per (alpha, beta), each with
+    its exact rational floors, its second-sum range and its integrand from
+    one direct sum per range (no digit blocks) in Python scalar arithmetic;
+    and the number of lines per slope.  The Thue-Morse values come from
+    thue_morse_sign_array, the others from phi, over the whole span of the
+    second ranges at once; each range then sums its own slice."""
     a_lo, a_hi = float(f.df(A)), float(f.df(2 * A))
     f_lo, f_hi = float(f.f(A)), float(f.f(2 * A))
-    tm = phi.name == "thue-morse"
+    betas = _sup_points(f_lo, f_hi, samples, K * a_hi)
+    lines = [BeattyLine(alpha=float(al), beta=b)
+             for al in np.linspace(a_lo, a_hi, grid) for b in betas]
+    # floor(n alpha + beta) from the exact integer ratios of the doubles
+    ratios = [(line.alpha.as_integer_ratio(), line.beta.as_integer_ratio()) for line in lines]
+    floors = np.array([[(n * a_num * b_den + b_num * a_den) // (a_den * b_den)
+                        for n in range(1, K + 1)] for (a_num, a_den), (b_num, b_den) in ratios],
+                      dtype=np.int64)
+    ranges = [(math.floor(line.beta) + 1, math.floor(line.beta + K * line.alpha))
+              for line in lines]
+    start = min(lo for lo, _ in ranges)
+    span = np.arange(start, max(hi for _, hi in ranges) + 1, dtype=np.int64)
+    if phi.name == "thue-morse":  # sums of +-1 are exact in any order
+        s1 = thue_morse_sign_array(floors).sum(axis=-1).astype(np.float64)
+        values = thue_morse_sign_array(span).astype(np.float64)
+    else:
+        s1, values = np.sum(phi(floors), axis=-1), phi(span)
+    terms = []
+    for line, row, first, (lo, hi) in zip(lines, floors, s1.tolist(), ranges):
+        second = np.add.reduce(values[lo - start:hi - start + 1]).item() if hi >= lo else 0
+        terms.append((line.alpha, row, first, (lo, hi), abs(first - second / line.alpha) / K))
+    return terms, len(betas)
 
-    def phi_sum(m: list[int]):
-        if tm:  # sums of +-1 are exact in any order
-            return float(sum(map(thue_morse_sign, m)))
-        return complex(np.sum(np.asarray(phi(np.array(m, dtype=np.int64)),
-                                         dtype=np.complex128)))
 
-    def integrand(line: BeattyLine):
-        # floor(n alpha + beta) from the exact integer ratios of the doubles
-        (a_num, a_den), (b_num, b_den) = (line.alpha.as_integer_ratio(),
-                                          line.beta.as_integer_ratio())
-        s1 = phi_sum([(n * a_num * b_den + b_num * a_den) // (a_den * b_den)
-                      for n in range(1, K + 1)])
-        m_lo = math.floor(line.beta) + 1
-        m_hi = math.floor(line.beta + K * line.alpha)
-        s2 = phi_sum(list(range(m_lo, m_hi + 1))) if m_hi >= m_lo else 0
-        return abs(s1 - s2 / line.alpha) / K
+def beatty_estimate_per_line(phi, f: PowerGrowth, A: int, K: int, grid: int, samples: int,
+                             exact_s1: bool = False, exact_s2: bool = False):
+    """One estimate of beatty_substitution_integral, at this grid and sample
+    count, from the per-line integrands of _per_line_terms.
 
-    def estimate(grid: int, samples: int) -> float:
-        betas = _sup_points(f_lo, f_hi, samples, K * a_hi)
-        lines = [BeattyLine(alpha=float(al), beta=b)
-                 for al in np.linspace(a_lo, a_hi, grid) for b in betas]
-        vals = [integrand(line) for line in lines]
+    With exact_s2 (and exact_s1) the second (and first) sums are
+    exact_phi_sum, and the integrands, sups and average are taken at 40
+    digits; the estimate is then an mpmath number.  Only the lines whose
+    direct integrand lies within 1e-6 of their slope's largest take the
+    exact form: a direct integrand is off by its sums' rounding, at most
+    |terms| 2^-40 here, so no other line can hold the exact sup."""
+    terms, per_slope = _per_line_terms(phi, f, A, K, grid, samples)
+    direct = np.reshape([t[-1] for t in terms], (grid, per_slope))
+    if not (exact_s1 or exact_s2):
         weights = np.ones(grid)
         weights[0] = weights[-1] = 0.5
-        best = np.max(np.reshape(vals, (grid, len(betas))), axis=1)
-        return float(np.dot(weights, best) / weights.sum())
+        return float(np.dot(weights, np.max(direct, axis=1)) / weights.sum())
 
-    value = estimate(alpha_grid, beta_samples)
-    return value, abs(estimate(2 * alpha_grid, 2 * beta_samples) - value)
+    def integrand(alpha, floors, s1, second, _):
+        m = np.arange(second[0], second[1] + 1, dtype=np.int64)
+        s1 = exact_phi_sum(phi, floors) if exact_s1 else s1
+        s2 = exact_phi_sum(phi, m) if exact_s2 and m.size else 0
+        return abs(s1 - s2 / mpmath.mpf(alpha)) / K
+
+    with mpmath.workdps(40):
+        best = [max(integrand(*terms[i * per_slope + j])
+                    for j in np.flatnonzero(row >= row.max() - 1e-6))
+                for i, row in enumerate(direct)]
+        return (mpmath.fsum(best) - (best[0] + best[-1]) / 2) / (grid - 1)
+
+
+def beatty_integral_per_line(phi, f: PowerGrowth, A: int, K: int, alpha_grid: int,
+                             beta_samples: int) -> tuple[float, float]:
+    """(value, refinement_delta) of beatty_substitution_integral from two
+    beatty_estimate_per_line, the second at twice the grid and samples."""
+    value = beatty_estimate_per_line(phi, f, A, K, alpha_grid, beta_samples)
+    refined = beatty_estimate_per_line(phi, f, A, K, 2 * alpha_grid, 2 * beta_samples)
+    return value, abs(refined - value)

@@ -6,13 +6,16 @@ oracles here are the scalar forms the estimates used before: one
 window_exp_sum per (x, theta) with its phases rebuilt term by term and its
 chunk partials Kahan-summed, and one Fraction floor per position.  The block
 and chunk sizes are patched small in some cases, so grids span several
-blocks and Beatty rows several floor chunks.
+blocks and Beatty rows several floor chunks.  The Beatty estimate for
+digit-exp takes its second sums by digit blocks, so there it must be at least
+as close as the one-line form to the estimate with exact second sums.
 """
 
 import math
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +34,7 @@ from digitseq import (
 from digitseq import experiments, expsums, sequences
 from digitseq.experiments import _sup_points, resolve_phi
 from digitseq.expsums import reduced_phase
-from oracles import beatty_integral_per_line, kahan
+from oracles import beatty_estimate_per_line, beatty_integral_per_line, kahan
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 PHIS = ("thue-morse", "digit-exp:3:1/3")
@@ -220,16 +223,39 @@ def test_window_l1_integral_equals_the_one_theta_form(phi, c, A, z, chunk):
     assert (est.value, est.refinement_delta) == want
 
 
+def _assert_matches_the_per_line_loop(phi, f, A, K, grid, samples):
+    """The estimate against beatty_integral_per_line: equal for the real phi,
+    whose sums are exact integers.  For digit-exp the second sums now take
+    digit blocks where the loop sums each range term by term, so each of the
+    two estimates behind the report (at grid and samples and at twice both)
+    must be at least as close to the loop with exact second sums as the loop
+    itself is.  The first sums are the same in all three."""
+    est = beatty_substitution_integral(phi, f, A, K, alpha_grid=grid, beta_samples=samples)
+    if np.isrealobj(phi.table):
+        assert (est.value, est.refinement_delta) == beatty_integral_per_line(phi, f, A, K, grid,
+                                                                             samples)
+        return
+    with pytest.MonkeyPatch.context() as mp:  # the refined estimate alone, past the limits
+        mp.setattr(experiments, "_GRID_MAX", 2 * grid)
+        mp.setattr(experiments, "_SAMPLES_MAX", 2 * samples)
+        refined = beatty_substitution_integral(phi, f, A, K, alpha_grid=2 * grid,
+                                               beta_samples=2 * samples).value
+    assert est.refinement_delta == abs(refined - est.value)
+    for new, g, s in ((est.value, grid, samples), (refined, 2 * grid, 2 * samples)):
+        old = beatty_estimate_per_line(phi, f, A, K, g, s)
+        with mpmath.workdps(40):
+            exact = beatty_estimate_per_line(phi, f, A, K, g, s, exact_s2=True)
+            assert abs(new - exact) <= abs(old - exact), (g, s, new, old)
+
+
 @pytest.mark.parametrize("phi", PHIS)
 @pytest.mark.parametrize("c, A, K", [(Fraction(3, 2), 4096, 64), (Fraction(5, 4), 2048, 33)])
 @pytest.mark.parametrize("chunk", [None, 100])
 def test_beatty_integral_equals_the_one_line_form(phi, c, A, K, chunk):
-    f, phi = PowerGrowth(c), resolve_phi(phi)
     with pytest.MonkeyPatch.context() as mp:
         if chunk:
             mp.setattr(sequences, "_FLOOR_CHUNK", chunk)
-        est = beatty_substitution_integral(phi, f, A, K, alpha_grid=4, beta_samples=3)
-    assert (est.value, est.refinement_delta) == beatty_integral_per_line(phi, f, A, K, 4, 3)
+        _assert_matches_the_per_line_loop(resolve_phi(phi), PowerGrowth(c), A, K, 4, 3)
 
 
 class _Slopes(PowerGrowth):
@@ -259,14 +285,10 @@ def test_beatty_integral_equals_the_per_line_loop(phi, scale, A, K):
         # f(2A) = 64^3 and f'(2A) = 3: the top slope with the intercepts
         # f(2A) and f(2A) - 3K makes integer lines
         assert (f.f(2 * A), f.df(2 * A)) == (2.0 ** 18, 3.0)
-    est = beatty_substitution_integral(phi, f, A, K, alpha_grid=5, beta_samples=4)
-    assert (est.value, est.refinement_delta) == beatty_integral_per_line(phi, f, A, K, 5, 4)
+    _assert_matches_the_per_line_loop(phi, f, A, K, 5, 4)
 
 
 def test_beatty_integral_at_the_grid_limit_equals_the_per_line_loop():
-    # Thue-Morse only: every other phi takes the per-line path at any grid size.
-    f, phi = PowerGrowth(Fraction(3, 2)), resolve_phi("thue-morse")
-    grid, samples = experiments._GRID_MAX, experiments._SAMPLES_MAX
-    est = beatty_substitution_integral(phi, f, 4096, 1, alpha_grid=grid, beta_samples=samples)
-    assert (est.value, est.refinement_delta) == beatty_integral_per_line(phi, f, 4096, 1, grid,
-                                                                         samples)
+    for phi in ALL_PHIS:
+        _assert_matches_the_per_line_loop(resolve_phi(phi), PowerGrowth(Fraction(3, 2)), 4096, 1,
+                                          experiments._GRID_MAX, experiments._SAMPLES_MAX)

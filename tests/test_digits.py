@@ -1,23 +1,27 @@
 """Digit arithmetic: examples and independent oracles."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 
 from digitseq import (
     digit_sum,
     digit_sum_array,
+    digit_table_range_sums,
     digits,
     fibonacci,
-    thue_morse_prefix_sum_array,
     thue_morse_sign,
     thue_morse_sign_array,
     zeckendorf_digit_sum,
     zeckendorf_digit_sum_array,
 )
-from oracles import thue_morse_prefix_sum, zeckendorf_greedy
+from digitseq.experiments import PHI_FUNCTIONS, _digit_sum_width, resolve_phi
+from oracles import exact_phi_sum, thue_morse_prefix_sum, zeckendorf_greedy
 
 
 def test_digit_sum_examples():
@@ -205,7 +209,8 @@ def test_digit_kernels_leave_their_input_unchanged():
               np.sort(rng.integers(2 ** 32, 2 ** 63 - 1, size=4096)),
               rng.integers(0, 2 ** 63 - 1, size=4096)]
     kernels = [*(lambda a, q=q: digit_sum_array(a, q) for q in (2, 3, 5, 10, 16, 17, 2 ** 40)),
-               zeckendorf_digit_sum_array, thue_morse_sign_array, thue_morse_prefix_sum_array]
+               zeckendorf_digit_sum_array, thue_morse_sign_array,
+               lambda a: digit_table_range_sums(a, a + 9, 3, PHI_FUNCTIONS["one"].table)]
     for arr in inputs:
         before = arr.copy()
         for kernel in kernels:
@@ -279,12 +284,96 @@ def test_thue_morse_prefix_sum_matches_the_running_sum():
         thue_morse_prefix_sum(-1)
 
 
-def test_thue_morse_prefix_sum_array_equals_the_scalar():
+def test_thue_morse_range_sums_equal_the_prefix_sum_oracle():
+    # sum_{lo <= m <= hi} t(m) = T(hi + 1) - T(lo), with T(n) from the oracle
+    table = PHI_FUNCTIONS["thue-morse"].table
     rng = np.random.default_rng(20)
     for n in (np.arange(1 << 16, dtype=np.int64),
               rng.integers(0, 1 << 62, size=1 << 12, dtype=np.int64)):
-        assert thue_morse_prefix_sum_array(n).tolist() == [thue_morse_prefix_sum(int(v))
-                                                           for v in n]
-    assert thue_morse_prefix_sum_array(np.zeros(0, dtype=np.int64)).tolist() == []
+        got = digit_table_range_sums(np.zeros_like(n), n - 1, 2, table)
+        assert got.tolist() == [thue_morse_prefix_sum(int(v)) for v in n]
+        lo = n - rng.integers(0, 1 << 12, size=n.size)
+        lo = np.maximum(lo, 0)
+        got = digit_table_range_sums(lo, n - 1, 2, table)
+        assert got.tolist() == [thue_morse_prefix_sum(int(b)) - thue_morse_prefix_sum(int(a))
+                                for a, b in zip(lo, n)]
+    empty = np.zeros(0, dtype=np.int64)
+    assert digit_table_range_sums(empty, empty, 2, table).tolist() == []
     with pytest.raises(ValueError):
-        thue_morse_prefix_sum_array([5, -1])
+        digit_table_range_sums([5, -1], [9, 3], 2, table)
+
+
+def _exponential_tables(q: int, rng) -> dict[str, np.ndarray]:
+    """The real exponential tables for base q, and digit-exp at two random
+    rational alpha (the registry's own tables)."""
+    s = np.arange(_digit_sum_width(q, 2 ** 63 - 1))
+    tables = {"one": np.ones(s.size), "zero": np.zeros(s.size), "sign": 1.0 - 2.0 * (s & 1)}
+    for b in (97, 1000):
+        name = f"digit-exp:{q}:{rng.integers(1, b)}/{b}"
+        tables[name] = resolve_phi(name).table
+    return tables
+
+
+def _range_ends_below(top: int, q: int, rng) -> np.ndarray:
+    """Every value up to 2^7, each leading-digit boundary d q^j - 1, d q^j and
+    d q^j + 1 (1 <= d < q), top - 1, top, and 64 random values, all in [0, top]."""
+    ends = {*range(129), top - 1, top, *rng.integers(0, top + 1, size=64).tolist()}
+    power = q
+    while power <= top:
+        ends |= {d * power + e for d in range(1, q) for e in (-1, 0, 1)}
+        power *= q
+    return np.array(sorted(v for v in ends if 0 <= v <= top), dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", range(2, 17))
+def test_range_sums_equal_brute_force_below_2_12(q):
+    # Every range [lo, hi] whose ends lo and hi + 1 lie in _range_ends_below(2^12);
+    # the brute force counts each digit sum of the range exactly and weights
+    # the table with the counts.
+    rng = np.random.default_rng(q)
+    top = 1 << 12
+    ends = _range_ends_below(top, q, rng)
+    lo, end = np.meshgrid(ends, ends, indexing="ij")
+    lo, hi = lo[lo <= end], end[lo <= end] - 1
+    sums = digit_sum_array(np.arange(top), q)
+    cumulative = np.zeros((top + 1, sums.max() + 1), dtype=np.int64)
+    cumulative[np.arange(1, top + 1), sums] = 1
+    counts = np.cumsum(cumulative, axis=0)
+    counts = counts[hi + 1] - counts[lo]
+    for name, table in _exponential_tables(q, rng).items():
+        got = digit_table_range_sums(lo, hi, q, table)
+        want = counts @ table[:counts.shape[1]]
+        if np.isrealobj(table):  # exact integers
+            assert np.array_equal(got, want) and np.array_equal(got, np.round(got)), name
+        else:
+            # The table is exponential only up to its phase rounding, below
+            # 1e-13 for these digit sums (test_registry_tables_are_exponential),
+            # and each term of a block carries a few such roundings.
+            assert (np.abs(got - want) <= 1e-12 * (hi - lo + 1)).all(), name
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 10, 16])
+def test_range_sums_near_2_40_match_exact_residue_counts(q):
+    # Sampled ranges of up to 10^4 terms from 2^36 to 2^40, against the exact
+    # sum of e(a s / b): residue counts of a s mod b weighted with 40-digit roots
+    # of unity.  The bound is the table's own phase rounding over the terms
+    # plus the worst case of pairwise summation, eps n log2 n; digit-exp:3:1/1000
+    # is nearly constant (|g| close to q), where a prefix difference of the
+    # sums from 0 would lose eps 2^40.
+    rng = np.random.default_rng(36 + q)
+    names = [f"digit-exp:{q}:{rng.integers(1, 97)}/97", f"digit-exp:{q}:{rng.integers(1, 1000)}/1000"]
+    if q == 3:
+        names.append("digit-exp:3:1/1000")
+    for name in names:
+        phi = resolve_phi(name)
+        alpha = Fraction(name.split(":")[2])
+        with mpmath.workdps(40):  # over every digit sum below 2^41
+            rounding = max(abs(complex(v) - mpmath.expjpi(mpmath.mpf(2 * alpha.numerator * s)
+                                                          / alpha.denominator))
+                           for s, v in enumerate(phi.table[:_digit_sum_width(q, 2 ** 41)]))
+        for _ in range(4):
+            lo, n = int(rng.integers(2 ** 36, 2 ** 40)), int(rng.integers(1, 10 ** 4 + 1))
+            got = digit_table_range_sums([lo], [lo + n - 1], q, phi.table)[0]
+            with mpmath.workdps(40):
+                error = abs(got - exact_phi_sum(phi, np.arange(lo, lo + n, dtype=np.int64)))
+            assert error <= n * (rounding + 2.0 ** -52 * max(1.0, math.log2(n))), (name, lo, n)

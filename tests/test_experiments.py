@@ -48,8 +48,48 @@ def test_resolve_phi():
     vals = phi(np.array([1, 3, 4]))  # s_3 = 1, 1, 2
     assert vals[0] == pytest.approx(np.exp(2j * np.pi / 3))
     assert vals[2] == pytest.approx(np.exp(4j * np.pi / 3))
+    # every digit sum below 2^63: (q - 1) ceil(63 / log2 q) + 1 entries
+    assert [resolve_phi(f"digit-exp:{q}:1/3").table.size for q in (2, 3, 16, 2 ** 16)] == \
+        [64, 81, 241, 262141]
     with pytest.raises(ValueError):
         resolve_phi("nope")
+
+
+@pytest.mark.parametrize("spec", ["digit-exp:1:1/3", "digit-exp:0:1/3", "digit-exp:3",
+                                  "digit-exp:3:1/3:5", "digit-exp:x:1/3", "digit-exp:-3:1/3",
+                                  f"digit-exp:{(1 << 16) + 1}:1/3", "digit-exp:1000000000000:1/3"])
+def test_malformed_digit_exp_names_its_form_and_base_limit(spec):
+    with pytest.raises(ValueError, match=f"digit-exp:q:a/b .*{experiments._PHI_BASE_MAX}"):
+        resolve_phi(spec)
+
+
+def test_registry_values_match_their_definitions():
+    m = np.arange(1 << 12)
+    assert PHI_FUNCTIONS["one"](m).tolist() == [1.0] * m.size
+    assert PHI_FUNCTIONS["zero"](m).tolist() == [0.0] * m.size
+    assert PHI_FUNCTIONS["thue-morse"](m).tolist() == thue_morse_sign_array(m).tolist()
+    # bit for bit the exponential of each value's own phase
+    for q, alpha in ((2, 1 / 3), (3, 1 / 3), (10, 0.37), (2 ** 16, 0.999)):
+        m = np.arange(10 ** 6, 10 ** 6 + 4096)
+        want = np.exp(2j * np.pi * ((alpha * digit_sum_array(m, q)) % 1.0))
+        assert np.array_equal(resolve_phi(f"digit-exp:{q}:{Fraction(alpha)}")(m), want)
+
+
+def test_registry_tables_are_exponential():
+    # table[s + d] = table[s] table[d], which the range sums rely on: exactly
+    # for the real tables; for digit-exp up to the phase rounding, at most
+    # eps alpha s turns in each of the three phases, and an ulp per exponential.
+    for phi in PHI_FUNCTIONS.values():
+        s = np.arange(phi.table.size)
+        for d in range(phi.table.size):
+            assert np.array_equal(phi.table[s[:s.size - d] + d], phi.table[:s.size - d] * phi.table[d])
+    eps = np.finfo(np.float64).eps
+    for q, a, b in ((2, 1, 3), (3, 1, 3), (5, 94, 97), (16, 399, 1000), (2 ** 16, 1, 7)):
+        table = resolve_phi(f"digit-exp:{q}:{a}/{b}").table
+        d = np.arange(min(q, 64))  # every digit, and digit sums at most 4096 apart
+        s, d = np.broadcast_arrays(np.arange(0, table.size - d[-1], -(-table.size // 4096))[:, None], d)
+        defect = np.abs(table[s + d] - table[s] * table[d])
+        assert (defect <= 4 * np.pi * eps * (1 + a / b * (s + d))).all(), (q, a, b)
 
 
 def test_deviation_zero_function():
@@ -150,7 +190,8 @@ def test_block_order_is_the_smallest_k_within_the_bound(c, m_lo, m_hi):
 
 
 def test_closed_forms_are_selected_by_identity_not_by_name():
-    impostor = ArithmeticFunction("thue-morse", PHI_FUNCTIONS["one"].func)
+    one = PHI_FUNCTIONS["one"]
+    impostor = ArithmeticFunction("thue-morse", one.q, one.table)
     for A in (1 << 10, 1 << 12):
         got, want = substitution_deviation(impostor, F32, A), substitution_deviation("one", F32, A)
         assert (got.sum1, got.sum2) == (want.sum1, want.sum2)
@@ -163,7 +204,7 @@ def test_closed_forms_agree_with_the_direct_sums():
     # the same Thue-Morse values through the direct paths of another
     # ArithmeticFunction object
     tm = PHI_FUNCTIONS["thue-morse"]
-    copy = ArithmeticFunction("tm-copy", tm.func)
+    copy = ArithmeticFunction("tm-copy", tm.q, tm.table)
     f = PowerGrowth(Fraction(71, 50))
     closed = substitution_deviation(tm, f, 4096)
     direct = substitution_deviation(copy, f, 4096)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import digitseq
-from digitseq import audits, experiments, expsums, sequences, thue_morse_sign, \
+from digitseq import audits, cli, experiments, expsums, sequences, thue_morse_sign, \
     thue_morse_sign_array
 from digitseq.cli import dispatch
 
@@ -74,6 +74,7 @@ def test_checkpoints_stop_at_the_bit_length_of_n(tmp_path):
     assert huge == report((100).bit_length())
 
 
+# In every row the flag it bounds comes last (test_every_flag_has_a_row_or_a_reason).
 _SCALE_1E12 = ["--f-power", "3/2", "--scale", "1000000000000"]
 _SMALL_SCALE = ["--f-power", "3/2", "--scale", "4096"]
 _WINDOW_SUMS = [(experiments, "window_exp_sums")]
@@ -84,9 +85,9 @@ _OVERSIZED = {
     # f(A) ... f(2A) is 1e18 ... 2.8e18, where doubles are multiples of 128
     # to 512 and no window (x, x + z] of doubles holds a term: estimate-j
     # would read 0.
-    "estimate-j-scale": (["estimate-j", *_SCALE_1E12, "--z", "64", "--theta-grid", "2",
-                          "--x-samples", "2"], _WINDOW_SUMS),
-    "estimate-i-scale": (["estimate-i", *_SCALE_1E12, "--window", "64"], _BEATTY_ROWS),
+    "estimate-j-scale": (["estimate-j", "--z", "64", "--theta-grid", "2", "--x-samples", "2",
+                          *_SCALE_1E12], _WINDOW_SUMS),
+    "estimate-i-scale": (["estimate-i", "--window", "64", *_SCALE_1E12], _BEATTY_ROWS),
     # Inputs that would run out of memory or never finish.
     "estimate-i-window": (["estimate-i", *_SMALL_SCALE, "--window", "2000000000"],
                           _BEATTY_ROWS),
@@ -106,9 +107,24 @@ _OVERSIZED = {
                              [(audits, "digit_fourier_table")]),
     # 2^14 coefficients fit the guard, 3^14 do not: no base-2 table is built.
     "fourier-audit-level-past-the-guard-in-a-later-base": (
-        ["fourier-audit", "--q-list", "2,3", "--lambda-max", "14", "--alpha-grid", "1"],
+        ["fourier-audit", "--q-list", "2,3", "--alpha-grid", "1", "--lambda-max", "14"],
         [(audits, "digit_fourier_table")]),
 }
+
+# A malformed --phi is rejected before the first floor and the first digit sum.
+_FLOORS_AND_DIGITS = [(sequences.PowerGrowth, "floor_exact"), (sequences.PowerGrowth, "floor_block"),
+                      (experiments, "beatty_floor_rows"), (experiments, "window_exp_sums"),
+                      (experiments, "digit_sum_array"), (experiments, "digit_table_range_sums")]
+_BAD_PHI = {
+    "deviation-phi-base-1": ["deviation", *_SMALL_SCALE, "--phi", "digit-exp:1:1/3"],
+    "estimate-i-phi-two-fields": ["estimate-i", "--window", "8", *_SMALL_SCALE, "--phi",
+                                  "digit-exp:3"],
+    "estimate-j-phi-huge-base": ["estimate-j", "--z", "8", *_SMALL_SCALE, "--phi",
+                                 "digit-exp:1000000000000:1/3"],
+    "audit-thm1-phi-base-past-the-limit": ["audit-thm1", "--z", "8", *_SMALL_SCALE, "--phi",
+                                           f"digit-exp:{experiments._PHI_BASE_MAX + 1}:1/3"],
+}
+_OVERSIZED.update({name: (argv, _FLOORS_AND_DIGITS) for name, argv in _BAD_PHI.items()})
 
 _DEVIATION_SUMS = [(sequences.PowerGrowth, "floor_block"), (sequences.PowerGrowth, "df_inv"),
                    (experiments, "_tm_weighted_sum")]
@@ -124,8 +140,8 @@ _WORK_LIMITS = {
                               "4000000"], experiments._TERMS_MAX),
     "deviation-second-sum-digit-exp": (["deviation", "--phi", "digit-exp:3:1/3", "--f-power",
                                         "3/2", "--scale", "200000"], experiments._TERMS_MAX),
-    "audit-thm1-second-sum": (["audit-thm1", "--phi", "one", "--f-power", "3/2", "--scale",
-                               "4000000", "--z", "8"], experiments._TERMS_MAX),
+    "audit-thm1-second-sum": (["audit-thm1", "--phi", "one", "--z", "8", "--f-power", "3/2",
+                               "--scale", "4000000"], experiments._TERMS_MAX),
 }
 _OVERSIZED.update({name: (argv, [*_DEVIATION_SUMS, *_WINDOW_SUMS])
                    for name, (argv, _) in _WORK_LIMITS.items()})
@@ -165,6 +181,9 @@ _LIMITS = {
     "audit-thm1-theta-grid": (["audit-thm1", *_TINY_WINDOW, "--x-samples", "2", "--theta-grid"],
                               experiments._GRID_MAX,
                               [(experiments, "substitution_deviation"), *_WINDOW_SUMS]),
+    "audit-thm1-x-samples": (["audit-thm1", *_TINY_WINDOW, "--theta-grid", "2", "--x-samples"],
+                             experiments._SAMPLES_MAX,
+                             [(experiments, "substitution_deviation"), *_WINDOW_SUMS]),
     "estimate-i-alpha-grid": (["estimate-i", *_SMALL_SCALE, "--window", "8", "--beta-samples",
                                "2", "--alpha-grid"], experiments._GRID_MAX, _BEATTY_ROWS),
     "estimate-i-beta-samples": (["estimate-i", *_SMALL_SCALE, "--window", "8", "--alpha-grid",
@@ -172,6 +191,13 @@ _LIMITS = {
     "beatty-mismatch-r-terms": (["beatty-mismatch", "--f-power", "3/2", "--a", "999990",
                                  "--b", "1000010", "--r-terms"], sequences._R_TERMS_MAX,
                                 [(sequences.PowerGrowth, "floor_block")]),
+    # b - a from a = 0, where f'' = 2 is bounded (for c < 2 it is not, and
+    # the lemma's curvature bound fails at a = 0 before the window matters).
+    "beatty-mismatch-window": (["beatty-mismatch", "--f-power", "2", "--a", "0", "--b"],
+                               sequences._MISMATCH_SPAN_MAX,
+                               [(sequences.PowerGrowth, "floor_block")]),
+    "rho-lambda-max": (["rho", "--lambda-max"], expsums._LEVEL_MAX,
+                       [(expsums, "sine_product_integral"), (expsums, "_operator_integrals")]),
     # The grid limit falls as the largest degree grows: 4096 at H = 1023.
     "vaaler-audit-grid": (["vaaler-audit", "--h-list", "1,1023", "--grid"],
                           audits._VAALER_CELLS_MAX // 1024, [(audits, "build_vaaler_approx")]),
@@ -192,6 +218,48 @@ def test_input_past_its_limit_exits_2_within_a_second(argv, limit, kernels, monk
 @pytest.mark.parametrize("argv, limit", [v[:2] for v in _LIMITS.values()], ids=_LIMITS.keys())
 def test_input_at_its_limit_is_accepted(argv, limit, tmp_path):
     assert dispatch([*argv, str(limit), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("argv", _BAD_PHI.values(), ids=_BAD_PHI.keys())
+def test_malformed_phi_names_its_form_and_base_limit(argv, monkeypatch, capsys, tmp_path):
+    _fail_kernels(monkeypatch, _FLOORS_AND_DIGITS)
+    assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "digit-exp:q:a/b" in err and str(experiments._PHI_BASE_MAX) in err
+
+
+# Flags that no row of _OVERSIZED or _LIMITS bounds, with what bounds them or
+# why they need no bound, as "command --flag".
+_EXEMPT = {
+    **dict.fromkeys(["tm-density --c", "joint-residues --c", "zeck-residues --c",
+                     "beatty-mismatch --f-power", "deviation --f-power", "audit-thm1 --f-power",
+                     "estimate-j --f-power", "estimate-i --f-power"],
+                    "PowerGrowth bounds c and its denominator (test_bad_exponent_names_the_limit)"),
+    **dict.fromkeys(["tm-density --n", "joint-residues --x", "zeck-residues --x"],
+                    "_N_MAX, checked before any floor (test_residue_size_guard_runs_before_any_floor)"),
+    **dict.fromkeys(["joint-residues --m1", "joint-residues --m2", "zeck-residues --m"],
+                    "_MODULUS_MAX (test_residue_moduli_are_bounded_before_any_floor)"),
+    **dict.fromkeys(["joint-residues --q1", "joint-residues --q2"],
+                    "any base: a digit sum wider than its modulus is reduced before it is "
+                    "counted (_QUICK_EXITS, joint-residues-huge-base)"),
+    **dict.fromkeys(["joint-residues --l1", "joint-residues --l2", "zeck-residues --a"],
+                    "a residue target, reduced mod its modulus"),
+    "tm-density --checkpoints": "the marks stop at the bit length of n "
+                                "(test_checkpoints_stop_at_the_bit_length_of_n)",
+    "beatty-mismatch --a": "f(b) past 2^62 raises in the floor stream; b - a is the window row",
+    "beatty-mismatch --alpha": "must lie in f'([a, b]), checked before any floor",
+    **dict.fromkeys(["exponents --a", "exponents --c"], "exact Fraction arithmetic, no loop"),
+    "et-audit --seed": "seeds the point sets: every seed costs the same",
+}
+
+
+def test_every_flag_has_a_row_or_a_reason():
+    rows = [argv for argv, *_ in (*_OVERSIZED.values(), *_LIMITS.values())]
+    bounded = {f"{argv[0]} {[a for a in argv if a.startswith('--')][-1]}" for argv in rows}
+    flags = {f"{name} {flag[0]}" for name, command in cli.COMMANDS.items()
+             for flag in command.flags}
+    assert sorted(flags - bounded - _EXEMPT.keys()) == []
+    assert sorted(_EXEMPT.keys() - flags) == [] and sorted(_EXEMPT.keys() & bounded) == []
 
 
 _HUGE_DENOMINATOR = "1.50000000000000000001"  # c_den = 10^20
