@@ -168,6 +168,70 @@ def test_deviation_rows_match_an_oracle(name):
             assert abs(np.longdouble(new) - exact) <= abs(np.longdouble(old) - exact), (new, old)
 
 
+# value and refinement_delta of estimate-i-digit-exp as the pairwise sum of
+# each second range gave them, before the second sums took digit blocks.
+_PAIRWISE_S2 = {"estimate-i-digit-exp": (0.18085711292023446, 0.05898648760529088)}
+
+
+def _estimate_i_case(name: str) -> tuple:
+    argv = CASES[name]
+    flag = lambda name: argv[argv.index(name) + 1]
+    return (experiments.resolve_phi(flag("--phi")), sequences.PowerGrowth(flag("--f-power")),
+            int(flag("--scale")), int(flag("--window")), int(flag("--alpha-grid")),
+            int(flag("--beta-samples")))
+
+
+@pytest.mark.parametrize("name", sorted(_PAIRWISE_S2))
+def test_estimate_i_rows_match_an_oracle(name):
+    # Every JSON and CSV value that changed with the digit blocks is at least
+    # as close as the old value to the per-line estimates with exact second
+    # sums, e(a s / b) weighted by exact residue counts at 40 digits; the first
+    # sums did not change.  With exact first sums too, the value stays within
+    # the table's rounding of phi, which the first sums still carry.
+    phi, f, A, K, grid, samples = _estimate_i_case(name)
+    report = json.loads((GOLDEN / f"{name}.json").read_text())
+    header, row = (GOLDEN / f"{name}.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    old_value, old_delta = _PAIRWISE_S2[name]
+    with mpmath.workdps(40):
+        value, refined = (oracles.beatty_estimate_per_line(phi, f, A, K, g, s, exact_s2=True)
+                          for g, s in ((grid, samples), (2 * grid, 2 * samples)))
+        for new, old, exact in ((report["value"], old_value, value),
+                                (float(row["value"]), float("%.15g" % old_value), value),
+                                (report["refinement_delta"], old_delta, abs(refined - value)),
+                                (float(row["refinement_delta"]), float("%.15g" % old_delta),
+                                 abs(refined - value))):
+            if new != old:
+                assert abs(new - exact) <= abs(old - exact), (new, old)
+        alpha = Fraction(phi.name.split(":")[2])
+        top = int(f.f(2 * A) + K * f.df(2 * A)) + 1  # above every floor and second range
+        rounding = max(abs(complex(phi.table[s]) - mpmath.expjpi(
+            mpmath.mpf(2 * alpha.numerator * s) / alpha.denominator))
+            for s in range(experiments._digit_sum_width(phi.q, top)))
+        exact = oracles.beatty_estimate_per_line(phi, f, A, K, grid, samples, exact_s1=True,
+                                                 exact_s2=True)
+        assert abs(report["value"] - exact) <= rounding
+
+
+@pytest.mark.parametrize("name", sorted(_PAIRWISE_S2))
+def test_estimate_i_second_sums_are_closer_than_the_pairwise_sums(name):
+    # Each second sum of both estimates of the case, by digit blocks and by a
+    # pairwise sum of its range, against its exact value.
+    phi, f, A, K, grid, samples = _estimate_i_case(name)
+    a_lo, a_hi, f_lo, f_hi = (float(v) for v in (f.df(A), f.df(2 * A), f.f(A), f.f(2 * A)))
+    for g, s in ((grid, samples), (2 * grid, 2 * samples)):
+        betas = experiments._sup_points(f_lo, f_hi, s, K * a_hi)
+        alphas = np.repeat(np.linspace(a_lo, a_hi, g), len(betas))
+        lo = np.floor(np.tile(betas, g)).astype(np.int64) + 1
+        hi = np.floor(np.tile(betas, g) + K * alphas).astype(np.int64)
+        blocks = digitseq.digit_table_range_sums(lo, hi, phi.q, phi.table)
+        for a, b, got in zip(lo.tolist(), hi.tolist(), blocks):
+            m = np.arange(a, b + 1, dtype=np.int64)
+            with mpmath.workdps(40):
+                exact = oracles.exact_phi_sum(phi, m)
+                assert abs(got - exact) <= abs(np.sum(phi(m)) - exact), (a, b)
+
+
 # JSON values of the audit reports that the complex128 Erdos-Turan and digit
 # Fourier kernels gave before the exact-phase long-double kernels, by field
 # and row; every other value of those reports is unchanged.
