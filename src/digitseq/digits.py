@@ -3,7 +3,7 @@
 Base-q digit sums, the Thue-Morse sign, range sums of a table of the digit
 sum by aligned digit blocks, Fibonacci numbers, and the Zeckendorf digit sum
 s_Z (the number of summands in the greedy representation by non-consecutive
-Fibonacci numbers).  All but the range sums is pure integer arithmetic.
+Fibonacci numbers).  All but the range sums are pure integer arithmetic.
 
 `digit_sum_array` sums masked popcounts for bases 2, 4, 8 and 16, and reads
 the digit sums of 0 .. q^L - 1 from a uint8 block table for the other bases
