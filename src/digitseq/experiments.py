@@ -98,7 +98,7 @@ def _digit_sum_width(q: int, top: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ArithmeticFunction:
-    """phi(m) = table[s_q(m)] <= 1 over every digit sum below 2^63, with table[s + d]
+    """phi(m) = table[s_q(m)], |phi| <= 1, over every digit sum below 2^63; table[s + d]
     = table[s] table[d] (exactly for the real tables), as the range sums need."""
 
     name: str

@@ -361,7 +361,7 @@ def test_range_sums_near_2_40_match_exact_residue_counts(q):
     # is nearly constant (|g| close to q), where a prefix difference of the
     # sums from 0 would lose eps 2^40.
     rng = np.random.default_rng(36 + q)
-    names = [f"digit-exp:{q}:{rng.integers(1, 97)}/97", f"digit-exp:{q}:{rng.integers(1, 1000)}/1000"]
+    names = [f"digit-exp:{q}:{rng.integers(1, b)}/{b}" for b in (97, 1000)]
     if q == 3:
         names.append("digit-exp:3:1/1000")
     for name in names:

@@ -82,12 +82,14 @@ def test_registry_tables_are_exponential():
     for phi in PHI_FUNCTIONS.values():
         s = np.arange(phi.table.size)
         for d in range(phi.table.size):
-            assert np.array_equal(phi.table[s[:s.size - d] + d], phi.table[:s.size - d] * phi.table[d])
+            head = s[:s.size - d]
+            assert np.array_equal(phi.table[head + d], phi.table[head] * phi.table[d])
     eps = np.finfo(np.float64).eps
     for q, a, b in ((2, 1, 3), (3, 1, 3), (5, 94, 97), (16, 399, 1000), (2 ** 16, 1, 7)):
         table = resolve_phi(f"digit-exp:{q}:{a}/{b}").table
         d = np.arange(min(q, 64))  # every digit, and digit sums at most 4096 apart
-        s, d = np.broadcast_arrays(np.arange(0, table.size - d[-1], -(-table.size // 4096))[:, None], d)
+        s = np.arange(0, table.size - d[-1], -(-table.size // 4096))
+        s, d = np.broadcast_arrays(s[:, None], d)
         defect = np.abs(table[s + d] - table[s] * table[d])
         assert (defect <= 4 * np.pi * eps * (1 + a / b * (s + d))).all(), (q, a, b)
 

@@ -112,7 +112,8 @@ _OVERSIZED = {
 }
 
 # A malformed --phi is rejected before the first floor and the first digit sum.
-_FLOORS_AND_DIGITS = [(sequences.PowerGrowth, "floor_exact"), (sequences.PowerGrowth, "floor_block"),
+_FLOORS_AND_DIGITS = [(sequences.PowerGrowth, "floor_exact"),
+                      (sequences.PowerGrowth, "floor_block"),
                       (experiments, "beatty_floor_rows"), (experiments, "window_exp_sums"),
                       (experiments, "digit_sum_array"), (experiments, "digit_table_range_sums")]
 _BAD_PHI = {
@@ -236,7 +237,8 @@ _EXEMPT = {
                      "estimate-j --f-power", "estimate-i --f-power"],
                     "PowerGrowth bounds c and its denominator (test_bad_exponent_names_the_limit)"),
     **dict.fromkeys(["tm-density --n", "joint-residues --x", "zeck-residues --x"],
-                    "_N_MAX, checked before any floor (test_residue_size_guard_runs_before_any_floor)"),
+                    "_N_MAX, checked before any floor "
+                    "(test_residue_size_guard_runs_before_any_floor)"),
     **dict.fromkeys(["joint-residues --m1", "joint-residues --m2", "zeck-residues --m"],
                     "_MODULUS_MAX (test_residue_moduli_are_bounded_before_any_floor)"),
     **dict.fromkeys(["joint-residues --q1", "joint-residues --q2"],
