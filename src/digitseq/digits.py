@@ -14,13 +14,13 @@ two lookups cover every value below 2^32.  Their passes run in uint32 when
 the array maximum is below 2^32, else in int64.  `zeckendorf_digit_sum_array`
 reads the summands from F_27 up of a value below F_48 from one packed
 bucket table (the high part and its summand count at every multiple of
-F_26), by runs for a sorted array and by two reads per value otherwise,
-and s_Z of the rest, below F_27, from a uint8 low table; only values from
-F_48 up take greedy passes first.  Both kernels add their table reads up in
-uint8, so the int64 result is the only wide pass.  The tables, and the
-Fibonacci numbers up to the first one above 2^63, are built at import, so
-worker threads only ever read them.  The scalar functions extend the
-Fibonacci list on demand for larger integers (an append-only cache).
+F_26), by runs for a sorted array below F_48 and by two reads per value
+otherwise, and s_Z of the rest, below F_27, from a uint8 low table; only
+values from F_48 up take greedy passes first.  Both kernels add their table
+reads up in uint8, so the int64 result is the only wide pass.  The tables,
+and the Fibonacci numbers up to the first one above 2^63, are built at
+import, so worker threads only ever read them.  The scalar functions extend
+the Fibonacci list on demand for larger integers (an append-only cache).
 """
 
 from __future__ import annotations
@@ -251,38 +251,43 @@ _ZECK_HIGH = _zeckendorf_high_table(_ZECK_HIGH_INDEX)
 def zeckendorf_digit_sum_array(values: np.ndarray) -> np.ndarray:
     """Vectorised s_Z over a nonnegative int64 array (int64 result).
 
-    Values from F_48 up first take greedy passes for the indices k >= 48,
-    on a copy.  The remainder, now below F_48, takes its high part H and the
-    count of its summands from F_27 up from the bucket records, and what is
-    left, below F_27, takes its s_Z from the low table; the counts add up in
-    uint8.  A sorted 1-D array (every floor chunk of n^c is one) takes H by
-    runs: the records of the buckets it spans list every H that starts
-    inside its range, one binary search into the array places each, and
-    np.repeat writes them out, so the low table is the only read per value.
-    Any other array reads two records per value, one to choose between
-    bucket b and b - 1 and one for H and its count.  Both stay in int64:
-    uint32 passes measured no faster here, as every read of the int64
-    records would mix the two types."""
+    A sorted 1-D array below F_48 (every floor chunk of n^c is one) takes
+    its high part H and the count of its summands from F_27 up by runs: the
+    records of the buckets it spans list every H that starts inside its
+    range, one binary search into the array places each, and np.repeat
+    writes out their counts and high parts, so the low table, for the rest
+    below F_27, is the only read per value and its ends stand in for the
+    minimum and maximum.  Any other array takes greedy passes for the
+    indices k >= 48 first, on a copy, where it reaches F_48, and then reads
+    two records per value, one to choose between bucket b and b - 1 and one
+    for H and its count.  The counts add up in uint8.  Both paths stay in
+    int64: uint32 passes measured no faster here, as every read of the
+    int64 records would mix the two types."""
     v = np.asarray(values, dtype=np.int64)
-    if v.size and int(v.min()) < 0:
+    if not v.size:
+        return np.zeros(v.shape, dtype=np.int64)
+    is_sorted = v.ndim == 1 and bool((v[1:] >= v[:-1]).all())
+    low, top = (int(v[0]), int(v[-1])) if is_sorted else (int(v.min()), int(v.max()))
+    if low < 0:
         raise ValueError("zeckendorf_digit_sum_array needs nonnegative values")
-    top = int(v.max()) if v.size else 0
-    count = np.zeros(v.shape, dtype=np.uint8)  # s_Z <= 46 below 2^63
     k_top = fibonacci_index_below(max(top, 1))
-    if k_top >= _ZECK_HIGH_INDEX:
-        v = v.copy()  # the greedy passes work in place
-        _zeckendorf_greedy(v, count, k_top, _ZECK_HIGH_INDEX)
-    if v.ndim == 1 and v.size > 1 and (v[1:] >= v[:-1]).all():
+    if is_sorted and k_top < _ZECK_HIGH_INDEX:
         # H at the start of the first bucket is at most v[0]; each later one
         # covers the values from its searchsorted place to the next one's.
-        first = max(int(v[0]) // _ZECK_BUCKET - 1, 0)
-        record = _ZECK_HIGH[first:int(v[-1]) // _ZECK_BUCKET + 1]
-        runs = np.diff(np.searchsorted(v, record >> 8), append=v.size)
-        record = np.repeat(record, runs)
+        record = _ZECK_HIGH[max(low // _ZECK_BUCKET - 1, 0):top // _ZECK_BUCKET + 1]
+        high = record >> 8
+        runs = np.diff(np.searchsorted(v, high), append=v.size)
+        count = np.repeat(record.astype(np.uint8), runs)  # the low byte: the summand count
+        high = np.repeat(high, runs)
     else:
+        count = np.zeros(v.shape, dtype=np.uint8)  # s_Z <= 46 below 2^63
+        if k_top >= _ZECK_HIGH_INDEX:
+            v = v.copy()  # the greedy passes work in place
+            _zeckendorf_greedy(v, count, k_top, _ZECK_HIGH_INDEX)
         b = v // _ZECK_BUCKET
         b -= (_ZECK_HIGH.take(b) >> 8) > v
         record = _ZECK_HIGH.take(b)
-    count += record.astype(np.uint8)  # the low byte: the summand count
-    count += _ZECK_LOW_TABLE.take(v - (record >> 8))
+        count += record.astype(np.uint8)
+        high = record >> 8
+    count += _ZECK_LOW_TABLE.take(np.subtract(v, high, out=high))
     return count.astype(np.int64)

@@ -474,9 +474,10 @@ def tm_density_experiment(f: PowerGrowth, n: int, checkpoints: int = 12,
     ranges = [(boundaries[i] + 1, boundaries[i + 1]) for i in range(len(boundaries) - 1)]
 
     def part(rng: tuple[int, int]) -> int:
+        # The sum of (-1)^s_2 is the value count less twice the odd sums.
         total = 0
         for arr in ps_block_chunks(rng[0], rng[1], f):
-            total += int(np.sum(thue_morse_sign_array(arr)))
+            total += arr.size - 2 * int(np.count_nonzero(digit_sum_array(arr, 2) & 1))
         return total
 
     partials = _map_ordered(part, ranges, threads)

@@ -10,7 +10,9 @@ floor(n^c) that is the integer root, stepped from the double; for a Beatty
 line it is beatty_floor, one Fraction floor per near-tie.  The exact ties of
 floor(n^c) for c = p/q in lowest terms, n = k^q with n^c = k^p, are written
 in closed form in each streamed chunk; they reach the fallback only where
-the chunk's guard is 1/2 or more and every value does.
+the chunk's guard is 1/2 or more and every value does.  A chunk's doubles
+x^c are x r^(c_num - c_den), r a square, cube or fourth root of x, for
+1 < c < 2 with c_den <= 4, and np.power for every other c.
 
 Beatty lines travel as two float arrays, slopes and intercepts: the slope
 check and the integer-line test run once per call, and only a near-tie
@@ -49,6 +51,8 @@ _FLOAT_GUARD_REL = 1e-14  # conservative bound on the relative error of x**c
 # 4- and 1-byte ones: under 1 MB in all, which leaves a 2 MB L2 cache room for
 # the tables one digit kernel reads (0.51 MB at most, for s_Z).
 _FLOOR_CHUNK = 1 << 14
+# 0, 1, ..., _FLOOR_CHUNK - 1: a chunk's float grid n = lo + i in one pass.
+_FLOAT_STEPS = np.arange(_FLOOR_CHUNK, dtype=np.float64)
 # Largest exponent: floors are int64 values below 2^62, which 2^c leaves
 # beyond it (and n**c_num alone would not finish for c near 10^20).
 _C_MAX = 62
@@ -85,6 +89,30 @@ def int_nth_root(n: int, k: int, seed: int | None = None) -> int:
     while (x + 1) ** k <= n:
         x += 1
     return x
+
+
+def _fourth_root(x: np.ndarray) -> np.ndarray:
+    r = np.sqrt(x)
+    return np.sqrt(r, out=r)
+
+
+# x^c = x r^(c_num - c_den) for r = x^(1/c_den) and 1 < c < 2: below n = 2^22
+# that is within 1.3 ulp (3/2, 4/3), 1.7 (5/4), 2.8 (5/3) and 5.4 (7/4) of
+# the exact power, where np.power with the rounded exponent c is off by up
+# to 11 ulp; _pow_guard allows at least 45.
+_ROOTS = {2: np.sqrt, 3: np.cbrt, 4: _fourth_root}
+
+
+def _power_in_place(x: np.ndarray, f: PowerGrowth) -> None:
+    """x **= c in place: by a root of x for 1 < c < 2 with c_den in _ROOTS,
+    by np.power for every other c."""
+    root = _ROOTS.get(f.c_den)
+    if root is None or f.c_num >= 2 * f.c_den:
+        np.power(x, f.cf, out=x)
+        return
+    r = root(x)
+    for _ in range(f.c_num - f.c_den):
+        x *= r
 
 
 def _pow_guard(x: float) -> float:
@@ -155,8 +183,8 @@ def ps_block_chunks(n_lo: int, n_hi: int, f: PowerGrowth) -> Iterator[np.ndarray
         if f.c_den == 1:
             yield np.arange(lo, hi + 1, dtype=np.int64) ** f.c_num
             continue
-        x = np.arange(lo, hi + 1, dtype=np.float64)
-        np.power(x, f.cf, out=x)
+        x = _FLOAT_STEPS[:hi - lo + 1] + lo
+        _power_in_place(x, f)
         # x grows with n: x[-1] bounds the chunk and its guard every element's.
         if not x[-1] < 2**62:
             raise ValueError("floor values exceed the int64 streaming range")
@@ -308,8 +336,8 @@ def count_floor_mismatches(f: GrowthFunction, a: int, b: int, alpha: float,
     both floors exact, and evaluate the lemma bound
     2*M*(b-a)^3 + (b-a)/R + sum_{r<=R} |sum e(n r alpha)|/r for R = r_terms
     >= 1.  Each inner sum is |sin(pi (b-a) r alpha) / sin(pi r alpha)|."""
-    if b < a:
-        raise ValueError("need a <= b")
+    if not 0 <= a <= b:
+        raise ValueError(f"need 0 <= a <= b, got a = {a}, b = {b}")
     if r_terms is not None and not 1 <= r_terms <= _R_TERMS_MAX:
         raise ValueError(f"needs r_terms >= 1 and r_terms <= {_R_TERMS_MAX}, got {r_terms}")
     if b - a > _MISMATCH_SPAN_MAX:

@@ -197,6 +197,26 @@ def test_zeckendorf_kernel_matches_the_greedy_kernel_on_random_values(top):
         assert np.array_equal(zeckendorf_digit_sum_array(vals[start:]), want[start:])
 
 
+def test_zeckendorf_kernel_on_sorted_arrays_with_repeats_one_value_or_past_f48():
+    # Sorted arrays take the high parts by runs below F_48 and the greedy
+    # passes from there: repeated values (empty runs between them), arrays of
+    # one repeated value, and sorted arrays that cross F_48.
+    rng = np.random.default_rng(23)
+    f48 = fibonacci(48)
+    bucket = digits._ZECK_BUCKET
+    below = np.sort(rng.integers(0, 40 * bucket, size=300))
+    arrays = [np.repeat(below, rng.integers(1, 5, size=below.size)),
+              np.repeat([f48 - 2, f48 - 1], 3),
+              np.arange(f48 - 300, f48 + 300, 3),
+              np.sort(rng.integers(fibonacci(47), fibonacci(49), size=500))]
+    arrays += [np.full(size, v) for v in (0, 1, bucket - 1, bucket, 7 * bucket - 1, f48 - 1,
+                                          f48, 2 ** 62) for size in (1, 2, 17)]
+    for arr in arrays:
+        got = zeckendorf_digit_sum_array(arr)
+        assert got.dtype == np.int64
+        assert got.tolist() == [zeckendorf_digit_sum(int(v)) for v in arr]
+
+
 def test_digit_kernels_leave_their_input_unchanged():
     # The kernels work in place on their own copies, never on the caller's
     # array: int32 and int64 input, below and above 2^32 (and F_48, where

@@ -19,7 +19,10 @@ from digitseq import (
     digit_sum_array,
     experiments,
     joint_residue_experiment,
+    ps_floor,
+    sequences,
     substitution_deviation,
+    thue_morse_sign,
     thue_morse_sign_array,
     tm_density_experiment,
     window_l1_integral,
@@ -274,6 +277,23 @@ def test_tm_density_checkpoint_consistency():
     for cp in rep.checkpoints:
         assert cp.partial_sum == int(cums[cp.m - 1])
         assert cp.plus_density == pytest.approx((cp.m + cp.partial_sum) / (2 * cp.m))
+
+
+@pytest.mark.parametrize("c", ["3/2", "4/3", "7/5"])
+def test_tm_density_partial_sums_straddle_the_chunk_boundaries(c):
+    # Checkpoints n >> k next to multiples of the floor chunk (2^14) and of
+    # the partition chunk (2^17), against scalar signs of scalar floors.
+    f = PowerGrowth(c)
+    floor_chunk, chunk = sequences._FLOOR_CHUNK, experiments._CHUNK
+    ns = [chunk - 1, chunk, chunk + 1, (floor_chunk + 1) << 3, ((floor_chunk - 1) << 2) + 3]
+    prefix = np.cumsum([thue_morse_sign(ps_floor(m, f)) for m in range(1, max(ns) + 1)])
+    for n in ns:
+        for threads in (1, 2):
+            rep = tm_density_experiment(f, n, checkpoints=n.bit_length(), threads=threads)
+            assert [cp.m for cp in rep.checkpoints] == sorted({n >> k for k in
+                                                                range(n.bit_length())})
+            for cp in rep.checkpoints:
+                assert cp.partial_sum == int(prefix[cp.m - 1])
 
 
 def test_tm_partial_sum_identity_even_blocks():

@@ -130,9 +130,21 @@ def test_ps_floor_huge_values_escalate_correctly():
         assert ps_floor(n, f) == math.isqrt(n ** 3)
 
 
-# The benchmark's floor(n^c) exponents, and 19/10, whose doubles near
-# n = 2^27 are too coarse for the guard, so that every value escalates.
-STREAM_EXPONENTS = ["3/2", "4/3", "9/7", "7/5", "71/50", "19/10"]
+# The benchmark's floor(n^c) exponents; 19/10, whose doubles near n = 2^27
+# are too coarse for the guard, so that every value escalates; and the other
+# exponents whose powers are taken from a square, cube or fourth root.
+ROOT_EXPONENTS = ["3/2", "4/3", "5/3", "5/4", "7/4"]
+STREAM_EXPONENTS = ["3/2", "4/3", "9/7", "7/5", "71/50", "19/10", "5/3", "5/4", "7/4"]
+
+
+@pytest.mark.parametrize("c", ROOT_EXPONENTS)
+def test_root_form_floors_up_to_2_20_match_integer_roots(c):
+    # x r^(c_num - c_den) with r a root of x, for every n <= 2^20.  Seeded
+    # with the value under test, int_nth_root still steps to the exact root.
+    f = PowerGrowth(c)
+    assert f.c_den in sequences._ROOTS and f.c_num < 2 * f.c_den
+    got = np.concatenate(list(ps_block_chunks(1, 1 << 20, f))).tolist()
+    assert all(int_nth_root(n ** f.c_num, f.c_den, v) == v for n, v in enumerate(got, 1))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
