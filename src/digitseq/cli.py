@@ -56,6 +56,11 @@ def _growth(text: str) -> PowerGrowth:
 
 def _mismatches(args):
     f = args.f_power
+    # f' is real on x >= 0 only, and for c < 2 f'' is unbounded at 0: the
+    # lemma's curvature bound takes f''(a).
+    a_min = 1 if f.c < 2 else 0
+    if args.a < a_min:
+        raise CliError(f"--a must be >= {a_min} for f(x) = {f.label()}, got {args.a}")
     alpha = args.alpha if args.alpha is not None else float(f.df((args.a + args.b) / 2.0))
     return count_floor_mismatches(f, args.a, args.b, alpha, r_terms=args.r_terms)
 

@@ -127,6 +127,19 @@ _BAD_PHI = {
 }
 _OVERSIZED.update({name: (argv, _FLOORS_AND_DIGITS) for name, argv in _BAD_PHI.items()})
 
+# A window start where f' is not real (a < 0) or, for c < 2, f'' is unbounded
+# (a = 0) is rejected before any floor, by a message that names --a.
+_BAD_WINDOW_START = {
+    "beatty-mismatch-negative-a": ["beatty-mismatch", "--f-power", "3/2", "--b", "1000",
+                                   "--a", "-5"],
+    "beatty-mismatch-a-0-where-f2-is-unbounded": ["beatty-mismatch", "--f-power", "3/2",
+                                                  "--b", "1000000", "--a", "0"],
+    "beatty-mismatch-negative-a-at-c-2": ["beatty-mismatch", "--f-power", "2", "--b", "1000",
+                                          "--a", "-1"],
+}
+_OVERSIZED.update({name: (argv, [(sequences.PowerGrowth, "floor_block")])
+                   for name, argv in _BAD_WINDOW_START.items()})
+
 _DEVIATION_SUMS = [(sequences.PowerGrowth, "floor_block"), (sequences.PowerGrowth, "df_inv"),
                    (experiments, "_tm_weighted_sum")]
 
@@ -229,6 +242,17 @@ def test_malformed_phi_names_its_form_and_base_limit(argv, monkeypatch, capsys, 
     assert "digit-exp:q:a/b" in err and str(experiments._PHI_BASE_MAX) in err
 
 
+@pytest.mark.parametrize("argv", _BAD_WINDOW_START.values(), ids=_BAD_WINDOW_START.keys())
+def test_bad_window_start_names_a(argv, monkeypatch, capsys, tmp_path):
+    _fail_kernels(monkeypatch, [(sequences.PowerGrowth, "floor_block")])
+    assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "--a" in capsys.readouterr().err
+    f = sequences.PowerGrowth(argv[2])
+    if int(argv[-1]) < 0:
+        with pytest.raises(ValueError, match="0 <= a <= b"):
+            sequences.count_floor_mismatches(f, int(argv[-1]), 1000, 1.0)
+
+
 # Flags that no row of _OVERSIZED or _LIMITS bounds, with what bounds them or
 # why they need no bound, as "command --flag".
 _EXEMPT = {
@@ -248,7 +272,6 @@ _EXEMPT = {
                     "a residue target, reduced mod its modulus"),
     "tm-density --checkpoints": "the marks stop at the bit length of n "
                                 "(test_checkpoints_stop_at_the_bit_length_of_n)",
-    "beatty-mismatch --a": "f(b) past 2^62 raises in the floor stream; b - a is the window row",
     "beatty-mismatch --alpha": "must lie in f'([a, b]), checked before any floor",
     **dict.fromkeys(["exponents --a", "exponents --c"], "exact Fraction arithmetic, no loop"),
     "et-audit --seed": "seeds the point sets: every seed costs the same",
