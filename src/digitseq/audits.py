@@ -20,8 +20,8 @@ _MAX_POINTS = 1 << 16  # largest point set of et_audit: 16 x N long-double power
 _ALPHA_GRID_MAX = 1 << 12  # alpha grid of fourier_bound_audit
 _SETS_MAX = 1 << 16  # point sets of et_audit
 _Q_LIST_MAX = 1 << 6  # bases of fourier_bound_audit, each a full level and alpha sweep
-# grid x (H + 1) values that vaaler_audit holds per degree: as many as the
-# construction gate holds at the largest degree, 4096 x 1024.
+# grid x (H + 1) Horner steps of psi_H that vaaler_audit takes per degree: as
+# many as the construction gate takes at the largest degree, 4096 x 1024.
 _VAALER_CELLS_MAX = 1 << 22
 
 __all__ = [

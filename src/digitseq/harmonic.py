@@ -2,10 +2,8 @@
 
 The Vaaler trigonometric approximation of the sawtooth with its Fejer-type
 majorant, the constant-1 Erdos-Turan discrepancy inequality with an exact
-sorted-points discrepancy.
-
-The Erdos-Turan bound is summed in long double from the exact phases of the
-points and rounded to double once.
+sorted-points discrepancy.  All three take their exponentials in long double
+at exactly reduced phases (expsums._e_long_double) and round to double once.
 """
 
 from __future__ import annotations
@@ -14,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expsums import _e_long_double
+from .expsums import _TWO_PI, _e_long_double
 
 _GATE_GRID = 4096  # points of the Vaaler construction gate
-_DEGREE_MAX = 1 << 10  # largest degree H: the gate holds 4096 x (H + 1) complex values
+_DEGREE_MAX = 1 << 10  # largest degree H: (H + 1) (t mod 1) of a double t is exact in 64 bits
 _ET_ROWS = 16  # rows h of the Erdos-Turan sums held at once
 
 __all__ = [
@@ -63,23 +61,25 @@ def _vaaler_coefficients(degree: int) -> np.ndarray:
 
 
 def vaaler_psi_h(approx: VaalerApprox, t) -> float:
-    """psi_H(t) = -(1/pi) sum_{h<=H} a(h)/h sin(2 pi h t) (the conjugate-
-    symmetric form of the two-sided coefficient sum)."""
-    t = np.asarray(t, dtype=np.float64)
-    h = np.arange(1, approx.degree + 1, dtype=np.float64)
-    weights = approx.coefficients / h
-    out = -(np.sin(2.0 * np.pi * np.multiply.outer(t, h)) @ weights) / np.pi
+    """psi_H(t) = -(1/pi) sum_{h<=H} a(h)/h sin(2 pi h t) = -Im P(z) / pi, with
+    P(z) = sum_h (a(h)/h) z^h taken by Horner's rule at z = e(t mod 1)."""
+    z = _e_long_double(np.fmod(np.asarray(t, dtype=np.float64), 1.0))
+    p = np.zeros_like(z)
+    for weight in approx.coefficients[::-1] / np.arange(approx.degree, 0, -1, dtype=np.longdouble):
+        p = (p + weight) * z
+    out = (-2 * p.imag / _TWO_PI).astype(np.float64)
     return float(out) if out.ndim == 0 else out
 
 
 def fejer_majorant(degree: int, t) -> float:
-    """kappa_H(t) = |sum_{h<=H} e(ht)|^2 / (2 (H+1)^2) >= 0 (Fejer form)."""
+    """kappa_H(t) = |sum_{h<=H} e(ht)|^2 / (2 (H+1)^2) = D^2 / 2, D = sin(pi n r) / (n sin(pi r))
+    at n = H + 1 and r = t mod 1 (D = 1 where sin(pi r) = 0); each sine is Im e(r/2 or n r/2)."""
     _check_degree(degree)
-    t = np.asarray(t, dtype=np.float64)
+    r = np.fmod(np.asarray(t, dtype=np.float64), 1.0).astype(np.longdouble)
     n = degree + 1
-    h = np.arange(n, dtype=np.float64)
-    s = np.exp(2j * np.pi * np.multiply.outer(t, h)).sum(axis=-1)
-    out = np.abs(s) ** 2 / (2.0 * n * n)
+    s, s_n = (_e_long_double(u / 2).imag for u in (r, n * r))
+    ratio = np.divide(s_n, n * s, out=np.ones_like(s), where=s != 0)
+    out = (ratio * ratio / 2).astype(np.float64)
     return float(out) if out.ndim == 0 else out
 
 

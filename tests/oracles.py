@@ -1,6 +1,6 @@
-"""mpmath oracles with exact phases for the Erdos-Turan and digit Fourier
-kernels, the greedy Zeckendorf kernel that the table-driven one replaced,
-the Kahan sum that the window sums used to combine their chunks with,
+"""mpmath oracles with exact phases for the Erdos-Turan, Vaaler and digit
+Fourier kernels, the greedy Zeckendorf kernel that the table-driven one
+replaced, the Kahan sum that the window sums used to combine their chunks with,
 ps_block, the floor stream materialised as one array, the exact sum of a
 digit phi over any values (residue counts and 40-digit roots of unity for
 digit-exp), and the scalar forms of the Beatty estimate and the mismatch
@@ -48,6 +48,17 @@ def et_bound(points, degree: int, dps: int = 40) -> mpmath.mpf:
             total += abs(mpmath.fsum(powers) / len(z)) / h
             powers = [p * w for p, w in zip(powers, z)]
         return total
+
+
+def vaaler_kernels(coefficients, t, dps: int = 40) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """psi_H(t) = -Im sum_{h<=H} (a(h)/h) e(ht) / pi and the Fejer majorant
+    kappa_H(t) = |sum_{h<=H} e(ht)|^2 / (2 (H+1)^2), for the exact doubles t
+    and a(h), H = len(coefficients), from one exact phase h t mod 1 per h."""
+    with mpmath.workdps(dps):
+        terms = [_e(h * Fraction(float(t))) for h in range(len(coefficients) + 1)]
+        psi = -mpmath.fsum(mpmath.mpf(float(a)) / h * terms[h].imag
+                           for h, a in enumerate(coefficients, 1)) / mpmath.pi
+        return psi, abs(mpmath.fsum(terms)) ** 2 / (2 * len(terms) ** 2)
 
 
 def fourier_table(q: int, level: int, alpha, dps: int = 40) -> list[mpmath.mpc]:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -82,6 +83,49 @@ def test_fejer_majorant_values():
     for t in (0.1, 0.37, 0.925):
         direct = np.sum(w * np.exp(2j * np.pi * h * t)).real / 26
         assert fejer_majorant(12, t) == pytest.approx(direct, abs=1e-12)
+
+
+# Negatives, 0, +-1/2, integers, 2^-40 and doubles next to integers and to
+# 1/2, where a phase 2 pi h t taken in double loses the most, then seeded
+# points in [-8, 8).
+_VAALER_POINTS = [0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -3.0, 2.0 ** -40, -2.0 ** -40, 1 - 2.0 ** -53,
+                  1 + 2.0 ** -52, -1 + 2.0 ** -53, 7 - 2.0 ** -50, 0.5 + 2.0 ** -40, 0.25, -0.75,
+                  *np.random.default_rng(24).uniform(-8.0, 8.0, 40)]
+
+
+@oracles.needs_long_double
+@pytest.mark.parametrize("degree", [1, 5, 64, 1024])
+def test_vaaler_kernels_match_an_exact_phase_oracle(degree):
+    approx = build_vaaler_approx(degree)
+    psi, kappa = (vaaler_psi_h(approx, _VAALER_POINTS), fejer_majorant(degree, _VAALER_POINTS))
+    for t, got_psi, got_kappa in zip(_VAALER_POINTS, psi, kappa):
+        exact_psi, exact_kappa = oracles.vaaler_kernels(approx.coefficients, t)
+        assert abs(got_psi - exact_psi) <= 1e-16, (t, got_psi)
+        assert abs(got_kappa - exact_kappa) <= 1e-16, (t, got_kappa)
+        # The scalar form is the same computation.
+        assert (vaaler_psi_h(approx, t), fejer_majorant(degree, t)) == (got_psi, got_kappa)
+
+
+def test_vaaler_kernels_are_exact_at_their_zeros():
+    assert fejer_majorant(1, 0.5) == 0.0
+    for degree in (3, 7, 63):
+        assert np.all(fejer_majorant(degree, np.arange(1, degree + 1) / (degree + 1)) == 0.0)
+        assert np.all(fejer_majorant(degree, np.array([-2.0, 0.0, 1.0, 5.0])) == 0.5)
+        approx = build_vaaler_approx(degree)
+        assert np.all(vaaler_psi_h(approx, np.array([-1.5, -1.0, 0.0, 0.5, 3.0])) == 0.0)
+
+
+def test_vaaler_audit_and_gate_hold_no_grid_by_degree_array():
+    # A grid x (H + 1) complex128 array at H = 1023, grid 4096 is 64 MB.
+    for run in (lambda: audits.vaaler_audit((1, 1023), grid=4096),
+                lambda: build_vaaler_approx(1024)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
 
 
 def _brute_discrepancy(pts):
