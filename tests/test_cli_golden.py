@@ -232,9 +232,9 @@ def test_estimate_i_second_sums_are_closer_than_the_pairwise_sums(name):
                 assert abs(got - exact) <= abs(np.sum(phi(m)) - exact), (a, b)
 
 
-# JSON values of the audit reports that the complex128 Erdos-Turan and digit
-# Fourier kernels gave before the exact-phase long-double kernels, by field
-# and row; every other value of those reports is unchanged.
+# JSON values of the audit reports that the complex128 Erdos-Turan, digit
+# Fourier and Vaaler kernels gave before the exact-phase long-double kernels,
+# by field and row; every other value of those reports is unchanged.
 _COMPLEX128 = {
     "et-audit": {"bound": {
         0: 0.2886524367465822, 1: 1.9251522252436486, 3: 0.8591684513815823,
@@ -259,19 +259,40 @@ _COMPLEX128 = {
             54: 4.440892098500626e-16, 55: 1.1102230246251565e-15, 58: 2.220446049250313e-16,
             59: 3.3306690738754696e-16, 60: 3.885780586188048e-15, 61: 1.7763568394002505e-15,
             62: 4.440892098500626e-16, 63: 4.440892098500626e-16}},
+    "vaaler-audit": {
+        "max_excess": {0: 1.9490859162596874e-17, 1: 1.9490859162596865e-17},
+        "min_kappa": {0: 1.874699728327322e-33, 1: 1.8746997283273217e-33,
+                      2: 5.12819439637143e-07}},
 }
+# The fields of each audit report that are a correctly rounded exact value.
+_ROUNDED = {"et-audit": ("bound",), "fourier-audit": ("max_abs_coeff",),
+            "vaaler-audit": ("max_excess", "min_kappa")}
 
 
 @lru_cache
 def _audit_oracle(name: str) -> dict[str, list]:
     """40-digit exact-phase oracle of every row of an audit case, by field.
-    Parseval's identity makes the exact parseval_error 0."""
+    Parseval's identity makes the exact parseval_error 0; the Vaaler rows
+    take the sawtooth and both kernels exactly at each grid point."""
     rows = json.loads((GOLDEN / f"{name}.json").read_text())
     if name == "fourier-audit":
         return {"max_abs_coeff": [oracles.max_abs(oracles.fourier_table(r["q"], r["level"], r["alpha"]))
                                   for r in rows],
                 "parseval_error": [0] * len(rows)}
     argv = CASES[name]
+    if name == "vaaler-audit":
+        grid = int(argv[argv.index("--grid") + 1])
+        ts = np.arange(grid, dtype=np.float64) / grid
+        oracle = {"max_excess": [], "min_kappa": []}
+        for r in rows:
+            coefficients = digitseq.build_vaaler_approx(r["degree"]).coefficients
+            kernels = [oracles.vaaler_kernels(coefficients, t) for t in ts]
+            with mpmath.workdps(40):
+                oracle["max_excess"].append(max(
+                    abs(t - mpmath.floor(t) - 0.5 - psi) - kappa
+                    for t, (psi, kappa) in zip(map(mpmath.mpf, ts), kernels)))
+            oracle["min_kappa"].append(min(kappa for _, kappa in kernels))
+        return oracle
     seen = []
 
     def record(pts, degree):
@@ -291,9 +312,9 @@ def _audit_oracle(name: str) -> dict[str, list]:
 @pytest.mark.parametrize("name", sorted(_COMPLEX128))
 def test_audit_rows_are_correctly_rounded(name):
     rows = json.loads((GOLDEN / f"{name}.json").read_text())
-    field = "bound" if name == "et-audit" else "max_abs_coeff"
-    exact = _audit_oracle(name)[field]
-    assert [r[field] for r in rows] == [float(v) for v in exact]
+    for field in _ROUNDED[name]:
+        exact = _audit_oracle(name)[field]
+        assert [r[field] for r in rows] == [float(v) for v in exact], field
 
 
 @needs_long_double
