@@ -20,6 +20,7 @@ _MAX_POINTS = 1 << 16  # largest point set of et_audit: 16 x N long-double power
 _ALPHA_GRID_MAX = 1 << 12  # alpha grid of fourier_bound_audit
 _SETS_MAX = 1 << 16  # point sets of et_audit
 _Q_LIST_MAX = 1 << 6  # bases of fourier_bound_audit, each a full level and alpha sweep
+_H_LIST_MAX = 1 << 6  # degrees of vaaler_audit, each a construction gate and a grid sweep
 # grid x (H + 1) Horner steps of psi_H that vaaler_audit takes per degree: as
 # many as the construction gate takes at the largest degree, 4096 x 1024.
 _VAALER_CELLS_MAX = 1 << 22
@@ -89,6 +90,8 @@ class VaalerAuditRow:
 def vaaler_audit(degrees: tuple[int, ...], grid: int = 10000) -> list[VaalerAuditRow]:
     """Grid check of the defining sawtooth inequality and of the majorant's
     nonnegativity for each requested degree."""
+    if len(degrees) > _H_LIST_MAX:
+        raise ValueError(f"at most {_H_LIST_MAX} degrees, got {len(degrees)}")
     for degree in degrees:
         _check_degree(degree)
     degree_max = max(degrees, default=0)
@@ -125,8 +128,8 @@ def et_audit(sets: int = 1000, degree: int = 64, seed: int = 0,
              max_points: int = 2000) -> list[EtAuditRow]:
     """Exact discrepancy against the constant-1 bound on seeded point sets:
     uniform draws, clustered draws, and Beatty-line fractional orbits."""
-    if not 1 <= sets <= _SETS_MAX or not 2 <= max_points <= _MAX_POINTS:
-        raise ValueError(f"needs 1 <= sets <= {_SETS_MAX} and 2 <= max_points <= {_MAX_POINTS}")
+    if not 1 <= sets <= _SETS_MAX or not 3 <= max_points <= _MAX_POINTS:
+        raise ValueError(f"needs 1 <= sets <= {_SETS_MAX} and 3 <= max_points <= {_MAX_POINTS}")
     _check_degree(degree)
     rng = np.random.default_rng(seed)
     rows = []

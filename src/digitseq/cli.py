@@ -19,6 +19,9 @@ from .sequences import PowerGrowth, count_floor_mismatches
 from .reports import serialize_report
 
 
+_THREADS_MAX = 1 << 6  # workers of one run; each holds a chunk of floors and digit sums
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # single-line diagnostic, status 2
         raise CliError(message)
@@ -40,8 +43,8 @@ def _threads(text: str) -> int:
         count = int(text)
     except ValueError:
         count = 0
-    if count < 1:
-        raise CliError(f"--threads must be a positive integer, got {text!r}")
+    if not 1 <= count <= _THREADS_MAX:
+        raise CliError(f"--threads must be an integer in [1, {_THREADS_MAX}], got {text!r}")
     return count
 
 

@@ -124,14 +124,19 @@ _DROP_REL = 2.0 ** -80  # dropped Thue-Morse blocks, relative to the first weigh
 
 def resolve_phi(phi: ArithmeticFunction | str) -> ArithmeticFunction:
     """Accept an ArithmeticFunction, a registry name, or digit-exp:q:a/b for
-    e(a s_q(m) / b), checked before any work: 2 <= q <= _PHI_BASE_MAX."""
+    e(a s_q(m) / b), checked before any work: 2 <= q <= _PHI_BASE_MAX and a/b
+    a Fraction literal, reduced mod 1 as a Fraction (e has period 1)."""
     if isinstance(phi, ArithmeticFunction) or phi in PHI_FUNCTIONS:
         return PHI_FUNCTIONS.get(phi, phi)
     if phi.startswith("digit-exp:"):
         spec = phi.split(":")
+        form = f"'{phi}' is not digit-exp:q:a/b with 2 <= q <= {_PHI_BASE_MAX}"
         if len(spec) != 3 or not spec[1].isdecimal() or not 2 <= int(spec[1]) <= _PHI_BASE_MAX:
-            raise ValueError(f"'{phi}' is not digit-exp:q:a/b with 2 <= q <= {_PHI_BASE_MAX}")
-        q, alpha = int(spec[1]), float(Fraction(spec[2]))
+            raise ValueError(form)
+        try:
+            q, alpha = int(spec[1]), float(Fraction(spec[2]) % 1)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(form) from None
         s = np.arange(_digit_sum_width(q, (1 << 63) - 1))
         return ArithmeticFunction(phi, q, np.exp(2j * np.pi * ((alpha * s) % 1.0)))
     raise ValueError(f"unknown arithmetic function '{phi}'")

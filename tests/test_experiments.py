@@ -60,10 +60,19 @@ def test_resolve_phi():
 
 @pytest.mark.parametrize("spec", ["digit-exp:1:1/3", "digit-exp:0:1/3", "digit-exp:3",
                                   "digit-exp:3:1/3:5", "digit-exp:x:1/3", "digit-exp:-3:1/3",
-                                  f"digit-exp:{(1 << 16) + 1}:1/3", "digit-exp:1000000000000:1/3"])
+                                  f"digit-exp:{(1 << 16) + 1}:1/3", "digit-exp:1000000000000:1/3",
+                                  "digit-exp:3:1/0", "digit-exp:3:x", "digit-exp:3:1/3x"])
 def test_malformed_digit_exp_names_its_form_and_base_limit(spec):
     with pytest.raises(ValueError, match=f"digit-exp:q:a/b .*{experiments._PHI_BASE_MAX}"):
         resolve_phi(spec)
+
+
+def test_digit_exp_reduces_alpha_mod_1_before_rounding():
+    # Any a/b, however large, names the table of {a/b}.
+    one_third = resolve_phi("digit-exp:3:1/3").table
+    for spec in ("digit-exp:3:4/3", "digit-exp:3:-2/3", f"digit-exp:3:{3 ** 80 + 1}/3"):
+        assert np.array_equal(resolve_phi(spec).table, one_third)
+    assert np.all(resolve_phi("digit-exp:3:1e400").table == 1)
 
 
 def test_registry_values_match_their_definitions():

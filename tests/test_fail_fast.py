@@ -98,6 +98,8 @@ _OVERSIZED = {
                        [(audits, "build_vaaler_approx")]),
     "vaaler-audit-h-after-a-valid-one": (["vaaler-audit", "--h-list", "5,200000"],
                                          [(audits, "build_vaaler_approx")]),
+    "vaaler-audit-h-list": (["vaaler-audit", "--h-list", ",".join(["5"] * 65)],
+                            [(audits, "build_vaaler_approx")]),
     "et-audit-max-points": (["et-audit", "--max-points", "2000000000"], _ET_KERNELS),
     "et-audit-h": (["et-audit", "--h", "2000000000"], _ET_KERNELS),
     "et-audit-sets": (["et-audit", "--sets", "1000000000000"], _ET_KERNELS),
@@ -124,6 +126,9 @@ _BAD_PHI = {
                                  "digit-exp:1000000000000:1/3"],
     "audit-thm1-phi-base-past-the-limit": ["audit-thm1", "--z", "8", *_SMALL_SCALE, "--phi",
                                            f"digit-exp:{experiments._PHI_BASE_MAX + 1}:1/3"],
+    "deviation-phi-zero-denominator": ["deviation", *_SMALL_SCALE, "--phi", "digit-exp:3:1/0"],
+    "estimate-j-phi-alpha-not-a-fraction": ["estimate-j", "--z", "8", *_SMALL_SCALE, "--phi",
+                                            "digit-exp:3:x"],
 }
 _OVERSIZED.update({name: (argv, _FLOORS_AND_DIGITS) for name, argv in _BAD_PHI.items()})
 
@@ -215,6 +220,9 @@ _LIMITS = {
     # The grid limit falls as the largest degree grows: 4096 at H = 1023.
     "vaaler-audit-grid": (["vaaler-audit", "--h-list", "1,1023", "--grid"],
                           audits._VAALER_CELLS_MAX // 1024, [(audits, "build_vaaler_approx")]),
+    # Rejected by the CLI type check, before any worker pool starts.
+    "threads": (["tm-density", "--c", "3/2", "--n", "100", "--threads"], cli._THREADS_MAX,
+                [(experiments, "_map_ordered"), (experiments, "ps_block_chunks")]),
 }
 
 
@@ -275,14 +283,25 @@ _EXEMPT = {
     "beatty-mismatch --alpha": "must lie in f'([a, b]), checked before any floor",
     **dict.fromkeys(["exponents --a", "exponents --c"], "exact Fraction arithmetic, no loop"),
     "et-audit --seed": "seeds the point sets: every seed costs the same",
+    # The flags that every subcommand takes, named without a command.
+    "--out": "an output path, opened once the report is built",
+    "--format": "a choice of csv or json",
 }
 
 
 def test_every_flag_has_a_row_or_a_reason():
+    sub = next(a for a in cli._PARSER._actions if a.dest == "command")
+    by_command = {name: {flag for a in p._actions for flag in a.option_strings} - {"-h", "--help"}
+                  for name, p in sub.choices.items()}
+    common = set.intersection(*by_command.values())
+
+    def key(command: str, flag: str) -> str:
+        return flag if flag in common else f"{command} {flag}"
+
     rows = [argv for argv, *_ in (*_OVERSIZED.values(), *_LIMITS.values())]
-    bounded = {f"{argv[0]} {[a for a in argv if a.startswith('--')][-1]}" for argv in rows}
-    flags = {f"{name} {flag[0]}" for name, command in cli.COMMANDS.items()
-             for flag in command.flags}
+    bounded = {key(argv[0], [a for a in argv if a.startswith('--')][-1]) for argv in rows}
+    flags = {key(name, flag) for name, command_flags in by_command.items()
+             for flag in command_flags}
     assert sorted(flags - bounded - _EXEMPT.keys()) == []
     assert sorted(_EXEMPT.keys() - flags) == [] and sorted(_EXEMPT.keys() & bounded) == []
 
@@ -332,6 +351,30 @@ def test_audit_loops_are_bounded_by_named_limits():
         audits.et_audit(sets=audits._SETS_MAX + 1)
     with pytest.raises(ValueError, match=str(audits._Q_LIST_MAX)):
         audits.fourier_bound_audit((2,) * (audits._Q_LIST_MAX + 1), 1, 1)
+    with pytest.raises(ValueError, match=str(audits._H_LIST_MAX)):
+        audits.vaaler_audit((1,) * (audits._H_LIST_MAX + 1))
+
+
+def test_h_list_at_its_length_limit_is_accepted_and_past_it_named(monkeypatch, capsys, tmp_path):
+    def argv(length: int) -> list[str]:
+        return ["vaaler-audit", "--h-list", ",".join(["1"] * length), "--grid", "2",
+                "--out", str(tmp_path / "out")]
+
+    assert dispatch(argv(audits._H_LIST_MAX)) == 0
+    capsys.readouterr()
+    _fail_kernels(monkeypatch, [(audits, "build_vaaler_approx")])
+    assert dispatch(argv(audits._H_LIST_MAX + 1)) == 2
+    assert f"at most {audits._H_LIST_MAX} degrees" in capsys.readouterr().err
+
+
+def test_et_audit_needs_three_as_max_points(monkeypatch, capsys, tmp_path):
+    # n is drawn from [2, max_points), which is empty at max_points = 2.
+    argv = ["et-audit", "--sets", "3", "--out", str(tmp_path / "out"), "--max-points"]
+    assert dispatch([*argv, "3"]) == 0
+    capsys.readouterr()
+    _fail_kernels(monkeypatch, _ET_KERNELS)
+    assert dispatch([*argv, "2"]) == 2
+    assert f"3 <= max_points <= {audits._MAX_POINTS}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("c, limit", [
