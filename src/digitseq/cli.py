@@ -19,7 +19,7 @@ from .sequences import PowerGrowth, count_floor_mismatches
 from .reports import serialize_report
 
 
-_THREADS_MAX = 1 << 6  # workers of one run; each holds a chunk of floors and digit sums
+_THREADS_MAX = 1 << 6  # a run starts a thread per part, up to 1024 (tm-density at n = 2^27)
 
 
 class _Parser(argparse.ArgumentParser):

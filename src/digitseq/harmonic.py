@@ -2,8 +2,8 @@
 
 The Vaaler trigonometric approximation of the sawtooth with its Fejer-type
 majorant, the constant-1 Erdos-Turan discrepancy inequality with an exact
-sorted-points discrepancy.  All three take their exponentials in long double
-at exactly reduced phases (expsums._e_long_double) and round to double once.
+sorted-points discrepancy.  Its exponentials are all expsums._e_long_double
+at exactly reduced phases, summed in long double and rounded to double once.
 """
 
 from __future__ import annotations

@@ -351,8 +351,6 @@ def test_audit_loops_are_bounded_by_named_limits():
         audits.et_audit(sets=audits._SETS_MAX + 1)
     with pytest.raises(ValueError, match=str(audits._Q_LIST_MAX)):
         audits.fourier_bound_audit((2,) * (audits._Q_LIST_MAX + 1), 1, 1)
-    with pytest.raises(ValueError, match=str(audits._H_LIST_MAX)):
-        audits.vaaler_audit((1,) * (audits._H_LIST_MAX + 1))
 
 
 def test_h_list_at_its_length_limit_is_accepted_and_past_it_named(monkeypatch, capsys, tmp_path):
