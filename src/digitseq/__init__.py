@@ -34,7 +34,7 @@ from .sequences import (
 )
 from .expsums import (
     FourierTable,
-    SineProductResult,
+    SineProductDecayRow,
     WindowSumResult,
     digit_fourier_decay_constant,
     digit_fourier_table,

@@ -50,11 +50,12 @@ def _threads(text: str) -> int:
 
 def _growth(text: str) -> PowerGrowth:
     """PowerGrowth(text), with the constructor's reason kept in the message
-    (argparse would replace it by "invalid PowerGrowth value")."""
+    (argparse would replace it by "invalid PowerGrowth value") and the flag
+    named by argparse."""
     try:
         return PowerGrowth(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"invalid exponent {text!r}: {exc}")
+        raise argparse.ArgumentTypeError(f"invalid exponent {text!r}: {exc}")
 
 
 def _mismatches(args):

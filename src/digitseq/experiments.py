@@ -36,7 +36,9 @@ from .digits import (
 )
 from .expsums import _WINDOW_MAX, window_exp_sums
 from .sequences import (
+    _LITERAL_EXP_MAX,
     PowerGrowth,
+    _fraction,
     beatty_floor_rows,
     ps_block_chunks,
     ps_floor,
@@ -125,16 +127,18 @@ _DROP_REL = 2.0 ** -80  # dropped Thue-Morse blocks, relative to the first weigh
 def resolve_phi(phi: ArithmeticFunction | str) -> ArithmeticFunction:
     """Accept an ArithmeticFunction, a registry name, or digit-exp:q:a/b for
     e(a s_q(m) / b), checked before any work: 2 <= q <= _PHI_BASE_MAX and a/b
-    a Fraction literal, reduced mod 1 as a Fraction (e has period 1)."""
+    a Fraction literal whose decimal exponent lies within
+    sequences._LITERAL_EXP_MAX, reduced mod 1 as a Fraction (e has period 1)."""
     if isinstance(phi, ArithmeticFunction) or phi in PHI_FUNCTIONS:
         return PHI_FUNCTIONS.get(phi, phi)
     if phi.startswith("digit-exp:"):
         spec = phi.split(":")
-        form = f"'{phi}' is not digit-exp:q:a/b with 2 <= q <= {_PHI_BASE_MAX}"
+        form = (f"'{phi}' is not digit-exp:q:a/b with 2 <= q <= {_PHI_BASE_MAX} and a "
+                f"decimal exponent of a/b within +-{_LITERAL_EXP_MAX}")
         if len(spec) != 3 or not spec[1].isdecimal() or not 2 <= int(spec[1]) <= _PHI_BASE_MAX:
             raise ValueError(form)
         try:
-            q, alpha = int(spec[1]), float(Fraction(spec[2]) % 1)
+            q, alpha = int(spec[1]), float(_fraction(spec[2], "a/b") % 1)
         except (ValueError, ZeroDivisionError):
             raise ValueError(form) from None
         s = np.arange(_digit_sum_width(q, (1 << 63) - 1))
@@ -143,10 +147,12 @@ def resolve_phi(phi: ArithmeticFunction | str) -> ArithmeticFunction:
 
 
 def _check_scale(f: PowerGrowth, A: int) -> int:
-    """floor(f(2A)), after the guard f(2A) <= 2^40.  Past it the deviation
-    sums grow beyond desk scale, and the window starts and Beatty intercepts,
-    doubles near f(A) ... f(2A), lose the unit resolution their windows need
-    (a double near 10^18 is a multiple of 128)."""
+    """floor(f(2A)), after the guards A >= 1 and f(2A) <= 2^40.  Past the
+    second the deviation sums grow beyond desk scale, and the window starts
+    and Beatty intercepts, doubles near f(A) ... f(2A), lose the unit
+    resolution their windows need (a double near 10^18 is a multiple of 128)."""
+    if A < 1:
+        raise ValueError(f"needs a scale A >= 1, got {A}")
     m_hi = f.floor_exact(2 * A)
     if m_hi > _F_MAX:
         raise ValueError("f(2A) beyond the experiment resource guard")
@@ -178,6 +184,22 @@ def _map_ordered(func, items: Sequence, threads: int) -> list:
         return [func(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(func, items))
+
+
+def _floor_counts(f: PowerGrowth, bounds: Sequence[int], count: Callable, threads: int) -> list:
+    """For each bound b of a sorted sequence, count(chunk) summed over the
+    ps_block_chunks of n <= b (0 where there is none); count returns an int
+    or a fixed-size int64 array.  The parts are the fixed _CHUNK ranges, also
+    cut at every bound, so no part depends on the worker count; their counts
+    are added in order."""
+    cuts = sorted({0, *bounds, *range(0, bounds[-1], _CHUNK)})
+
+    def part(rng: tuple[int, int]):
+        return sum(map(count, ps_block_chunks(rng[0], rng[1], f)))
+
+    parts = _map_ordered(part, [(a + 1, b) for a, b in itertools.pairwise(cuts)], threads)
+    totals = dict(zip(cuts, itertools.accumulate(parts, initial=0)))
+    return [totals[b] for b in bounds]
 
 
 # Thue-Morse weighted sums sum_{m_lo < m <= m_hi} t(m) w(m) for f(x) = x^c,
@@ -334,6 +356,14 @@ def _sup_points(lo: float, hi: float, count: int, margin: float) -> list[float]:
     return sorted({p for p in base + adversarial if lo < p <= hi})
 
 
+def _refined_estimate(estimate: Callable[[int, int], float], grid: int, samples: int,
+                      sup_sample_count: int) -> IntegralEstimate:
+    """The estimate at (grid, samples), with its change at twice both."""
+    value = estimate(grid, samples)
+    return IntegralEstimate(value=value, grid_size=grid, sup_sample_count=sup_sample_count,
+                            refinement_delta=abs(estimate(2 * grid, 2 * samples) - value))
+
+
 def window_l1_integral(phi, f: PowerGrowth, A: int, z: float,
                        theta_grid: int = 64, x_samples: int = 8) -> IntegralEstimate:
     """Integral over theta of the sup over window starts x in (f(A), f(2A)]
@@ -357,11 +387,8 @@ def window_l1_integral(phi, f: PowerGrowth, A: int, z: float,
             best = np.maximum(best, np.hypot(s.real, s.imag))
         return math.fsum(best / z) / grid
 
-    value = estimate(theta_grid, x_samples)
-    refined = estimate(2 * theta_grid, 2 * x_samples)
-    return IntegralEstimate(value=value, grid_size=theta_grid,
-                            sup_sample_count=len(_sup_points(lo, hi, x_samples, z)),
-                            refinement_delta=abs(refined - value))
+    return _refined_estimate(estimate, theta_grid, x_samples,
+                             len(_sup_points(lo, hi, x_samples, z)))
 
 
 def beatty_substitution_integral(phi, f: PowerGrowth, A: int, K: int,
@@ -398,11 +425,8 @@ def beatty_substitution_integral(phi, f: PowerGrowth, A: int, K: int,
         best = np.max(vals.reshape(grid, -1), axis=1)
         return float(np.dot(weights, best) / weights.sum())
 
-    value = estimate(alpha_grid, beta_samples)
-    refined = estimate(2 * alpha_grid, 2 * beta_samples)
-    return IntegralEstimate(value=value, grid_size=alpha_grid,
-                            sup_sample_count=len(_sup_points(f_lo, f_hi, beta_samples, K * a_hi)),
-                            refinement_delta=abs(refined - value))
+    return _refined_estimate(estimate, alpha_grid, beta_samples,
+                             len(_sup_points(f_lo, f_hi, beta_samples, K * a_hi)))
 
 
 @dataclass(frozen=True)
@@ -475,28 +499,13 @@ def tm_density_experiment(f: PowerGrowth, n: int, checkpoints: int = 12,
         raise ValueError("needs checkpoints >= 1")
     # n >> k is 0 for every k >= n.bit_length(), so the marks stop there.
     marks = sorted({max(1, n >> k) for k in range(min(checkpoints, n.bit_length()))})
-    boundaries = sorted({0, n, *marks, *range(0, n, _CHUNK)})
-    ranges = [(boundaries[i] + 1, boundaries[i + 1]) for i in range(len(boundaries) - 1)]
-
-    def part(rng: tuple[int, int]) -> int:
-        # The sum of (-1)^s_2 is the value count less twice the odd sums.
-        total = 0
-        for arr in ps_block_chunks(rng[0], rng[1], f):
-            total += arr.size - 2 * int(np.count_nonzero(digit_sum_array(arr, 2) & 1))
-        return total
-
-    partials = _map_ordered(part, ranges, threads)
+    odd = _floor_counts(f, marks, lambda a: int(np.count_nonzero(np.bitwise_count(a) & 1)),
+                        threads)
     rows = []
-    running = 0
-    mark_iter = iter(marks)
-    mark = next(mark_iter)
-    for rng, p in zip(ranges, partials):
-        running += p
-        if mark is not None and rng[1] == mark:
-            rows.append(TmDensityCheckpoint(
-                m=mark, partial_sum=running, abs_mean=abs(running) / mark,
-                plus_density=(mark + running) / (2.0 * mark)))
-            mark = next(mark_iter, None)
+    for m, m_odd in zip(marks, odd):
+        total = m - 2 * m_odd  # the sum of (-1)^s_2: the value count less twice the odd sums
+        rows.append(TmDensityCheckpoint(m=m, partial_sum=total, abs_mean=abs(total) / m,
+                                        plus_density=(m + total) / (2.0 * m)))
     logs = [(math.log2(r.m), math.log2(r.abs_mean)) for r in rows if r.abs_mean > 0]
     slope = float("nan")
     if len(logs) >= 2:
@@ -532,17 +541,12 @@ def _warn_integer_exponent(f: PowerGrowth) -> None:
 def _residue_table(f: PowerGrowth, x: int, stat: Callable[[np.ndarray], np.ndarray],
                    fold: np.ndarray, cells: int, threads: int) -> np.ndarray:
     """Counts of n <= x by the cell fold[stat(floor(n^c))] in range(cells).
-    Each fixed chunk counts its statistic values 0 .. fold.size - 1 with one
-    bincount, and each part folds its histogram into the cells once; the
-    parts are summed in chunk order."""
-    def part(rng: tuple[int, int]) -> np.ndarray:
-        hist = np.zeros(fold.size, dtype=np.int64)
-        for arr in ps_block_chunks(rng[0], rng[1], f):
-            hist += np.bincount(stat(arr), minlength=fold.size)
-        table = np.zeros(cells, dtype=np.int64)
-        np.add.at(table, fold, hist)
-        return table
-    return sum(_map_ordered(part, _chunk_ranges(1, x), threads), np.zeros(cells, dtype=np.int64))
+    Each floor chunk counts its statistic values 0 .. fold.size - 1 with one
+    bincount, and the run folds the summed histogram into the cells once."""
+    (hist,) = _floor_counts(f, [x], lambda a: np.bincount(stat(a), minlength=fold.size), threads)
+    table = np.zeros(cells, dtype=np.int64)
+    np.add.at(table, fold, hist)
+    return table
 
 
 def _check_moduli(*moduli: int) -> None:
@@ -643,8 +647,8 @@ class ExponentAudit:
 
 
 def corollary1_exponent_audit(a, c) -> ExponentAudit:
-    a = Fraction(a)
-    c = Fraction(c)
+    a = _fraction(a, "a")
+    c = _fraction(c, "c")
     if not 0 < a <= 1:
         raise ValueError("needs 0 < a <= 1")
     if not 1 < c < 2:

@@ -33,7 +33,7 @@ import numpy as np
 __all__ = [
     "WindowSumResult",
     "FourierTable",
-    "SineProductResult",
+    "SineProductDecayRow",
     "window_exp_sum",
     "window_exp_sums",
     "sine_product_integral",
@@ -132,15 +132,6 @@ def window_exp_sum(phi: Callable[[np.ndarray], np.ndarray], x: float, z: float,
     return WindowSumResult(complex(window_exp_sums(phi, x, z, [theta])[0]), count)
 
 
-@dataclass(frozen=True)
-class SineProductResult:
-    """Integral over [0,1] of prod_{k<level} |sin(2^k pi theta)|."""
-
-    level: int
-    integral_value: float
-    quadrature_error_estimate: float
-
-
 @functools.cache
 def _transfer_operator(n: int) -> tuple[np.ndarray, np.ndarray]:
     """L and the Fejer weights on the n first-kind Chebyshev nodes
@@ -180,22 +171,38 @@ def _operator_integrals(level_max: int, n: int) -> list[np.longdouble]:
     return integrals
 
 
+@dataclass(frozen=True)
+class SineProductDecayRow:
+    """I_level = int_0^1 prod_{k<level} |sin(2^k pi theta)| d theta with its
+    decay-rate estimates."""
+
+    level: int
+    integral: float
+    ratio: float  # I_level / I_{level-1}; nan at level 0
+    geo_mean: float  # I_level ** (1/level); nan at level 0
+    quadrature_err: float
+
+
 @functools.lru_cache(maxsize=1)
-def _sine_product_results(level_max: int) -> tuple[SineProductResult, ...]:
-    """SineProductResult for level = 0 ... level_max from one operator chain
-    per node count (the levels are checked against the double range first).
-    The last chain is kept, so sine_product_decay reads its rows off the
-    chain that its sine_product_integral call built."""
+def _sine_product_results(level_max: int) -> tuple[SineProductDecayRow, ...]:
+    """The rows of level = 0 ... level_max from one operator chain per node
+    count (the levels are checked against the double range first).  The last
+    chain is kept, so sine_product_decay reads its rows off the chain that
+    its sine_product_integral call built."""
     if level_max > _LEVEL_MAX:
         raise ValueError(f"level above the double range guard ({_LEVEL_MAX})")
     i64, i128 = (_operator_integrals(level_max, n) for n in (64, 128))
-    return (SineProductResult(0, 1.0, 0.0),) + tuple(
-        SineProductResult(level, float(i128[level]), float(abs(i128[level] - i64[level])))
-        for level in range(1, level_max + 1))
+    rows = [SineProductDecayRow(0, 1.0, float("nan"), float("nan"), 0.0)]
+    for level in range(1, level_max + 1):
+        integral = float(i128[level])
+        rows.append(SineProductDecayRow(level, integral, integral / rows[-1].integral,
+                                        integral ** (1.0 / level),
+                                        float(abs(i128[level] - i64[level]))))
+    return tuple(rows)
 
 
-def sine_product_integral(level: int) -> SineProductResult:
-    """I_level = int_0^1 prod_{k<level} |sin(2^k pi theta)| d theta.
+def sine_product_integral(level: int) -> SineProductDecayRow:
+    """The row of I_level = int_0^1 prod_{k<level} |sin(2^k pi theta)| d theta.
 
     g_level(theta) = |sin(pi theta)| g_{level-1}(2 theta) gives I_level =
     int_0^1 (L^level 1)(u) du, L h(u) = (sin(pi u/2) h(u/2) + cos(pi u/2)
@@ -207,18 +214,7 @@ def sine_product_integral(level: int) -> SineProductResult:
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    if level == 0:
-        return SineProductResult(0, 1.0, 0.0)
     return _sine_product_results(level)[-1]
-
-
-@dataclass(frozen=True)
-class SineProductDecayRow:
-    level: int
-    integral: float
-    ratio: float  # I_level / I_{level-1}; nan at level 0
-    geo_mean: float  # I_level ** (1/level); nan at level 0
-    quadrature_err: float
 
 
 def sine_product_decay(level_max: int) -> list[SineProductDecayRow]:
@@ -231,15 +227,7 @@ def sine_product_decay(level_max: int) -> list[SineProductDecayRow]:
     # sine_product_integral, the span perfbench traces for these integrals,
     # builds the chain to level_max; every row is read off that one chain.
     sine_product_integral(level_max)
-    rows = []
-    prev = None
-    for lam, res in enumerate(_sine_product_results(level_max)):
-        ratio = float("nan") if prev is None else res.integral_value / prev
-        geo = float("nan") if lam == 0 else res.integral_value ** (1.0 / lam)
-        rows.append(SineProductDecayRow(lam, res.integral_value, ratio, geo,
-                                        res.quadrature_error_estimate))
-        prev = res.integral_value
-    return rows
+    return list(_sine_product_results(level_max))
 
 
 def digit_fourier_decay_constant(q: int) -> float:

@@ -24,6 +24,7 @@ integer residue mod den.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -65,6 +66,24 @@ _C_DEN_MAX = 1000
 # most 1001 (sqrt of the longest window, plus one).
 _R_TERMS_MAX = 1 << 16
 _MISMATCH_SPAN_MAX = 1_000_000  # longest window b - a: its floor rows are arrays that long
+# Largest |E| of the decimal exponent of a rational literal, Python's own cap
+# on the digits of an int literal (so "1e400" passes).  Fraction builds 10^|E|
+# in full, which takes seconds for |E| near 10^7.
+_LITERAL_EXP_MAX = 4300
+_LITERAL_EXP = re.compile(r"e([-+]?[\d_]+)\s*$", re.IGNORECASE)
+
+
+def _fraction(value, name: str) -> Fraction:
+    """Fraction(value), after the check that a text value's decimal
+    exponent E has |E| <= _LITERAL_EXP_MAX; the mantissa needs none, since
+    Python rejects an int of more than 4300 digits at once."""
+    exp = _LITERAL_EXP.search(value) if isinstance(value, str) else None
+    if exp:
+        digits = exp[1].lstrip("+-").replace("_", "").lstrip("0")
+        if len(digits) > len(str(_LITERAL_EXP_MAX)) or int(digits or 0) > _LITERAL_EXP_MAX:
+            raise ValueError(f"the decimal exponent of {name} must lie within "
+                             f"+-{_LITERAL_EXP_MAX}")
+    return Fraction(value)
 
 
 def int_nth_root(n: int, k: int, seed: int | None = None) -> int:
@@ -278,10 +297,11 @@ class GrowthFunction:
 class PowerGrowth(GrowthFunction):
     """f(x) = x**c for an exact rational exponent c = c_num/c_den in
     (1, _C_MAX], given as a Fraction or anything Fraction parses ("1.42" is
-    71/50), with c_den <= _C_DEN_MAX."""
+    71/50, and a decimal exponent lies within _LITERAL_EXP_MAX), with
+    c_den <= _C_DEN_MAX."""
 
     def __init__(self, c):
-        self.c = Fraction(c)
+        self.c = _fraction(c, "c")
         if not 1 < self.c <= _C_MAX:
             raise ValueError(f"PowerGrowth needs 1 < c <= {_C_MAX}")
         self.c_num, self.c_den = self.c.numerator, self.c.denominator

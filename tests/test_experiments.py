@@ -1,6 +1,7 @@
 """Experiment driver: trivial identities, conservation, determinism, and
 the recorded desk-scale regression anchors."""
 
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -397,6 +398,27 @@ def test_zeckendorf_histogram_counts_match_a_direct_recount(m, x):
     want = np.bincount(zeckendorf_digit_sum_array(_floors(f, x)) % m, minlength=m)
     rep = zeckendorf_residue_experiment(f, m, 0, x)
     assert [rep.counts[(i,)] for i in range(m)] == want.tolist()
+
+
+@functools.cache
+def _cut_floors(x: int) -> np.ndarray:
+    return _floors(PowerGrowth("4/3"), x)
+
+
+@pytest.mark.parametrize("x", [(1 << 17) - 1, 1 << 17, (1 << 17) + 1, (1 << 18) + 1])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_residue_counts_across_the_part_cuts_match_a_direct_bincount(x, threads):
+    # x next to the part cuts at multiples of experiments._CHUNK = 2^17,
+    # against one bincount over all the floors.
+    assert experiments._CHUNK == 1 << 17
+    f, floors = PowerGrowth("4/3"), _cut_floors(x)
+    cells = (digit_sum_array(floors, 2) % 3) * 5 + digit_sum_array(floors, 3) % 5
+    rep = joint_residue_experiment(f, 2, 3, 3, 5, 0, 0, x, threads=threads)
+    assert [rep.counts[divmod(i, 5)] for i in range(15)] == \
+        np.bincount(cells, minlength=15).tolist()
+    rep = zeckendorf_residue_experiment(f, 7, 0, x, threads=threads)
+    assert [rep.counts[(i,)] for i in range(7)] == \
+        np.bincount(zeckendorf_digit_sum_array(floors) % 7, minlength=7).tolist()
 
 
 def test_zeckendorf_residue_trivial_and_conservation():

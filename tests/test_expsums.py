@@ -157,14 +157,14 @@ def test_tm_window_bound_from_decomposition():
 
 
 def test_sine_product_closed_forms_and_monotonicity():
-    assert sine_product_integral(0).integral_value == 1.0
+    assert sine_product_integral(0).integral == 1.0
     r1 = sine_product_integral(1)
-    assert r1.integral_value == pytest.approx(2 / math.pi, abs=1e-13)
+    assert r1.integral == pytest.approx(2 / math.pi, abs=1e-13)
     prev = 1.0
     for level in range(1, 13):
         r = sine_product_integral(level)
-        assert 0 < r.integral_value <= prev + 1e-15
-        prev = r.integral_value
+        assert 0 < r.integral <= prev + 1e-15
+        prev = r.integral
     with pytest.raises(ValueError):
         sine_product_integral(1714)
 
@@ -242,15 +242,15 @@ def test_rho_rows_match_a_panel_oracle():
 
 def test_sine_product_levels_past_the_old_resource_guard():
     for level in (40, 200):
-        prev, cur, nxt = (sine_product_integral(level + d).integral_value for d in (-1, 0, 1))
+        prev, cur, nxt = (sine_product_integral(level + d).integral for d in (-1, 0, 1))
         assert cur > 0
         assert abs(cur / prev - nxt / cur) <= 1e-12
         assert cur / prev == pytest.approx(0.6613226020, abs=1e-10)
 
 
 def test_sine_product_guard_is_the_edge_of_the_double_range():
-    below = sine_product_integral(1712).integral_value
-    top = sine_product_integral(1713).integral_value
+    below = sine_product_integral(1712).integral
+    top = sine_product_integral(1713).integral
     assert top >= sys.float_info.min
     assert top * (top / below) < sys.float_info.min
     with pytest.raises(ValueError, match="double range guard"):
@@ -262,7 +262,7 @@ def test_decay_rows_are_the_per_level_integrals():
     for level in (0, 1, 2, 17, 39, 40):
         res = sine_product_integral(level)
         assert (rows[level].integral, rows[level].quadrature_err) == \
-            (res.integral_value, res.quadrature_error_estimate)
+            (res.integral, res.quadrature_err)
 
 
 def test_decay_builds_one_operator_chain_per_node_count(monkeypatch):

@@ -132,6 +132,29 @@ _BAD_PHI = {
 }
 _OVERSIZED.update({name: (argv, _FLOORS_AND_DIGITS) for name, argv in _BAD_PHI.items()})
 
+# A rational literal's decimal exponent E is bounded before Fraction builds
+# 10^|E| in full: each argv up to the literal, and the literal's form.
+_LITERAL_EXP_MAX = sequences._LITERAL_EXP_MAX
+_LITERAL_FLAGS = {
+    "tm-density-c": (["tm-density", "--n", "100", "--c"], "{}"),
+    "deviation-f-power": (["deviation", "--scale", "4096", "--f-power"], "{}"),
+    "deviation-phi": (["deviation", *_SMALL_SCALE, "--phi"], "digit-exp:3:{}"),
+    "exponents-a": (["exponents", "--c", "3/2", "--a"], "{}"),
+    "exponents-c": (["exponents", "--a", "1/2", "--c"], "{}"),
+}
+_OVERSIZED.update({f"{name}-exponent": ([*argv, form.format("1e10000000")], _FLOORS_AND_DIGITS)
+                   for name, (argv, form) in _LITERAL_FLAGS.items()})
+
+# A scale below 1 is named before the floor f(2A).
+_SCALE_FLOORS = [(sequences.PowerGrowth, "floor_exact"), (sequences.PowerGrowth, "floor_block")]
+_SCALED = {
+    "estimate-j": ["estimate-j", "--z", "8", "--f-power", "3/2", "--scale"],
+    "estimate-i": ["estimate-i", "--window", "8", "--f-power", "3/2", "--scale"],
+}
+_OVERSIZED.update({f"{name}-scale-{label}": ([*argv, scale], _SCALE_FLOORS)
+                   for name, argv in _SCALED.items()
+                   for label, scale in (("0", "0"), ("negative", "-3"))})
+
 # A window start where f' is not real (a < 0) or, for c < 2, f'' is unbounded
 # (a = 0) is rejected before any floor, by a message that names --a.
 _BAD_WINDOW_START = {
@@ -250,6 +273,57 @@ def test_malformed_phi_names_its_form_and_base_limit(argv, monkeypatch, capsys, 
     assert "digit-exp:q:a/b" in err and str(experiments._PHI_BASE_MAX) in err
 
 
+@pytest.mark.parametrize("argv, form", _LITERAL_FLAGS.values(), ids=_LITERAL_FLAGS.keys())
+def test_literal_exponent_past_its_limit_is_named_within_a_second(argv, form, monkeypatch,
+                                                                  capsys, tmp_path):
+    _fail_kernels(monkeypatch, _FLOORS_AND_DIGITS)
+    for literal in (f"1e{_LITERAL_EXP_MAX + 1}", f"1E-{_LITERAL_EXP_MAX + 1}", "1e10000000",
+                    "1e-1_000_000_0", f"1e{'9' * 5000}"):
+        start = time.perf_counter()
+        assert dispatch([*argv, form.format(literal), "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert str(_LITERAL_EXP_MAX) in capsys.readouterr().err
+
+
+# At the limit the literal is parsed.  10^-4300 is a valid digit-exp a/b and a
+# valid exponent a; no c of 10^+-4300 lies in its range, which is named instead.
+_AT_LITERAL_LIMIT = {
+    "deviation-phi-1e400": (["deviation", *_SMALL_SCALE, "--phi", "digit-exp:3:1e400"],
+                            0, ""),
+    "deviation-phi": (["deviation", *_SMALL_SCALE, "--phi", f"digit-exp:3:1e{_LITERAL_EXP_MAX}"],
+                      0, ""),
+    "exponents-a": (["exponents", "--c", "3/2", "--a", f"1e-{_LITERAL_EXP_MAX}"], 0, ""),
+    "exponents-c": (["exponents", "--a", "1/2", "--c", f"1e-{_LITERAL_EXP_MAX}"], 2,
+                    "needs 1 < c < 2"),
+    "tm-density-c": (["tm-density", "--n", "100", "--c", f"1e-{_LITERAL_EXP_MAX}"], 2,
+                     f"1 < c <= {sequences._C_MAX}"),
+    "deviation-f-power": (["deviation", "--scale", "4096", "--f-power",
+                           f"1e{_LITERAL_EXP_MAX}"], 2, f"1 < c <= {sequences._C_MAX}"),
+}
+
+
+@pytest.mark.parametrize("argv, status, message", _AT_LITERAL_LIMIT.values(),
+                         ids=_AT_LITERAL_LIMIT.keys())
+def test_literal_exponent_at_its_limit_is_parsed(argv, status, message, capsys, tmp_path):
+    start = time.perf_counter()
+    assert dispatch([*argv, "--out", str(tmp_path / "out")]) == status
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert message in err and "decimal exponent" not in err
+
+
+@pytest.mark.parametrize("argv", _SCALED.values(), ids=_SCALED.keys())
+def test_scale_below_1_is_named_and_1_is_accepted(argv, monkeypatch, capsys, tmp_path):
+    assert dispatch([*argv, "1", "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    _fail_kernels(monkeypatch, _SCALE_FLOORS)
+    for scale in ("0", "-3"):
+        start = time.perf_counter()
+        assert dispatch([*argv, scale, "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"A >= 1, got {scale}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", _BAD_WINDOW_START.values(), ids=_BAD_WINDOW_START.keys())
 def test_bad_window_start_names_a(argv, monkeypatch, capsys, tmp_path):
     _fail_kernels(monkeypatch, [(sequences.PowerGrowth, "floor_block")])
@@ -264,10 +338,10 @@ def test_bad_window_start_names_a(argv, monkeypatch, capsys, tmp_path):
 # Flags that no row of _OVERSIZED or _LIMITS bounds, with what bounds them or
 # why they need no bound, as "command --flag".
 _EXEMPT = {
-    **dict.fromkeys(["tm-density --c", "joint-residues --c", "zeck-residues --c",
-                     "beatty-mismatch --f-power", "deviation --f-power", "audit-thm1 --f-power",
-                     "estimate-j --f-power", "estimate-i --f-power"],
-                    "PowerGrowth bounds c and its denominator (test_bad_exponent_names_the_limit)"),
+    **dict.fromkeys(["joint-residues --c", "zeck-residues --c", "beatty-mismatch --f-power",
+                     "audit-thm1 --f-power", "estimate-j --f-power", "estimate-i --f-power"],
+                    "PowerGrowth bounds c, its denominator (test_bad_exponent_names_the_limit) "
+                    "and its literal's exponent (_LITERAL_FLAGS, tm-density --c)"),
     **dict.fromkeys(["tm-density --n", "joint-residues --x", "zeck-residues --x"],
                     "_N_MAX, checked before any floor "
                     "(test_residue_size_guard_runs_before_any_floor)"),
@@ -281,7 +355,6 @@ _EXEMPT = {
     "tm-density --checkpoints": "the marks stop at the bit length of n "
                                 "(test_checkpoints_stop_at_the_bit_length_of_n)",
     "beatty-mismatch --alpha": "must lie in f'([a, b]), checked before any floor",
-    **dict.fromkeys(["exponents --a", "exponents --c"], "exact Fraction arithmetic, no loop"),
     "et-audit --seed": "seeds the point sets: every seed costs the same",
     # The flags that every subcommand takes, named without a command.
     "--out": "an output path, opened once the report is built",
