@@ -135,9 +135,9 @@ def resolve_phi(phi: ArithmeticFunction | str) -> ArithmeticFunction:
         spec = phi.split(":")
         form = (f"'{phi}' is not digit-exp:q:a/b with 2 <= q <= {_PHI_BASE_MAX} and a "
                 f"decimal exponent of a/b within +-{_LITERAL_EXP_MAX}")
-        if len(spec) != 3 or not spec[1].isdecimal() or not 2 <= int(spec[1]) <= _PHI_BASE_MAX:
-            raise ValueError(form)
-        try:
+        try:  # int() also rejects a base of more than 4300 digits
+            if len(spec) != 3 or not spec[1].isdecimal() or not 2 <= int(spec[1]) <= _PHI_BASE_MAX:
+                raise ValueError(form)
             q, alpha = int(spec[1]), float(_fraction(spec[2], "a/b") % 1)
         except (ValueError, ZeroDivisionError):
             raise ValueError(form) from None

@@ -126,6 +126,8 @@ _BAD_PHI = {
                                  "digit-exp:1000000000000:1/3"],
     "audit-thm1-phi-base-past-the-limit": ["audit-thm1", "--z", "8", *_SMALL_SCALE, "--phi",
                                            f"digit-exp:{experiments._PHI_BASE_MAX + 1}:1/3"],
+    "deviation-phi-base-past-the-int-digit-limit": ["deviation", *_SMALL_SCALE, "--phi",
+                                                    f"digit-exp:{'1' * 5000}:1/3"],
     "deviation-phi-zero-denominator": ["deviation", *_SMALL_SCALE, "--phi", "digit-exp:3:1/0"],
     "estimate-j-phi-alpha-not-a-fraction": ["estimate-j", "--z", "8", *_SMALL_SCALE, "--phi",
                                             "digit-exp:3:x"],
