@@ -147,16 +147,6 @@ _LITERAL_FLAGS = {
 _OVERSIZED.update({f"{name}-exponent": ([*argv, form.format("1e10000000")], _FLOORS_AND_DIGITS)
                    for name, (argv, form) in _LITERAL_FLAGS.items()})
 
-# A scale below 1 is named before the floor f(2A).
-_SCALE_FLOORS = [(sequences.PowerGrowth, "floor_exact"), (sequences.PowerGrowth, "floor_block")]
-_SCALED = {
-    "estimate-j": ["estimate-j", "--z", "8", "--f-power", "3/2", "--scale"],
-    "estimate-i": ["estimate-i", "--window", "8", "--f-power", "3/2", "--scale"],
-}
-_OVERSIZED.update({f"{name}-scale-{label}": ([*argv, scale], _SCALE_FLOORS)
-                   for name, argv in _SCALED.items()
-                   for label, scale in (("0", "0"), ("negative", "-3"))})
-
 # A window start where f' is not real (a < 0) or, for c < 2, f'' is unbounded
 # (a = 0) is rejected before any floor, by a message that names --a.
 _BAD_WINDOW_START = {
@@ -312,6 +302,14 @@ def test_literal_exponent_at_its_limit_is_parsed(argv, status, message, capsys, 
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert message in err and "decimal exponent" not in err
+
+
+# A scale below 1 is named before the floor f(2A); the argv up to the scale.
+_SCALE_FLOORS = [(sequences.PowerGrowth, "floor_exact"), (sequences.PowerGrowth, "floor_block")]
+_SCALED = {
+    "estimate-j": ["estimate-j", "--z", "8", "--f-power", "3/2", "--scale"],
+    "estimate-i": ["estimate-i", "--window", "8", "--f-power", "3/2", "--scale"],
+}
 
 
 @pytest.mark.parametrize("argv", _SCALED.values(), ids=_SCALED.keys())
