@@ -405,12 +405,14 @@ def _cut_floors(x: int) -> np.ndarray:
     return _floors(PowerGrowth("4/3"), x)
 
 
-@pytest.mark.parametrize("x", [(1 << 17) - 1, 1 << 17, (1 << 17) + 1, (1 << 18) + 1])
+_PART = experiments._CHUNK  # 2^17
+
+
+@pytest.mark.parametrize("x", [_PART - 1, _PART, _PART + 1, 2 * _PART + 1])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_residue_counts_across_the_part_cuts_match_a_direct_bincount(x, threads):
-    # x next to the part cuts at multiples of experiments._CHUNK = 2^17,
-    # against one bincount over all the floors.
-    assert experiments._CHUNK == 1 << 17
+    # x next to the part cuts at multiples of experiments._CHUNK, against one
+    # bincount over all the floors.
     f, floors = PowerGrowth("4/3"), _cut_floors(x)
     cells = (digit_sum_array(floors, 2) % 3) * 5 + digit_sum_array(floors, 3) % 5
     rep = joint_residue_experiment(f, 2, 3, 3, 5, 0, 0, x, threads=threads)
