@@ -39,6 +39,10 @@ CASES = {
     "rho": ["rho", "--lambda-max", "12"],
     "fourier-audit": ["fourier-audit", "--q-list", "2,3", "--lambda-max", "3",
                       "--alpha-grid", "8"],
+    # 5^5 = 3125 coefficients at the top level: a grid of 7 alphas falls into
+    # uneven blocks of alphas (5 + 2 at q = 5), and q = 5 is reached.
+    "fourier-audit-3-5": ["fourier-audit", "--q-list", "3,5", "--lambda-max", "5",
+                          "--alpha-grid", "7"],
     "tm-density-3-2": ["tm-density", "--c", "3/2", "--n", "1048576", "--checkpoints", "8"],
     "tm-density-71-50": ["tm-density", "--c", "71/50", "--n", "300000"],
     "joint-residues": ["joint-residues", "--c", "9/7", "--q1", "2", "--q2", "3",
