@@ -24,6 +24,23 @@ _H_LIST_MAX = 1 << 6  # degrees of vaaler_audit, each a construction gate and a 
 # grid x (H + 1) Horner steps of psi_H that vaaler_audit takes per degree: as
 # many as the construction gate takes at the largest degree, 4096 x 1024.
 _VAALER_CELLS_MAX = 1 << 22
+# Coefficients of one block of alphas in fourier_bound_audit's top-level
+# table, a few L2-sized long-double arrays like sequences._FLOOR_CHUNK.
+_FOURIER_BLOCK = 1 << 14
+# Long-double steps of fourier_bound_audit over all bases and alphas: level
+# k >= 1 of a table takes q passes over its q^k entries (q - 1 Horner steps
+# and the product), at 15-20 ns per step, and each row with its summaries
+# and its report line costs about 10 us, counted as _ROW_STEPS.  2^25 steps
+# take about a second; one base-2 table at the 2^22-coefficient guard takes 2^24.
+_ROW_STEPS = 1 << 9
+_FOURIER_STEPS_MAX = 1 << 25
+
+
+def _fourier_steps(q: int, level_max: int) -> int:
+    """Steps of one (q, alpha) table chain and its rows, for a level_max
+    within the table guard."""
+    return sum(q ** (k + 1) for k in range(1, level_max + 1)) + (level_max + 1) * _ROW_STEPS
+
 
 __all__ = [
     "FourierAuditRow",
@@ -51,27 +68,36 @@ def fourier_bound_audit(q_list: tuple[int, ...], level_max: int,
     """Exhaustive check of the uniform coefficient bound and Parseval over
     all h, for every base, level <= level_max and a uniform alpha grid.
 
-    Every table guard is checked first.  Each (q, alpha) then takes one
-    digit_fourier_table call at level_max, whose chain holds the tables of
-    every lower level; one chain is held at a time, and the rows come out
-    in (q, level, alpha) order."""
-    if level_max < 0 or not 1 <= alpha_grid <= _ALPHA_GRID_MAX:
-        raise ValueError(f"needs level_max >= 0 and 1 <= alpha_grid <= {_ALPHA_GRID_MAX}")
+    Every guard is checked first: the table guard of each base, then an
+    alpha grid within _ALPHA_GRID_MAX and the _FOURIER_STEPS_MAX work limit.
+    Each base's grid then goes in blocks of at most _FOURIER_BLOCK
+    coefficients (at least one alpha): one digit_fourier_table call per
+    block at level_max, whose chain holds the tables of every lower level
+    with one row per alpha.  One chain is held at a time, and the rows come
+    out in (q, level, alpha) order."""
+    if level_max < 0:
+        raise ValueError(f"needs level_max >= 0, got {level_max}")
     if len(q_list) > _Q_LIST_MAX:
         raise ValueError(f"at most {_Q_LIST_MAX} bases, got {len(q_list)}")
     for q in q_list:
         _check_fourier_table(q, level_max)
+    steps = sum(_fourier_steps(q, level_max) for q in q_list)
+    grid_max = min(_ALPHA_GRID_MAX, _FOURIER_STEPS_MAX // max(steps, 1))
+    if not 1 <= alpha_grid <= grid_max:
+        raise ValueError(f"needs 1 <= alpha_grid <= {grid_max} at level {level_max} for "
+                         f"these bases: at most {_ALPHA_GRID_MAX} alphas, of {steps} table "
+                         f"steps each here, and {_FOURIER_STEPS_MAX} steps in all")
     rows = []
     for q in q_list:
         by_level = [[] for _ in range(level_max + 1)]
-        for i in range(alpha_grid):
-            for table in digit_fourier_table(q, level_max, i / alpha_grid).chain():
-                by_level[table.level].append(FourierAuditRow(
-                    q=q, level=table.level, alpha=table.alpha,
-                    max_abs_coeff=table.max_abs_coeff(),
-                    uniform_bound=table.uniform_bound(),
-                    parseval_error=table.parseval_error(),
-                    violations=table.bound_violations()))
+        block = max(1, _FOURIER_BLOCK // q ** level_max)
+        for lo in range(0, alpha_grid, block):
+            alphas = np.arange(lo, min(lo + block, alpha_grid)) / alpha_grid
+            for table in digit_fourier_table(q, level_max, alphas).chain():
+                by_level[table.level] += [FourierAuditRow(q, table.level, *row) for row in zip(
+                    alphas.tolist(), table.max_abs_coeff().tolist(),
+                    table.uniform_bound().tolist(), table.parseval_error().tolist(),
+                    table.bound_violations().tolist())]
         for level_rows in by_level:
             rows += level_rows
     return rows

@@ -80,6 +80,7 @@ _SAMPLES_MAX = 1 << 6
 _MODULUS_MAX = 1 << 16  # largest residue modulus, and product of the joint moduli
 _PHI_BASE_MAX = 1 << 16  # largest digit-exp base: (q - 1) ceil(63 / log2 q) + 1 table entries
 _HIST_MAX = 1 << 14  # raw digit-sum histogram cells counted per chunk
+_ECHO_MAX = 64  # characters of a rejected --phi that its message repeats
 _ZECK_SUM_WIDTH = 47  # s_Z <= 46 below 2^63
 
 
@@ -124,6 +125,13 @@ _TM = PHI_FUNCTIONS["thue-morse"]  # the deviation's block cancellation is selec
 _DROP_REL = 2.0 ** -80  # dropped Thue-Morse blocks, relative to the first weight
 
 
+def _echo(text: str) -> str:
+    """text in quotes, cut to _ECHO_MAX characters plus its length when longer."""
+    if len(text) <= _ECHO_MAX:
+        return f"'{text}'"
+    return f"'{text[:_ECHO_MAX]}...' ({len(text)} characters)"
+
+
 def resolve_phi(phi: ArithmeticFunction | str) -> ArithmeticFunction:
     """Accept an ArithmeticFunction, a registry name, or digit-exp:q:a/b for
     e(a s_q(m) / b), checked before any work: 2 <= q <= _PHI_BASE_MAX and a/b
@@ -133,7 +141,7 @@ def resolve_phi(phi: ArithmeticFunction | str) -> ArithmeticFunction:
         return PHI_FUNCTIONS.get(phi, phi)
     if phi.startswith("digit-exp:"):
         spec = phi.split(":")
-        form = (f"'{phi}' is not digit-exp:q:a/b with 2 <= q <= {_PHI_BASE_MAX} and a "
+        form = (f"{_echo(phi)} is not digit-exp:q:a/b with 2 <= q <= {_PHI_BASE_MAX} and a "
                 f"decimal exponent of a/b within +-{_LITERAL_EXP_MAX}")
         try:  # int() also rejects a base of more than 4300 digits
             if len(spec) != 3 or not spec[1].isdecimal() or not 2 <= int(spec[1]) <= _PHI_BASE_MAX:
@@ -143,7 +151,7 @@ def resolve_phi(phi: ArithmeticFunction | str) -> ArithmeticFunction:
             raise ValueError(form) from None
         s = np.arange(_digit_sum_width(q, (1 << 63) - 1))
         return ArithmeticFunction(phi, q, np.exp(2j * np.pi * ((alpha * s) % 1.0)))
-    raise ValueError(f"unknown arithmetic function '{phi}'")
+    raise ValueError(f"unknown arithmetic function {_echo(phi)}")
 
 
 def _check_scale(f: PowerGrowth, A: int) -> int:

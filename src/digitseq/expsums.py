@@ -247,14 +247,18 @@ def fourier_coefficient_bound(q: int, level: int, alpha: float) -> float:
 class FourierTable:
     """All digit Fourier coefficients at fixed (q, level, alpha); index h.
 
-    The coefficients are np.clongdouble.  The three summaries share one
-    pass of squared moduli in long double, and each rounds to double once.
-    coarser is the level - 1 table of the same product chain (None at level
-    0); chain() lists the tables from level 0 up to this one."""
+    alpha is a float, or a 1-D array of alphas whose tables are the rows of
+    a 2-D coefficients array; a float is the one-row case, its row a 1-D
+    array.  The coefficients are np.clongdouble.  The three summaries share
+    one pass of squared moduli in long double, reduce along the last axis
+    and each rounds to double once: one value for a float alpha, an array
+    of one per row for a block.  coarser is the level - 1 table of the same
+    product chain (None at level 0); chain() lists the tables from level 0
+    up to this one."""
 
     q: int
     level: int
-    alpha: float
+    alpha: float | np.ndarray
     coefficients: np.ndarray
     coarser: FourierTable | None = field(default=None, repr=False, compare=False)
 
@@ -269,18 +273,24 @@ class FourierTable:
         c = self.coefficients
         return c.real * c.real + c.imag * c.imag
 
-    def max_abs_coeff(self) -> float:
-        return float(np.sqrt(self._sq_moduli.max()))
+    @functools.cached_property
+    def _bounds(self) -> np.ndarray:
+        """The scalar bound of each alpha, shaped like alpha."""
+        return np.array([fourier_coefficient_bound(self.q, self.level, a)
+                         for a in np.ravel(self.alpha).tolist()]).reshape(np.shape(self.alpha))
 
-    def parseval_error(self) -> float:
-        return abs(float(self._sq_moduli.sum()) - 1.0)
+    def max_abs_coeff(self):
+        return np.sqrt(self._sq_moduli.max(axis=-1)).astype(np.float64)
 
-    def uniform_bound(self) -> float:
-        return fourier_coefficient_bound(self.q, self.level, self.alpha)
+    def parseval_error(self):
+        return np.abs(self._sq_moduli.sum(axis=-1).astype(np.float64) - 1.0)
 
-    def bound_violations(self) -> int:
-        limit = np.longdouble(self.uniform_bound() + _BOUND_SLACK)
-        return int(np.count_nonzero(self._sq_moduli > limit * limit))
+    def uniform_bound(self):
+        return self._bounds[()]
+
+    def bound_violations(self):
+        limit = np.asarray(self._bounds + _BOUND_SLACK, dtype=np.longdouble)[..., None]
+        return (self._sq_moduli > limit * limit).sum(axis=-1)
 
 
 def _e_long_double(phases) -> np.ndarray:
@@ -315,37 +325,44 @@ def _check_fourier_table(q: int, level: int) -> None:
         raise ValueError(f"table of {q}^{level} coefficients exceeds the 2^{_TABLE_LOG2_MAX} guard")
 
 
-def digit_fourier_table(q: int, level: int, alpha: float) -> FourierTable:
+def digit_fourier_table(q: int, level: int, alpha) -> FourierTable:
     """Coefficients F(h) = q^-level sum_{u < q^level} e(alpha s_q(u) - h u / q^level)
     for all h < q^level, with the tables of every lower level linked through
     coarser (guarded by _check_fourier_table before anything is allocated;
-    the lower levels add at most 1/(q - 1) of the table's size).
+    the lower levels add at most 1/(q - 1) of the table's size).  alpha is a
+    float or a 1-D array of alphas, one table row each (see FourierTable).
 
     F(h) is the product over k = 1 ... level of the digit factors
     (1/q) sum_{d<q} e(d alpha) e(-d r / q^k), which depend on h only through
     r = h mod q^k.  e(-r / q^k) is W[r q^(level-k)] of the root table, an
     exact integer index, and each {d alpha} is reduced exactly, so no phase
     grows with h.  Each factor is a Horner sum in those roots; the product
-    is built up from k = 1, one broadcast per level, and the product after
-    k factors is the level-k table: its roots are bitwise those of the
-    level-k root table, since r q^(level-k) / q^level rounds exactly as
-    r / q^k does.  Everything runs in long double, and the np.clongdouble
-    coefficients are rounded only where a summary reports them."""
+    is built up from k = 1, one broadcast per level over every alpha at
+    once, and the product after k factors is the level-k table: its roots
+    are bitwise those of the level-k root table, since r q^(level-k) / q^level
+    rounds exactly as r / q^k does.  Everything runs in long double, each
+    entry by the same operations whatever the number of alphas, and the
+    np.clongdouble coefficients are rounded only where a summary reports
+    them."""
     _check_fourier_table(q, level)
-    table = FourierTable(q=q, level=0, alpha=alpha, coefficients=np.ones(1, dtype=np.clongdouble))
+    alphas = np.ravel(alpha).tolist()
+    rows, shape = len(alphas), np.shape(alpha) + (-1,)  # (q^k,) for a float alpha
+    coefficients = np.ones((rows, 1), dtype=np.clongdouble)
+    table = FourierTable(q=q, level=0, alpha=alpha, coefficients=coefficients.reshape(shape))
     if level == 0:  # the empty product; q may be far beyond the guard here
         return table
     roots = _root_table(q, level)
-    digit_terms = _e_long_double([
-        np.longdouble(p) / np.longdouble(den)
-        for p, den in (_phase_fraction(d, alpha) for d in range(q))]) / q
+    digit_terms = _e_long_double([[np.longdouble(p) / np.longdouble(den)
+                                   for p, den in (_phase_fraction(d, a) for d in range(q))]
+                                  for a in alphas]) / q
     for k in range(1, level + 1):
         y = roots[::q ** (level - k)]
-        factor = digit_terms[q - 1] * y
+        factor = digit_terms[:, q - 1:q] * y
         for d in range(q - 2, 0, -1):
-            factor += digit_terms[d]
+            factor += digit_terms[:, d:d + 1]
             factor *= y
-        factor += digit_terms[0]
+        factor += digit_terms[:, :1]
+        coefficients = (factor.reshape(rows, q, -1) * coefficients[:, None]).reshape(rows, -1)
         table = FourierTable(q=q, level=k, alpha=alpha, coarser=table,
-                             coefficients=(factor.reshape(q, -1) * table.coefficients).ravel())
+                             coefficients=coefficients.reshape(shape))
     return table

@@ -2,6 +2,7 @@
 two classical summation inequalities."""
 
 import cmath
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -322,6 +323,47 @@ def test_fourier_table_chain_holds_every_lower_level(q, level):
             fresh = digit_fourier_table(q, table.level, alpha)
             assert (table.q, table.alpha) == (q, alpha)
             assert np.array_equal(table.coefficients, fresh.coefficients)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values and equal signs of zero, in both parts."""
+    return a.shape == b.shape and all(
+        np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+        for x, y in ((a.real, b.real), (a.imag, b.imag)))
+
+
+_SUMMARIES = ("max_abs_coeff", "parseval_error", "uniform_bound", "bound_violations")
+
+
+@pytest.mark.parametrize("q, level", [(2, 9), (3, 6), (5, 4)])
+def test_array_alpha_rows_equal_the_float_tables(q, level):
+    # Each row of a block is the float-alpha table bit for bit, in its
+    # coefficients and its summaries, at levels 0, 1 and the top.
+    alphas = np.array([0.0, 0.37, 1 / 3, 0.5, 0.9, 1 / 7])
+    chain = digit_fourier_table(q, level, alphas).chain()
+    for k in (0, 1, level):
+        block = chain[k]
+        assert block.coefficients.shape == (len(alphas), q ** k)
+        for i, alpha in enumerate(alphas.tolist()):
+            table = digit_fourier_table(q, k, alpha)
+            assert table.coefficients.shape == (q ** k,)
+            assert _same_bits(block.coefficients[i], table.coefficients)
+            for summary in _SUMMARIES:
+                assert getattr(block, summary)()[i] == getattr(table, summary)(), (k, i, summary)
+
+
+def test_a_doubled_row_violates_in_its_row_only():
+    alphas = np.array([0.2, 0.45, 0.0, 0.7])
+    table = digit_fourier_table(3, 4, alphas)
+    coefficients = table.coefficients.copy()
+    coefficients[2] *= 2
+    doubled = dataclasses.replace(table, coefficients=coefficients)
+    assert np.array_equal(table.bound_violations(), [0, 0, 0, 0])
+    violations = doubled.bound_violations()
+    assert violations[2] > 0 and np.count_nonzero(violations) == 1
+    for summary in _SUMMARIES:
+        assert np.array_equal(np.delete(getattr(doubled, summary)(), 2),
+                              np.delete(getattr(table, summary)(), 2))
 
 
 def test_fourier_bound_randomized_sweep():

@@ -107,6 +107,11 @@ _OVERSIZED = {
                                  [(audits, "digit_fourier_table")]),
     "fourier-audit-q-list": (["fourier-audit", "--q-list", ",".join(["5"] * 65)],
                              [(audits, "digit_fourier_table")]),
+    # A chain of 16 385 coefficients, but level 1 takes 16 384 passes over
+    # its entries: 2^28 steps, eight times the work limit.
+    "fourier-audit-level-1-wide-base": (["fourier-audit", "--q-list", "16384", "--lambda-max",
+                                         "1", "--alpha-grid", "1"],
+                                        [(audits, "digit_fourier_table")]),
     # 2^14 coefficients fit the guard, 3^14 do not: no base-2 table is built.
     "fourier-audit-level-past-the-guard-in-a-later-base": (
         ["fourier-audit", "--q-list", "2,3", "--alpha-grid", "1", "--lambda-max", "14"],
@@ -235,6 +240,11 @@ _LIMITS = {
     # The grid limit falls as the largest degree grows: 4096 at H = 1023.
     "vaaler-audit-grid": (["vaaler-audit", "--h-list", "1,1023", "--grid"],
                           audits._VAALER_CELLS_MAX // 1024, [(audits, "build_vaaler_approx")]),
+    # Past the work limit the grid falls below _ALPHA_GRID_MAX: 331 at q = 5, level 6.
+    "fourier-audit-alpha-grid-work": (["fourier-audit", "--q-list", "5", "--lambda-max", "6",
+                                       "--alpha-grid"],
+                                      audits._FOURIER_STEPS_MAX // audits._fourier_steps(5, 6),
+                                      [(audits, "digit_fourier_table")]),
     # Rejected by the CLI type check, before any worker pool starts.
     "threads": (["tm-density", "--c", "3/2", "--n", "100", "--threads"], cli._THREADS_MAX,
                 [(experiments, "_map_ordered"), (experiments, "ps_block_chunks")]),
@@ -263,6 +273,8 @@ def test_malformed_phi_names_its_form_and_base_limit(argv, monkeypatch, capsys, 
     assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "digit-exp:q:a/b" in err and str(experiments._PHI_BASE_MAX) in err
+    # The text is echoed up to experiments._ECHO_MAX characters, and its length past that.
+    assert len(err) <= 256
 
 
 @pytest.mark.parametrize("argv, form", _LITERAL_FLAGS.values(), ids=_LITERAL_FLAGS.keys())
@@ -424,6 +436,12 @@ def test_audit_loops_are_bounded_by_named_limits():
         audits.et_audit(sets=audits._SETS_MAX + 1)
     with pytest.raises(ValueError, match=str(audits._Q_LIST_MAX)):
         audits.fourier_bound_audit((2,) * (audits._Q_LIST_MAX + 1), 1, 1)
+
+
+def test_fourier_work_limit_admits_the_defaults():
+    # Bases 2, 3 and 5 at level 6: the CLI's default grid of 64 alphas, and
+    # perfbench's largest fourier-audit grid is 16.
+    assert 64 * sum(audits._fourier_steps(q, 6) for q in (2, 3, 5)) <= audits._FOURIER_STEPS_MAX
 
 
 def test_h_list_at_its_length_limit_is_accepted_and_past_it_named(monkeypatch, capsys, tmp_path):
