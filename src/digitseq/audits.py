@@ -85,8 +85,8 @@ def fourier_bound_audit(q_list: tuple[int, ...], level_max: int,
     grid_max = min(_ALPHA_GRID_MAX, _FOURIER_STEPS_MAX // max(steps, 1))
     if not 1 <= alpha_grid <= grid_max:
         raise ValueError(f"needs 1 <= alpha_grid <= {grid_max} at level {level_max} for "
-                         f"these bases: at most {_ALPHA_GRID_MAX} alphas, of {steps} table "
-                         f"steps each here, and {_FOURIER_STEPS_MAX} steps in all")
+                         f"these bases: at most {_ALPHA_GRID_MAX} alphas and "
+                         f"{_FOURIER_STEPS_MAX} table steps, {steps} per alpha")
     rows = []
     for q in q_list:
         by_level = [[] for _ in range(level_max + 1)]
